@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .conformal import CalibrationState, calibrate
-from .core import EnvDataset, average_length, coverage_rate
+from .core import EnvDataset, PredictionInterval, average_length, coverage_rate
 from .datagen import SETTINGS, CsvParseError, SemConfig, generate_sem, load_csv, split_dataset
 from .models import FitConfig, fit_erm, fit_irmv1
 
@@ -175,35 +175,24 @@ def _score_method(
     config: ExperimentConfig,
     replication: int,
 ) -> list[MetricsRow]:
-    all_intervals: list = []
-    all_truths: list = []
-    rows = []
-    for env in test:
-        if method.startswith("SC"):
-            intervals = state.sc_intervals(env.features, config.alpha)
-        else:
-            intervals = state.acir_intervals(env.features, config.alpha)
-        all_intervals.extend(intervals)
-        all_truths.append(env.targets)
-        rows.append(
-            MetricsRow(
-                method=method,
-                setting=config.setting,
-                replication=replication,
-                scope=str(env.env_id),
-                coverage=coverage_rate(intervals, env.targets),
-                avg_length=average_length(intervals),
-            )
+    def row(scope: str, intervals: PredictionInterval, truths: np.ndarray) -> MetricsRow:
+        return MetricsRow(
+            method=method,
+            setting=config.setting,
+            replication=replication,
+            scope=scope,
+            coverage=coverage_rate(intervals, truths),
+            avg_length=average_length(intervals),
         )
-    pooled = MetricsRow(
-        method=method,
-        setting=config.setting,
-        replication=replication,
-        scope="pooled",
-        coverage=coverage_rate(all_intervals, np.concatenate(all_truths)),
-        avg_length=average_length(all_intervals),
+
+    build = state.sc_intervals if method.startswith("SC") else state.acir_intervals
+    by_env = [build(env.features, config.alpha) for env in test]
+    pooled = PredictionInterval(
+        np.concatenate([iv.center for iv in by_env]),
+        np.concatenate([iv.half_width for iv in by_env]),
     )
-    return [pooled] + rows
+    rows = [row("pooled", pooled, np.concatenate([env.targets for env in test]))]
+    return rows + [row(str(env.env_id), iv, env.targets) for env, iv in zip(test, by_env)]
 
 
 def _replication_data(

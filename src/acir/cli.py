@@ -341,7 +341,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         intervals = state.acir_intervals(points, alpha)
     lines = ["center,lower,upper"]
-    lines += [f"{iv.center!r},{iv.lower!r},{iv.upper!r}" for iv in intervals]
+    # tolist() gives Python floats; the repr of a numpy float reads np.float64(...).
+    rows = zip(intervals.center.tolist(), intervals.lower.tolist(), intervals.upper.tolist())
+    lines += [f"{c!r},{lo!r},{hi!r}" for c, lo, hi in rows]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

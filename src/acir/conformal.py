@@ -2,14 +2,17 @@
 
 Two interval constructions share one calibration pass:
 
-* ``sc_interval`` pools every environment's calibration scores and uses a
+* ``sc_intervals`` pools every environment's calibration scores and uses a
   single finite-sample quantile as the half-width for all test points.
-* ``acir_interval`` keeps per-environment quantiles and combines them with
-  weights that measure how similar the test point's representation moments
+* ``acir_intervals`` keeps per-environment quantiles and combines them with
+  weights that measure how similar each test point's representation moments
   are to each environment's average moments, so the half-width adapts to
   the environment the point appears to come from. An optional nonnegative
   per-environment inflation vector can widen the result by its weighted
   average.
+
+Both return one array-valued ``PredictionInterval`` for a batch of points;
+``sc_interval`` and ``acir_interval`` are their single-point views.
 
 The calibration state is a compact, serializable artifact: sorted scores and
 two moment summaries per environment plus the model used to score. It is
@@ -35,26 +38,17 @@ __all__ = [
 ]
 
 
-def moment_stats(representation: np.ndarray) -> tuple[float, float]:
+def moment_stats(representation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population standard deviation across representation coordinates.
 
-    Needs at least two coordinates; a one-dimensional representation has no
-    spread to measure.
+    Works along the last axis: a (k,) representation gives two scalars, an
+    (n, k) batch two (n,) arrays. Needs k >= 2; a one-dimensional
+    representation has no spread to measure.
     """
-    rep = np.asarray(representation, dtype=float).ravel()
-    if rep.size < 2:
-        raise ValueError(f"representation must have >= 2 coordinates, got {rep.size}")
-    mu = float(rep.mean())
-    v = float(np.sqrt(np.mean((rep - mu) ** 2)))
-    return mu, v
-
-
-def _batch_moments(model: LinearIRMModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (mu, v) of the representation for a feature matrix."""
-    rep = model.represent(np.atleast_2d(x))
-    if rep.shape[1] < 2:
-        raise ValueError("representation must have >= 2 coordinates")
-    return rep.mean(axis=1), rep.std(axis=1)
+    rep = np.atleast_1d(np.asarray(representation, dtype=float))
+    if rep.shape[-1] < 2:
+        raise ValueError(f"representation must have >= 2 coordinates, got {rep.shape[-1]}")
+    return rep.mean(axis=-1), rep.std(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -79,8 +73,8 @@ class CalibrationState:
             sc = np.array(sc, dtype=float, copy=True)
             if sc.size < 1:
                 raise ValueError(f"env {env_id}: empty score vector")
-            if sc.min() < 0:
-                raise ValueError(f"env {env_id}: scores must be nonnegative")
+            if not np.isfinite(sc).all() or sc.min() < 0:
+                raise ValueError(f"env {env_id}: scores must be finite and nonnegative")
             if np.any(np.diff(sc) < 0):
                 raise ValueError(f"env {env_id}: scores must be sorted ascending")
             sc.setflags(write=False)
@@ -89,8 +83,8 @@ class CalibrationState:
         object.__setattr__(self, "scores", tuple(frozen))
         mu = np.array(self.mu, dtype=float, copy=True)
         v = np.array(self.v, dtype=float, copy=True)
-        if v.min() < 0:
-            raise ValueError("moment spread summaries must be nonnegative")
+        if not (np.isfinite(mu).all() and np.isfinite(v).all() and v.min() >= 0):
+            raise ValueError("moment summaries must be finite, spreads nonnegative")
         mu.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -99,12 +93,6 @@ class CalibrationState:
     @property
     def m(self) -> int:
         return len(self.env_ids)
-
-    def index(self, env_id: int) -> int:
-        try:
-            return self.env_ids.index(env_id)
-        except ValueError:
-            raise ValueError(f"unknown environment id {env_id}") from None
 
     def pooled_scores(self) -> np.ndarray:
         return np.concatenate(self.scores)
@@ -115,12 +103,6 @@ class CalibrationState:
 
     # -- similarity weighting -------------------------------------------------
 
-    def similarity(self, x: np.ndarray, env_id: int) -> float:
-        """exp(-|v_x - v_e|) * exp(-|mu_x - mu_e|) for the point's moments."""
-        i = self.index(env_id)
-        mu_x, v_x = moment_stats(self.model.represent(np.asarray(x, dtype=float)))
-        return float(np.exp(-abs(v_x - self.v[i])) * np.exp(-abs(mu_x - self.mu[i])))
-
     def environment_weights(self, x: np.ndarray) -> np.ndarray:
         """Similarity weights over environments, normalized to sum to one."""
         return self._weights_matrix(np.asarray(x, dtype=float)[None, :])[0]
@@ -128,12 +110,14 @@ class CalibrationState:
     def _weights_matrix(self, x: np.ndarray) -> np.ndarray:
         """(n, m) weight matrix for a batch of points.
 
+        Point i's weight on environment e is proportional to the similarity
+        exp(-|v_i - v_e|) * exp(-|mu_i - mu_e|) of their moments.
         Normalization happens in log space (largest similarity is scaled to
         one before exponentiating), which is algebraically identical to
         dividing by the similarity sum but cannot underflow to an all-zero
         row for far-away points.
         """
-        mu_x, v_x = _batch_moments(self.model, x)
+        mu_x, v_x = moment_stats(self.model.represent(x))
         log_tau = -np.abs(v_x[:, None] - self.v[None, :]) - np.abs(
             mu_x[:, None] - self.mu[None, :]
         )
@@ -142,13 +126,6 @@ class CalibrationState:
         return tau / tau.sum(axis=1, keepdims=True)
 
     # -- intervals ------------------------------------------------------------
-
-    def weighted_quantile(self, x: np.ndarray, alpha: float) -> float:
-        """Similarity-weighted combination of per-environment quantiles."""
-        return float(
-            self._combine(self._weights_matrix(np.asarray(x, dtype=float)[None, :]),
-                          self.env_quantiles(alpha))[0]
-        )
 
     @staticmethod
     def _combine(weights: np.ndarray, env_q: np.ndarray) -> np.ndarray:
@@ -161,61 +138,49 @@ class CalibrationState:
             out[~blocked] = weights[np.ix_(~blocked, finite)] @ env_q[finite]
         return out
 
-    def sc_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
-        """Split-conformal interval from the pooled calibration scores."""
-        x = np.asarray(x, dtype=float)
-        half = conformal_quantile(self.pooled_scores(), alpha)
-        return PredictionInterval(center=self.model.predict(x), half_width=half)
-
-    def acir_interval(
-        self,
-        x: np.ndarray,
-        alpha: float,
-        delta_inflation: np.ndarray | None = None,
-    ) -> PredictionInterval:
-        """Adaptive interval with similarity-weighted per-environment quantiles.
-
-        delta_inflation, when given, is a nonnegative per-environment vector
-        whose weighted average is added to the half-width.
-        """
-        x = np.asarray(x, dtype=float)
-        w = self._weights_matrix(x[None, :])
-        half = float(self._combine(w, self.env_quantiles(alpha))[0])
-        if delta_inflation is not None:
-            delta = np.asarray(delta_inflation, dtype=float).ravel()
-            if delta.size != self.m:
-                raise ValueError(
-                    f"delta_inflation must have length {self.m}, got {delta.size}"
-                )
-            half += float(w[0] @ delta)
-        return PredictionInterval(center=self.model.predict(x), half_width=half)
-
-    # -- batch construction ---------------------------------------------------
-
-    def sc_intervals(self, x: np.ndarray, alpha: float) -> list[PredictionInterval]:
+    def sc_intervals(self, x: np.ndarray, alpha: float) -> PredictionInterval:
+        """Split-conformal intervals: the pooled calibration quantile around each prediction."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         half = conformal_quantile(self.pooled_scores(), alpha)
         centers = self.model.predict(x)
-        return [PredictionInterval(c, half) for c in centers]
+        return PredictionInterval(centers, np.full(centers.shape, half))
+
+    def sc_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
+        """sc_intervals for the single point x of shape (p,)."""
+        return self.sc_intervals(np.asarray(x, dtype=float)[None, :], alpha)[0]
 
     def acir_intervals(
-        self,
-        x: np.ndarray,
-        alpha: float,
-        delta_inflation: np.ndarray | None = None,
-    ) -> list[PredictionInterval]:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        self, x: np.ndarray, alpha: float, delta_inflation: np.ndarray | None = None
+    ) -> PredictionInterval:
+        """Adaptive intervals with similarity-weighted per-environment quantiles.
+
+        delta_inflation, when given, is a finite nonnegative per-environment
+        vector whose weighted average is added to each half-width.
+        """
+        return self._acir(np.atleast_2d(np.asarray(x, dtype=float)), alpha, delta_inflation)
+
+    def acir_interval(
+        self, x: np.ndarray, alpha: float, delta_inflation: np.ndarray | None = None
+    ) -> PredictionInterval:
+        """acir_intervals for the single point x of shape (p,)."""
+        return self._acir(np.asarray(x, dtype=float)[None, :], alpha, delta_inflation)[0]
+
+    def _acir(
+        self, x: np.ndarray, alpha: float, delta_inflation: np.ndarray | None
+    ) -> PredictionInterval:
+        # The one AC body. acir_interval calls it directly rather than through
+        # acir_intervals, so a call profile keeps single-point queries apart.
         w = self._weights_matrix(x)
         halves = self._combine(w, self.env_quantiles(alpha))
         if delta_inflation is not None:
             delta = np.asarray(delta_inflation, dtype=float).ravel()
-            if delta.size != self.m:
+            if delta.size != self.m or not (np.isfinite(delta).all() and delta.min() >= 0):
                 raise ValueError(
-                    f"delta_inflation must have length {self.m}, got {delta.size}"
+                    f"delta_inflation must have length {self.m} and finite nonnegative "
+                    f"entries, got {delta}"
                 )
             halves = halves + w @ delta
-        centers = self.model.predict(x)
-        return [PredictionInterval(c, h) for c, h in zip(centers, halves)]
+        return PredictionInterval(self.model.predict(x), halves)
 
 
 def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:
@@ -229,7 +194,7 @@ def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:
     env_ids, scores, mus, vs = [], [], [], []
     for env in cal:
         resid = np.abs(env.targets - model.predict(env.features))
-        mu_x, v_x = _batch_moments(model, env.features)
+        mu_x, v_x = moment_stats(model.represent(env.features))
         env_ids.append(env.env_id)
         scores.append(np.sort(resid))
         mus.append(float(mu_x.mean()))
@@ -257,7 +222,7 @@ def save_state(state: CalibrationState, path: str) -> None:
 
 
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
-    """Read a state written by save_state; sortedness is re-validated."""
+    """Read a state written by save_state; every value is re-validated."""
     env_ids, scores, mus, vs = [], [], [], []
     declared_m = None
     with open(path, encoding="utf-8") as fh:
@@ -286,10 +251,13 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
         raise ValueError(
             f"{path}: header declares {declared_m} environments, found {len(env_ids)}"
         )
-    return CalibrationState(
-        model=model,
-        env_ids=tuple(env_ids),
-        scores=tuple(scores),
-        mu=np.array(mus),
-        v=np.array(vs),
-    )
+    try:
+        return CalibrationState(
+            model=model,
+            env_ids=tuple(env_ids),
+            scores=tuple(scores),
+            mu=np.array(mus),
+            v=np.array(vs),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -99,31 +100,60 @@ class DataSplit:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionInterval:
-    """Symmetric prediction interval [center - half_width, center + half_width]."""
+    """Symmetric prediction intervals [center - half_width, center + half_width].
 
-    center: float
-    half_width: float
+    center and half_width are read-only float arrays of one shape: (n,) for a
+    batch of n points, () for a single point. lower, upper and contains work
+    elementwise; len() counts the points and [i] is point i as a view.
+    Compare intervals through their arrays: == is identity, as arrays have
+    no single truth value.
+    """
+
+    center: np.ndarray
+    half_width: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "half_width", float(self.half_width))
-        if math.isnan(self.center) or not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center}")
-        if math.isnan(self.half_width) or self.half_width < 0:
-            raise ValueError(f"half_width must be >= 0, got {self.half_width}")
+        center = _readonly(self.center)
+        half_width = _readonly(self.half_width)
+        if center.shape != half_width.shape or center.ndim > 1:
+            raise ValueError(
+                f"center and half_width must share one shape (n,) or (), "
+                f"got {center.shape} and {half_width.shape}"
+            )
+        if not np.isfinite(center).all():
+            raise ValueError("center must be finite")
+        if not (half_width >= 0).all():
+            raise ValueError("half_width must be >= 0")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "half_width", half_width)
+
+    def __len__(self) -> int:
+        return len(self.center)  # TypeError for a single point, as for a 0-d array
+
+    def __getitem__(self, i: int) -> PredictionInterval:
+        # Rows of a validated interval are valid: share the read-only data
+        # instead of copying and checking it again.
+        row = object.__new__(PredictionInterval)
+        object.__setattr__(row, "center", self.center[i, ...])
+        object.__setattr__(row, "half_width", self.half_width[i, ...])
+        return row
+
+    def __iter__(self) -> Iterator[PredictionInterval]:
+        return (self[i] for i in range(len(self)))
 
     @property
-    def lower(self) -> float:
+    def lower(self) -> np.ndarray:
         return self.center - self.half_width
 
     @property
-    def upper(self) -> float:
+    def upper(self) -> np.ndarray:
         return self.center + self.half_width
 
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
+    def contains(self, y: np.ndarray) -> np.ndarray:
+        """Elementwise lower <= y <= upper."""
+        return (self.lower <= y) & (y <= self.upper)
 
 
 def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
@@ -156,21 +186,20 @@ def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
-def coverage_rate(intervals: list[PredictionInterval], truths: np.ndarray) -> float:
+def coverage_rate(intervals: PredictionInterval, truths: np.ndarray) -> float:
     """Fraction of truths falling inside their interval (bounds inclusive)."""
     truths = np.asarray(truths, dtype=float).ravel()
-    if len(intervals) != truths.size:
+    if intervals.center.size != truths.size:
         raise ValueError(
-            f"length mismatch: {len(intervals)} intervals vs {truths.size} truths"
+            f"length mismatch: {intervals.center.size} intervals vs {truths.size} truths"
         )
     if truths.size == 0:
         raise ValueError("need at least one interval")
-    hits = sum(iv.contains(y) for iv, y in zip(intervals, truths))
-    return hits / truths.size
+    return np.count_nonzero(intervals.contains(truths)) / truths.size
 
 
-def average_length(intervals: list[PredictionInterval]) -> float:
+def average_length(intervals: PredictionInterval) -> float:
     """Mean interval half-width; +inf as soon as any half-width is infinite."""
-    if len(intervals) == 0:
+    if intervals.half_width.size == 0:
         raise ValueError("need at least one interval")
-    return float(np.mean([iv.half_width for iv in intervals]))
+    return float(np.mean(intervals.half_width))

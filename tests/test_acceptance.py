@@ -20,7 +20,7 @@ import pytest
 
 from acir.bench import ExperimentConfig, emit_outputs, run_experiment, summarize
 from acir.conformal import calibrate
-from acir.core import EnvDataset, conformal_quantile, coverage_rate
+from acir.core import EnvDataset, PredictionInterval, conformal_quantile, coverage_rate
 from acir.datagen import SemConfig, generate_sem, save_csv
 from acir.invariance import fit_density, inv_statistic
 from acir.models import FitConfig, LinearIRMModel, fit_erm, fit_irmv1, irm_objective
@@ -64,8 +64,10 @@ def _run_setting(setting):
             sc_by_env.append(state.sc_intervals(te.features, ALPHA))
             ac_by_env.append(state.acir_intervals(te.features, ALPHA))
         y_all = np.concatenate([te.targets for te in test])
-        sc_all = [iv for ivs in sc_by_env for iv in ivs]
-        ac_all = [iv for ivs in ac_by_env for iv in ivs]
+        sc_all = PredictionInterval(np.concatenate([iv.center for iv in sc_by_env]),
+                                    np.concatenate([iv.half_width for iv in sc_by_env]))
+        ac_all = PredictionInterval(np.concatenate([iv.center for iv in ac_by_env]),
+                                    np.concatenate([iv.half_width for iv in ac_by_env]))
         reps.append({
             "sc_pooled_cov": coverage_rate(sc_all, y_all),
             "ac_pooled_cov": coverage_rate(ac_all, y_all),

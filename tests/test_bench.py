@@ -1,5 +1,7 @@
 """Experiment runner: row accounting, determinism, aggregation, exports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,7 +223,7 @@ def test_metrics_round_trip_including_inf(tmp_path):
 def test_boxplot_layout(tmp_path):
     rows = [make_row(rep=r, cov=0.9 + 0.01 * r, ln=1.0 + r) for r in range(2)]
     _, _, box_path = emit_outputs(rows, summarize(rows), str(tmp_path))
-    lines = open(box_path).read().splitlines()
+    lines = Path(box_path).read_text().splitlines()
     assert lines[0] == "method,setting,scope,replication,metric,value"
     assert len(lines) == 1 + 2 * len(rows)
     assert lines[1] == "SC-IRM,FOU,pooled,0,coverage,0.9"

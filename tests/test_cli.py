@@ -1,5 +1,7 @@
 """End-to-end command-line flows, exit codes, and config-file merging."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_datagen_is_deterministic(tmp_path):
     b = str(tmp_path / "b.csv")
     run_cli("datagen", "sem", "--setting", "PEU", "--n", "30", "--seed", "4", "--out", a)
     run_cli("datagen", "sem", "--setting", "PEU", "--n", "30", "--seed", "4", "--out", b)
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def test_full_pipeline_round_trip(workspace, capsys):
     assert run_cli("assess", "--model", model, "--data", data, "--out", report) == 0
     assess_out = capsys.readouterr().out
     assert "inv=" in assess_out
-    assert open(report).readline().strip() == "baseline_env,source_env,m_hat"
+    assert Path(report).read_text().splitlines()[0] == "baseline_env,source_env,m_hat"
 
     header = ",".join(f"x{j}" for j in range(1, 11))
     rows = ["0.1," * 9 + "0.1", "1.5," * 9 + "-0.5"]
@@ -114,7 +116,7 @@ def test_full_pipeline_round_trip(workspace, capsys):
         "--input", points, "--method", "acir", "--out", intervals,
     ) == 0
     capsys.readouterr()
-    lines = open(intervals).read().splitlines()
+    lines = Path(intervals).read_text().splitlines()
     assert lines[0] == "center,lower,upper"
     assert len(lines) == 3
     for ln in lines[1:]:
@@ -159,6 +161,24 @@ def test_predict_rejects_wrong_points_header(workspace, tmp_path, capsys):
     assert run_cli(
         "predict", "--model", model, "--calibration", state, "--input", points
     ) == 2
+
+
+def test_predict_rejects_nan_calibration_state(workspace, tmp_path, capsys):
+    _, data = workspace
+    model = str(tmp_path / "model.txt")
+    state = tmp_path / "state.txt"
+    run_cli("fit", "--data", data, "--out", model, "--calibration-out", str(state), *FAST)
+    lines = state.read_text().splitlines()
+    lines[1] = "nan"
+    state.write_text("\n".join(lines) + "\n")
+    points = tmp_path / "points.csv"
+    points.write_text(",".join(f"x{j}" for j in range(1, 11)) + "\n" + "0," * 9 + "0\n")
+    capsys.readouterr()
+    assert run_cli(
+        "predict", "--model", model, "--calibration", str(state), "--input", str(points)
+    ) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "finite" in err  # rejected at load, naming the file
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ def test_moment_stats_hand_computed():
     assert abs(v - 1.8708286933869707) < 1e-15
 
 
+def test_moment_stats_works_along_the_last_axis():
+    rep = np.array([[1.0, 2.0, 3.0, 6.0], [0.0, 0.0, 2.0, 2.0]])
+    mu, v = moment_stats(rep)
+    np.testing.assert_array_equal(mu, [3.0, 1.0])
+    np.testing.assert_array_equal(v, [moment_stats(rep[0])[1], 1.0])
+
+
 def test_moment_stats_rejects_scalar_representation():
     with pytest.raises(ValueError, match=">= 2"):
         moment_stats(np.array([5.0]))
@@ -101,6 +108,14 @@ def test_state_rejects_negative_scores():
         )
 
 
+@pytest.mark.parametrize("field", ["scores", "mu", "v"])
+def test_state_rejects_non_finite_values(field):
+    fields = dict(scores=(np.array([1.0, 2.0]),), mu=np.zeros(1), v=np.ones(1))
+    fields[field] = (np.array([1.0, np.nan]),) if field == "scores" else np.array([np.nan])
+    with pytest.raises(ValueError, match="finite"):
+        CalibrationState(model=EYE_MODEL, env_ids=(0,), **fields)
+
+
 def test_state_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         CalibrationState(
@@ -128,10 +143,6 @@ def test_weights_hand_computed_equal_split():
     )
     w = state.environment_weights(np.array([2.0, 0.0]))
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
-    s0 = state.similarity(np.array([2.0, 0.0]), 0)
-    s1 = state.similarity(np.array([2.0, 0.0]), 1)
-    assert abs(s0 - np.exp(-1.0)) < 1e-15
-    assert abs(s1 - np.exp(-1.0)) < 1e-15
 
 
 def test_weights_sum_to_one_and_positive():
@@ -194,6 +205,21 @@ def test_acir_batch_matches_single_point():
         assert abs(batch[i].half_width - single.half_width) < 1e-12
 
 
+def test_single_point_calls_are_rows_of_a_one_row_batch():
+    _, _, state = make_state(seed=10)
+    rng = np.random.default_rng(11)
+    delta = np.array([0.1, 0.0, 2.0])
+    for x in rng.normal(size=(10, 4)):
+        for single, batch in (
+            (state.acir_interval(x, ALPHA), state.acir_intervals(x[None, :], ALPHA)),
+            (state.acir_interval(x, ALPHA, delta), state.acir_intervals(x[None, :], ALPHA, delta)),
+            (state.sc_interval(x, ALPHA), state.sc_intervals(x[None, :], ALPHA)),
+        ):
+            assert single.center.shape == () and len(batch) == 1
+            assert single.center.tobytes() == batch.center.tobytes()
+            assert single.half_width.tobytes() == batch.half_width.tobytes()
+
+
 def test_degenerate_identical_envs_acir_within_one_order_statistic():
     # with m identical environments the adaptive half-width must sit within
     # one pooled order-statistic step of the split-conformal half-width
@@ -235,6 +261,16 @@ def test_delta_inflation_wrong_length_raises():
     _, _, state = make_state(seed=14)
     with pytest.raises(ValueError, match="length"):
         state.acir_interval(np.zeros(4), ALPHA, delta_inflation=np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [-0.01, -100.0, np.nan, np.inf])
+def test_delta_inflation_must_be_finite_and_nonnegative(bad):
+    _, _, state = make_state(seed=14)
+    delta = np.array([0.5, bad, 0.5])
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        state.acir_interval(np.zeros(4), ALPHA, delta_inflation=delta)
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        state.acir_intervals(np.zeros((3, 4)), ALPHA, delta_inflation=delta)
 
 
 def test_small_env_gives_infinite_acir_but_finite_sc():
@@ -299,6 +335,14 @@ def test_load_state_rejects_truncated_scores(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("0 1 3 0.0 1.0\n1.0\n2.0\n")
     with pytest.raises(ValueError, match="fewer"):
+        load_state(str(path), EYE_MODEL)
+
+
+@pytest.mark.parametrize("text", ["0 1 2 0.0 1.0\n1.0\nnan\n", "0 1 2 0.0 nan\n1.0\n2.0\n"])
+def test_load_state_rejects_nan_at_load(tmp_path, text):
+    path = tmp_path / "nan.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="nan.txt: .*finite"):
         load_state(str(path), EYE_MODEL)
 
 

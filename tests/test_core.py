@@ -110,10 +110,31 @@ def test_prediction_interval_bounds():
         PredictionInterval(center=math.nan, half_width=1.0)
     with pytest.raises(ValueError):
         PredictionInterval(center=0.0, half_width=-0.1)
+    with pytest.raises(ValueError):
+        PredictionInterval(center=[0.0, 1.0], half_width=[1.0, math.nan])
+    with pytest.raises(ValueError, match="shape"):
+        PredictionInterval(center=[0.0, 1.0], half_width=1.0)
+
+
+def test_prediction_interval_batch_is_elementwise_with_row_views():
+    iv = PredictionInterval(center=[0.0, 10.0, 20.0], half_width=[1.0, 2.0, math.inf])
+    assert len(iv) == 3
+    np.testing.assert_array_equal(iv.lower, [-1.0, 8.0, -math.inf])
+    np.testing.assert_array_equal(iv.contains([1.0, 7.0, -1e300]), [True, False, True])
+    row = iv[1]
+    assert row.center.shape == () and row.center == 10.0 and row.half_width == 2.0
+    assert np.shares_memory(row.center, iv.center)
+    assert [float(r.upper) for r in iv] == [1.0, 12.0, math.inf]
+    with pytest.raises(ValueError):
+        iv.center[0] = 5.0  # read-only, rows included
+    with pytest.raises(ValueError):
+        row.half_width[...] = 0.0
+    with pytest.raises(TypeError):
+        len(row)
 
 
 def test_coverage_rate_counts_indicators():
-    ivs = [PredictionInterval(1.0, 1.0), PredictionInterval(1.0, 1.0)]
+    ivs = PredictionInterval([1.0, 1.0], [1.0, 1.0])
     assert coverage_rate(ivs, np.array([1.0, 3.0])) == 0.5
     assert coverage_rate(ivs, np.array([0.0, 2.0])) == 1.0
     assert coverage_rate(ivs, np.array([-5.0, 9.0])) == 0.0
@@ -122,18 +143,18 @@ def test_coverage_rate_counts_indicators():
 
 
 def test_average_length_is_mean_half_width():
-    assert average_length([PredictionInterval(0.0, 2.0)] * 3) == 2.0
-    assert average_length([PredictionInterval(0.0, 1.0), PredictionInterval(0.0, 3.0)]) == 2.0
-    assert average_length([PredictionInterval(0.0, 1.0), PredictionInterval(0.0, math.inf)]) == math.inf
+    assert average_length(PredictionInterval([0.0] * 3, [2.0] * 3)) == 2.0
+    assert average_length(PredictionInterval([0.0, 0.0], [1.0, 3.0])) == 2.0
+    assert average_length(PredictionInterval([0.0, 0.0], [1.0, math.inf])) == math.inf
     with pytest.raises(ValueError):
-        average_length([])
+        average_length(PredictionInterval(np.empty(0), np.empty(0)))
 
 
 def test_metrics_are_permutation_invariant():
     rng = np.random.default_rng(3)
-    ivs = [PredictionInterval(float(c), float(h)) for c, h in
-           zip(rng.normal(size=20), rng.exponential(size=20))]
+    c, h = rng.normal(size=20), rng.exponential(size=20)
     y = rng.normal(size=20)
     perm = rng.permutation(20)
-    assert coverage_rate(ivs, y) == coverage_rate([ivs[i] for i in perm], y[perm])
-    assert average_length(ivs) == average_length([ivs[i] for i in perm])
+    ivs, shuffled = PredictionInterval(c, h), PredictionInterval(c[perm], h[perm])
+    assert coverage_rate(ivs, y) == coverage_rate(shuffled, y[perm])
+    assert average_length(ivs) == average_length(shuffled)
