@@ -13,11 +13,9 @@ Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-
-import numpy as np
+from typing import TextIO
 
 from .bench import (
     METHODS,
@@ -29,7 +27,17 @@ from .bench import (
     summarize,
 )
 from .conformal import calibrate, load_state, save_state
-from .datagen import SETTINGS, CsvParseError, SemConfig, generate_sem, load_csv, save_csv, split_dataset
+from .core import write_float_rows
+from .datagen import (
+    SETTINGS,
+    CsvParseError,
+    SemConfig,
+    generate_sem,
+    load_csv,
+    load_points,
+    save_csv,
+    split_dataset,
+)
 from .invariance import fit_density, inv_statistic, write_report
 from .models import FitConfig, FitError, fit_erm, fit_irmv1, load_model, save_model
 
@@ -305,28 +313,6 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_points(path: str, p: int) -> np.ndarray:
-    expected = [f"x{j}" for j in range(1, p + 1)]
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise CsvParseError(f"{path}: expected header {','.join(expected)}")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != p:
-                raise CsvParseError(f"{path}:{lineno}: expected {p} fields")
-            try:
-                rows.append([float(tok) for tok in rec])
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise CsvParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     model_path, cal_path, input_path = _require(
         args, model="--model", calibration="--calibration", input_path="--input"
@@ -335,21 +321,21 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     method = args.method or "acir"
     model = load_model(model_path)
     state = load_state(cal_path, model)
-    points = _read_points(input_path, model.p)
+    points = load_points(input_path, model.p)
     if method == "sc":
         intervals = state.sc_intervals(points, alpha)
     else:
         intervals = state.acir_intervals(points, alpha)
-    lines = ["center,lower,upper"]
-    # tolist() gives Python floats; the repr of a numpy float reads np.float64(...).
-    rows = zip(intervals.center.tolist(), intervals.lower.tolist(), intervals.upper.tolist())
-    lines += [f"{c!r},{lo!r},{hi!r}" for c, lo, hi in rows]
-    text = "\n".join(lines) + "\n"
+
+    def write(fh: TextIO) -> None:
+        fh.write("center,lower,upper\n")
+        write_float_rows(fh, [intervals.center, intervals.lower, intervals.upper])
+
     if args.out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         print(args.out)
     return 0
 

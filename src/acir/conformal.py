@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnvDataset, PredictionInterval, check_unique_env_ids, conformal_quantile
+from .core import (
+    EnvDataset,
+    PredictionInterval,
+    check_unique_env_ids,
+    conformal_quantile,
+    write_float_rows,
+)
 from .models import LinearIRMModel
 
 __all__ = [
@@ -217,8 +223,7 @@ def save_state(state: CalibrationState, path: str) -> None:
                 f"{env_id} {state.m} {sc.size} "
                 f"{float(state.mu[i])!r} {float(state.v[i])!r}\n"
             )
-            for val in sc:
-                fh.write(f"{float(val)!r}\n")
+            write_float_rows(fh, [sc])
 
 
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:

@@ -20,17 +20,20 @@ sigma_2^2 = e^2); and U (unscrambled covariates, the only variant here).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from typing import Callable, TextIO
 
 import numpy as np
 
-from .core import DataSplit, EnvDataset
+from .core import DataSplit, EnvDataset, write_float_rows
 
 __all__ = [
     "SemConfig",
     "generate_sem",
     "split_dataset",
     "load_csv",
+    "load_points",
     "save_csv",
     "CsvParseError",
     "SETTINGS",
@@ -189,22 +192,103 @@ def _expected_header(p: int) -> list[str]:
     return ["env", "y"] + [f"x{j}" for j in range(1, p + 1)]
 
 
+def _read_numeric(
+    path: str, check_header: Callable[[list[str]], None], env_column: bool
+) -> np.ndarray:
+    """Parse a CSV whose header passes ``check_header`` and whose body is all numbers.
+
+    check_header gets the stripped header cells and raises CsvParseError on a
+    bad header; their count is the row width. The body is parsed by a single
+    np.loadtxt call into a structured array: field ``vals`` is the float
+    matrix of the value columns and, with ``env_column``, field ``env`` is the
+    int64 first column. Every value is finite. A file that loadtxt rejects,
+    or that holds a non-finite value, is read again row by row only to name
+    the offending line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header_line = fh.readline()
+        if not header_line:
+            raise CsvParseError(f"{path}: empty file")
+        header = [c.strip() for c in next(csv.reader([header_line]), [])]
+        check_header(header)
+        width = len(header)
+        # Find the first data row, so that loadtxt never meets an empty body
+        # (which it answers with a warning, not an error).
+        while True:
+            body_start = fh.tell()
+            line = fh.readline()
+            if not line:
+                raise CsvParseError(f"{path}: no data rows")
+            if line != "\n":
+                break
+        fh.seek(body_start)
+        try:
+            table = _parse_rows(fh, width, env_column)
+        except ValueError as exc:
+            _name_bad_line(path, fh, width, env_column)
+            raise CsvParseError(f"{path}: {exc}") from None
+        if not np.isfinite(table["vals"]).all():
+            _name_bad_line(path, fh, width, env_column)
+            raise CsvParseError(f"{path}: non-finite value")
+    return table
+
+
+def _parse_rows(lines: TextIO | list[str], width: int, env_column: bool) -> np.ndarray:
+    """Parse lines with np.loadtxt into _read_numeric's structured array.
+
+    The structured dtype makes loadtxt check every row's width.
+    """
+    fields = [("env", np.int64)] if env_column else []
+    fields.append(("vals", np.float64, (width - len(fields),)))
+    return np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
+
+
+def _name_bad_line(path: str, fh: TextIO, width: int, env_column: bool) -> None:
+    """Raise CsvParseError for the first data line that breaks a row rule.
+
+    The rules: ``width`` comma-separated cells, an integer first cell when
+    ``env_column``, numeric and finite value cells, and every cell in the
+    number grammar of the fast parser, which rejects forms Python's int()
+    and float() accept (``1_0``, non-ASCII digits, env ids beyond int64).
+    Blank lines are skipped. Returns only if every line keeps the rules.
+    """
+    fh.seek(0)
+    fh.readline()
+    for lineno, line in enumerate(fh, start=2):
+        if line == "\n":
+            continue
+        cells = line.rstrip("\n").split(",")
+        where = f"{path}: line {lineno}"
+        if len(cells) != width:
+            raise CsvParseError(f"{where}: expected {width} columns, got {len(cells)}")
+        if env_column:
+            try:
+                int(cells[0])
+            except ValueError:
+                raise CsvParseError(f"{where}: env {cells[0]!r} is not an integer") from None
+        try:
+            values = [float(c) for c in (cells[1:] if env_column else cells)]
+        except ValueError:
+            raise CsvParseError(f"{where}: non-numeric cell in {cells!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise CsvParseError(f"{where}: non-finite cell in {cells!r}")
+        try:
+            _parse_rows([line], width, env_column)
+        except ValueError:
+            raise CsvParseError(f"{where}: cell outside the number grammar in {cells!r}") from None
+
+
 def load_csv(path: str) -> list[EnvDataset]:
     """Read a multi-environment dataset from CSV.
 
-    The file must be UTF-8 with header ``env,y,x1,...,xp``; env is an integer
-    label and the rest are decimal or scientific-notation numbers. Returns
+    The file must be UTF-8 with header ``env,y,x1,...,xp``; env is an int64
+    label and the rest are unquoted, finite decimal or scientific-notation
+    numbers. Blank lines are skipped; line ends may be LF or CRLF. Returns
     one EnvDataset per distinct env value, in order of first appearance,
     with the original row order preserved within each environment.
     """
-    rows_by_env: dict[int, list[tuple[float, list[float]]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
-        header = [c.strip() for c in header]
+
+    def check_header(header: list[str]) -> None:
         if len(header) < 3 or header[:2] != ["env", "y"]:
             raise CsvParseError(
                 f"{path}: line 1: header must be env,y,x1,...,xp, got {header}"
@@ -214,41 +298,36 @@ def load_csv(path: str) -> list[EnvDataset]:
             raise CsvParseError(
                 f"{path}: line 1: feature columns must be x1..x{p}, got {header[2:]}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 2:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: expected {p + 2} columns, got {len(row)}"
-                )
-            try:
-                env = int(row[0])
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: env {row[0]!r} is not an integer"
-                ) from None
-            try:
-                y = float(row[1])
-                x = [float(c) for c in row[2:]]
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: non-numeric cell in {row!r}"
-                ) from None
-            rows_by_env.setdefault(env, []).append((y, x))
-    if not rows_by_env:
-        raise CsvParseError(f"{path}: no data rows")
+
+    table = _read_numeric(path, check_header, env_column=True)
+    ids, first, inverse, counts = np.unique(
+        table["env"], return_index=True, return_inverse=True, return_counts=True
+    )
+    # Rows grouped by id, file order kept within a group (the sort is stable).
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    vals = table["vals"]
     return [
-        EnvDataset(
-            env_id=env,
-            features=np.array([x for _, x in rows], dtype=float),
-            targets=np.array([y for y, _ in rows], dtype=float),
-        )
-        for env, rows in rows_by_env.items()
+        EnvDataset(env_id=int(ids[k]), features=vals[groups[k], 1:], targets=vals[groups[k], 0])
+        for k in np.argsort(first)
     ]
 
 
+def load_points(path: str, p: int) -> np.ndarray:
+    """Read query points from a CSV with header ``x1,...,xp``, as an (n, p) matrix.
+
+    The cells follow load_csv's grammar; every value is finite.
+    """
+    expected = [f"x{j}" for j in range(1, p + 1)]
+
+    def check_header(header: list[str]) -> None:
+        if header != expected:
+            raise CsvParseError(f"{path}: line 1: expected header {','.join(expected)}")
+
+    return _read_numeric(path, check_header, env_column=False)["vals"]
+
+
 def save_csv(envs: list[EnvDataset], path: str) -> None:
-    """Write environments to the ``env,y,x1,...,xp`` CSV schema.
+    """Write environments to the ``env,y,x1,...,xp`` CSV schema, with CRLF line ends.
 
     Floats are written with shortest round-trip formatting, so a
     load_csv of the output reproduces the values exactly.
@@ -259,11 +338,6 @@ def save_csv(envs: list[EnvDataset], path: str) -> None:
     if any(env.p != p for env in envs):
         raise ValueError("environments disagree on feature count")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(p))
+        fh.write(",".join(_expected_header(p)) + "\r\n")
         for env in envs:
-            for i in range(env.n):
-                writer.writerow(
-                    [env.env_id, repr(float(env.targets[i]))]
-                    + [repr(float(v)) for v in env.features[i]]
-                )
+            write_float_rows(fh, [env.targets, env.features], f"{env.env_id},", "\r\n")

@@ -163,6 +163,23 @@ def test_predict_rejects_wrong_points_header(workspace, tmp_path, capsys):
     ) == 2
 
 
+def test_predict_rejects_non_finite_point_with_line_number(workspace, tmp_path, capsys):
+    _, data = workspace
+    model = str(tmp_path / "model.txt")
+    state = str(tmp_path / "state.txt")
+    run_cli("fit", "--data", data, "--out", model, "--calibration-out", state, *FAST)
+    points = tmp_path / "points.csv"
+    header = ",".join(f"x{j}" for j in range(1, 11))
+    for cell in ("nan", "inf", "1e400"):
+        points.write_text(f"{header}\n" + "0," * 9 + "0\n" + "0," * 9 + f"{cell}\n")
+        capsys.readouterr()
+        assert run_cli(
+            "predict", "--model", model, "--calibration", state, "--input", str(points)
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{points}: line 3: non-finite cell" in err
+
+
 def test_predict_rejects_nan_calibration_state(workspace, tmp_path, capsys):
     _, data = workspace
     model = str(tmp_path / "model.txt")

@@ -1,7 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from acir import CsvParseError, EnvDataset, SemConfig, generate_sem, load_csv, save_csv, split_dataset
+from acir.datagen import load_points
 
 N_BIG = 10000
 
@@ -194,3 +201,142 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(CsvParseError):
         load_csv(str(path))
+
+
+_MAX = np.finfo(float).max
+_EDGE_FLOATS = [0.0, -0.0, _MAX, -_MAX, 5e-324, -5e-324, 2.2250738585072014e-308]
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from(_EDGE_FLOATS),
+)
+
+
+@st.composite
+def _environments(draw):
+    p = draw(st.integers(1, 4))
+    env_ids = draw(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4, unique=True)
+    )
+    envs = []
+    for env_id in env_ids:
+        n = draw(st.integers(1, 6))
+        table = draw(arrays(np.float64, (n, p + 1), elements=_FLOATS))
+        envs.append(EnvDataset(env_id, table[:, 1:], table[:, 0]))
+    return envs
+
+
+@settings(deadline=None, max_examples=150)
+@given(_environments())
+def test_csv_round_trip_is_bit_exact(envs):
+    with tempfile.TemporaryDirectory() as d:
+        path = str(Path(d) / "data.csv")
+        save_csv(envs, path)
+        back = load_csv(path)
+    assert [env.env_id for env in back] == [env.env_id for env in envs]
+    for orig, re_read in zip(envs, back):
+        assert re_read.features.shape == orig.features.shape
+        assert re_read.features.tobytes() == orig.features.tobytes()
+        assert re_read.targets.tobytes() == orig.targets.tobytes()
+
+
+def test_save_csv_writes_crlf_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    save_csv([EnvDataset(3, np.array([[0.1], [-2e-05]]), np.array([1.0, 1e16]))], str(path))
+    assert path.read_bytes() == b"env,y,x1\r\n3,1.0,0.1\r\n3,1e+16,-2e-05\r\n"
+
+
+def test_csv_interleaved_envs_keep_first_appearance_and_row_order(tmp_path):
+    path = tmp_path / "mixed.csv"
+    ids = [0, 1, 0, 1, 2, 0]
+    path.write_text("env,y,x1\n" + "".join(f"{e},{i},{10 * i}\n" for i, e in enumerate(ids)))
+    envs = load_csv(str(path))
+    assert [env.env_id for env in envs] == [0, 1, 2]
+    assert [env.targets.tolist() for env in envs] == [[0, 2, 5], [1, 3], [4]]
+    assert envs[0].features[:, 0].tolist() == [0, 20, 50]
+
+    # First appearance, not numeric order, sets the environment order.
+    ids = [7, -3, 7, 2, -3]
+    path.write_text("env,y,x1\n" + "".join(f"{e},{i},0\n" for i, e in enumerate(ids)))
+    envs = load_csv(str(path))
+    assert [env.env_id for env in envs] == [7, -3, 2]
+    assert [env.targets.tolist() for env in envs] == [[0, 2], [1, 4], [3]]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_csv_accepts_blank_lines_and_either_line_end(tmp_path, newline):
+    path = tmp_path / "data.csv"
+    lines = ["env,y,x1,x2", "", "1,0.5,1e-3,-2", "", "", "0,+.25,3E+2,4", "1,-0.0,5,6.", ""]
+    path.write_bytes(newline.join(lines).encode())
+    envs = load_csv(str(path))
+    assert [env.env_id for env in envs] == [1, 0]
+    np.testing.assert_array_equal(envs[0].features, [[1e-3, -2.0], [5.0, 6.0]])
+    np.testing.assert_array_equal(envs[1].targets, [0.25])
+    # No final line end at all.
+    path.write_bytes(newline.join(lines[:3]).encode())
+    assert load_csv(str(path))[0].n == 1
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("0,1.0", "expected 3 columns, got 2"),
+        ("1.0,1.0,2.0", "env '1.0' is not an integer"),
+        ('0,"1.0",2.0', "non-numeric cell"),
+        ("0,#,2.0", "non-numeric cell"),
+        ("0,1.0,2.0,", "expected 3 columns, got 4"),
+        ("   ", "expected 3 columns, got 1"),
+        ("0,nan,2.0", "non-finite cell"),
+        ("0,1.0,-inf", "non-finite cell"),
+        ("0,1e400,2.0", "non-finite cell"),
+    ],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_csv_rejects_malformed_rows_with_line_number(tmp_path, bad_row, message, newline):
+    path = tmp_path / "bad.csv"
+    lines = ["env,y,x1", "0,1.0,2.0", "", bad_row, "1,1.0,2.0", ""]
+    path.write_bytes(newline.join(lines).encode())
+    with pytest.raises(CsvParseError) as info:
+        load_csv(str(path))
+    assert str(info.value).startswith(f"{path}: line 4: {message}")
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["0,1_0,2.0", "0,\u0661,2.0", f"{2**63},1.0,2.0", "\u0661,1.0,2.0"]
+)
+def test_csv_rejects_numbers_outside_the_grammar(tmp_path, bad_row):
+    # Python's int() or float() takes each of these but the README grammar does not.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"env,y,x1\n0,1.0,2.0\n{bad_row}\n", encoding="utf-8")
+    with pytest.raises(CsvParseError) as info:
+        load_csv(str(path))
+    assert str(info.value).startswith(f"{path}: line 3: cell outside the number grammar")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("env,y,x1\n", "no data rows"),
+    ("env,y,x1\r\n\r\n\r\n", "no data rows"),
+])
+def test_csv_without_rows_is_rejected_without_warning(tmp_path, text, message):
+    # The suite turns warnings into errors, so a loadtxt "no data" warning fails here.
+    path = tmp_path / "empty.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(CsvParseError, match=message):
+        load_csv(str(path))
+
+
+def test_load_points_reads_a_matrix_and_names_bad_lines(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text(" x1 , x2\n1.5,-2\n\n3e-3,4\n")
+    np.testing.assert_array_equal(load_points(str(path), 2), [[1.5, -2.0], [3e-3, 4.0]])
+    path.write_text("x1\n0.5\n")
+    assert load_points(str(path), 1).shape == (1, 1)
+    path.write_text("x1,x2\n1,2\n")
+    with pytest.raises(CsvParseError, match="expected header x1,x2,x3"):
+        load_points(str(path), 3)
+    path.write_text("x1,x2\n1,2\n3,inf\n")
+    with pytest.raises(CsvParseError, match="line 3: non-finite cell"):
+        load_points(str(path), 2)
+    path.write_text("x1,x2\n1,2,3\n")
+    with pytest.raises(CsvParseError, match="line 2: expected 2 columns, got 3"):
+        load_points(str(path), 2)

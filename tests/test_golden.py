@@ -1,8 +1,10 @@
 """Output bytes pinned against history, not only against a second run.
 
 Each SHA-256 below was taken from the seed implementation (Python 3.11,
-numpy 2.4). A refactor that keeps the numbers keeps these hashes; a change
-that alters an output file on purpose must say so and update the pin.
+numpy 2.4); those of data.csv, model.txt and invariance.csv from the last
+version with the row-wise CSV reader and writer, whose outputs were the
+seed's. A refactor that keeps the numbers keeps these hashes; a change that
+alters an output file on purpose must say so and update the pin.
 """
 
 import hashlib
@@ -28,7 +30,10 @@ GOLDEN = {
     "PEU/metrics.csv": "5dde6c947234dc9a0bca83ab90f029d138009d160038ad2956d14b8a0e642f42",
     "PEU/summary.csv": "6af76c515b42117e548ca95647170d69eba8787b8a439d0bf4a320cc6f63881e",
     "FEU/metrics.csv": "ca9adac09fcf69413152e2336909a68038da7592d36d4e14b77e05875fc52eef",
+    "data.csv": "f2800eaa49c2fd7c2aeedc5aa56d491c986f499e8fd75e4db464641f86c907d8",
+    "model.txt": "75238f525a9419df03b14466a7c721cc32ea722e2ceaeaf17b02b530baa0080d",
     "state.txt": "3bf8f414b08ecbc9255e71e09388cdb77e1534c643d2205dc7b02e7d89e94381",
+    "invariance.csv": "1b93bd7da951d130df46ccfeb8204e7bbef86e5b2fd92432d2fdb2a42899c12f",
     "acir.csv": "1e3e333578b3f4939860a6881300b761219e705cf937eef1468c4e5500ae1130",
     "sc.csv": "2cbb8896704f6cba2c38c9c734b8e5df118bef5c7fc6695de1a6c88c76a2f1c5",
 }
@@ -57,6 +62,8 @@ def outputs(tmp_path_factory):
     assert main(["fit", "--data", str(data), "--out", str(model),
                  "--calibration-out", str(state),
                  "--penalty-weight", "1.0", "--init-scale", "1.0"]) == 0
+    assert main(["assess", "--model", str(model), "--data", str(data),
+                 "--out", str(d / "invariance.csv")]) == 0
     _write_points(points)
     for method in ("acir", "sc"):
         assert main(["predict", "--model", str(model), "--calibration", str(state),
