@@ -19,7 +19,17 @@ import numpy as np
 
 from .conformal import CalibrationState, calibrate
 from .core import EnvDataset, PredictionInterval, average_length, coverage_rate
-from .datagen import SETTINGS, CsvParseError, SemConfig, generate_sem, load_csv, split_dataset
+from .datagen import (
+    DEFAULT_ENV_PARAMS,
+    SETTINGS,
+    CsvParseError,
+    SemConfig,
+    check_env_params,
+    env_sizes,
+    generate_sem,
+    load_csv,
+    split_dataset,
+)
 from .models import FitConfig, fit_erm, fit_irmv1
 
 __all__ = [
@@ -61,7 +71,7 @@ class ExperimentConfig:
     n_train_total: int = 2000
     n_cal_total: int = 2000
     n_test_total: int = 2000
-    env_params: tuple[float, ...] = (0.2, 2.0, 5.0)
+    env_params: tuple[float, ...] = DEFAULT_ENV_PARAMS
     replications: int = 20
     seed: int = 0
     methods: tuple[str, ...] = METHODS
@@ -79,7 +89,7 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        object.__setattr__(self, "env_params", tuple(float(e) for e in self.env_params))
+        object.__setattr__(self, "env_params", check_env_params(self.env_params))
         m = len(self.env_params)
         if not self.is_csv:
             if m < 2:
@@ -159,11 +169,6 @@ def _stage(replication: int, name: str) -> Iterator[None]:
         raise BenchError(f"(replication {replication}, stage {name}): {exc}") from exc
 
 
-def _alloc(total: int, m: int) -> list[int]:
-    base, rem = divmod(total, m)
-    return [base + 1 if i < rem else base for i in range(m)]
-
-
 def _derived_seed(*path: int) -> int:
     return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
 
@@ -218,9 +223,9 @@ def _replication_data(
 
     assert sem is not None
     m = len(config.env_params)
-    n_tr = _alloc(config.n_train_total, m)
-    n_cal = _alloc(config.n_cal_total, m)
-    n_te = _alloc(config.n_test_total, m)
+    n_tr = env_sizes(config.n_train_total, m)
+    n_cal = env_sizes(config.n_cal_total, m)
+    n_te = env_sizes(config.n_test_total, m)
     data_rep = 0 if config.resplit_only else replication
     train, cal, test = [], [], []
     for i, e in enumerate(config.env_params):
@@ -366,7 +371,7 @@ def read_metrics(path: str) -> list[MetricsRow]:
             if not rec:
                 continue
             if len(rec) != len(_METRICS_HEADER):
-                raise CsvParseError(f"{path}:{lineno}: expected 6 fields, got {len(rec)}")
+                raise CsvParseError(f"{path}: line {lineno}: expected 6 fields, got {len(rec)}")
             try:
                 rows.append(
                     MetricsRow(
@@ -379,5 +384,5 @@ def read_metrics(path: str) -> list[MetricsRow]:
                     )
                 )
             except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
+                raise CsvParseError(f"{path}: line {lineno}: {exc}") from exc
     return rows

@@ -31,6 +31,8 @@ from .core import (
     PredictionInterval,
     check_unique_env_ids,
     conformal_quantile,
+    numbered_lines,
+    parse_tokens,
     write_float_rows,
 )
 from .models import LinearIRMModel
@@ -230,27 +232,31 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
     """Read a state written by save_state; every value is re-validated."""
     env_ids, scores, mus, vs = [], [], [], []
     declared_m = None
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = numbered_lines(path)
     pos = 0
     while pos < len(lines):
-        head = lines[pos].split()
+        lineno, text = lines[pos]
+        head = text.split()
         if len(head) != 5:
             raise ValueError(
-                f"{path}: expected section header 'env m n_cal mu v', got {lines[pos]!r}"
+                f"{path}: line {lineno}: expected section header 'env m n_cal mu v', "
+                f"got {text!r}"
             )
-        env_id, m, n_cal = int(head[0]), int(head[1]), int(head[2])
+        env_id, m, n_cal = parse_tokens(path, lineno, head[:3], int)
+        mu, v = parse_tokens(path, lineno, head[3:])
         if declared_m is None:
             declared_m = m
         elif m != declared_m:
             raise ValueError(f"{path}: inconsistent environment count {m} vs {declared_m}")
+        if n_cal < 1:
+            raise ValueError(f"{path}: line {lineno}: env {env_id}: n_cal must be >= 1")
         if pos + 1 + n_cal > len(lines):
             raise ValueError(f"{path}: env {env_id}: fewer than {n_cal} score lines")
-        vals = np.array([float(v) for v in lines[pos + 1 : pos + 1 + n_cal]])
+        block = lines[pos + 1 : pos + 1 + n_cal]
         env_ids.append(env_id)
-        scores.append(vals)
-        mus.append(float(head[3]))
-        vs.append(float(head[4]))
+        scores.append(np.array([parse_tokens(path, no, (tok,))[0] for no, tok in block]))
+        mus.append(mu)
+        vs.append(v)
         pos += 1 + n_cal
     if declared_m is not None and declared_m != len(env_ids):
         raise ValueError(

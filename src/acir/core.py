@@ -1,5 +1,6 @@
 """Shared data containers, the conformal quantile convention, evaluation metrics,
-and the writer for rows of floats in text files.
+the writer for rows of floats in text files, and the line-numbered token reader
+for the model and state files.
 
 Everything here is immutable after construction and free of hidden state, so
 all of it can be used from concurrent workers without coordination.
@@ -225,3 +226,17 @@ def write_float_rows(
         stop = start + _WRITE_BLOCK_ROWS
         block = np.column_stack([c[start:stop] for c in columns]).tolist()
         fh.write("".join(prefix + ",".join(map(repr, row)) + end for row in block))
+
+
+def numbered_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, stripped, each with its 1-based number."""
+    with open(path, encoding="utf-8") as fh:
+        return [(no, text) for no, text in enumerate(map(str.strip, fh), start=1) if text]
+
+
+def parse_tokens(path: str, lineno: int, tokens: Sequence[str], kind: type = float) -> list:
+    """``kind`` of each token; a malformed token is a ValueError naming the file and line."""
+    try:
+        return [kind(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None

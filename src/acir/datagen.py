@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SETTINGS = ("FOU", "FEU", "POU", "PEU")
+DEFAULT_ENV_PARAMS = (0.2, 2.0, 5.0)
 
 
 class CsvParseError(ValueError):
@@ -50,6 +51,18 @@ def _parse_setting(setting: str) -> tuple[str, str]:
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
     return setting[0], setting[1]
+
+
+def check_env_params(env_params: Sequence[float]) -> tuple[float, ...]:
+    """Environment scales as floats: at least one, each finite, nonnegative and distinct."""
+    params = tuple(float(e) for e in env_params)
+    if not params:
+        raise ValueError("env_params must name at least one environment")
+    if not all(math.isfinite(e) and e >= 0 for e in params):
+        raise ValueError(f"env_params must be finite and nonnegative, got {params}")
+    if len(set(params)) != len(params):
+        raise ValueError(f"env_params must be distinct, got {params}")
+    return params
 
 
 @dataclass(frozen=True)
@@ -64,8 +77,7 @@ class SemConfig:
     """
 
     setting: str
-    n_per_env: int = 2000
-    env_params: tuple[float, ...] = (0.2, 2.0, 5.0)
+    env_params: tuple[float, ...] = DEFAULT_ENV_PARAMS
     dim_x1: int = 5
     dim_x2: int = 5
     seed: int = 0
@@ -78,11 +90,7 @@ class SemConfig:
         _parse_setting(self.setting)
         if self.dim_x1 < 1 or self.dim_x2 < 1:
             raise ValueError("dims must be >= 1")
-        if self.n_per_env < 1:
-            raise ValueError("n_per_env must be >= 1")
-        if any(e < 0 for e in self.env_params):
-            raise ValueError("env_params must be nonnegative")
-        object.__setattr__(self, "env_params", tuple(float(e) for e in self.env_params))
+        object.__setattr__(self, "env_params", check_env_params(self.env_params))
         rng = np.random.default_rng(self.seed)
         w_1y = rng.standard_normal(self.dim_x1)
         w_y2 = rng.standard_normal(self.dim_x2)
@@ -106,6 +114,14 @@ class SemConfig:
             raise ValueError(
                 f"env_param {env_param} is not one of {self.env_params}"
             ) from None
+
+
+def env_sizes(total: int, m: int) -> list[int]:
+    """Split ``total`` rows over ``m`` environments, the remainder to the leading ones."""
+    if total < m:
+        raise ValueError(f"{total} rows cannot give each of {m} environments a row")
+    base, rem = divmod(total, m)
+    return [base + 1 if i < rem else base for i in range(m)]
 
 
 def generate_sem(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EnvDataset, check_unique_env_ids
+from .core import EnvDataset, check_unique_env_ids, numbered_lines, parse_tokens
 
 __all__ = [
     "LinearIRMModel",
@@ -345,16 +345,18 @@ def save_model(model: LinearIRMModel, path: str) -> None:
 
 def load_model(path: str) -> LinearIRMModel:
     """Read a model written by save_model, validating the declared shape."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in (line.strip() for line in fh) if ln]
+    lines = numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty model file")
-    head = lines[0].split()
+    lineno, text = lines[0]
+    head = text.split()
     if len(head) != 3:
-        raise ValueError(f"{path}: header must be 'd p penalty_weight', got {lines[0]!r}")
-    d, p = int(head[0]), int(head[1])
-    lam = float(head[2])
-    rows = [[float(v) for v in ln.split()] for ln in lines[1:]]
+        raise ValueError(
+            f"{path}: line {lineno}: header must be 'd p penalty_weight', got {text!r}"
+        )
+    d, p = parse_tokens(path, lineno, head[:2], int)
+    (lam,) = parse_tokens(path, lineno, head[2:])
+    rows = [parse_tokens(path, no, text.split()) for no, text in lines[1:]]
     if len(rows) != d or any(len(r) != p for r in rows):
         raise ValueError(
             f"{path}: declared shape ({d}, {p}) does not match the {len(rows)} rows given"

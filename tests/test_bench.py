@@ -57,6 +57,14 @@ def test_config_rejects_totals_below_env_count():
         small_config(n_test_total=2)
 
 
+@pytest.mark.parametrize("env_params, message", [
+    ((0.2, 2.0, 2.0), "distinct"), ((0.2, float("nan"), 5.0), "finite"), ((-1.0, 2.0), "finite"),
+])
+def test_config_rejects_duplicate_or_non_finite_env_params(env_params, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(env_params=env_params)
+
+
 def test_config_canonicalizes_methods_to_fixed_order():
     cfg = small_config(methods=("ac-irm", "sc-erm", "AC-IRM"))
     assert cfg.methods == ("SC-ERM", "AC-IRM")
@@ -245,13 +253,13 @@ def test_read_metrics_reports_line_numbers(tmp_path):
         "SC-IRM,FOU,0,pooled,0.9,1.0\n"
         "SC-IRM,FOU,zero,pooled,0.9,1.0\n"
     )
-    with pytest.raises(CsvParseError, match=":3:"):
+    with pytest.raises(CsvParseError, match=": line 3: "):
         read_metrics(str(path))
     path.write_text(
         "method,setting,replication,scope,coverage,avg_length\n"
         "SC-IRM,FOU,0,pooled,0.9\n"
     )
-    with pytest.raises(CsvParseError, match=":2:.*fields"):
+    with pytest.raises(CsvParseError, match=": line 2: .*fields"):
         read_metrics(str(path))
 
 

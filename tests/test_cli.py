@@ -1,11 +1,16 @@
-"""End-to-end command-line flows, exit codes, and config-file merging."""
+"""End-to-end command-line flows, exit codes, and config files."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acir.cli import main
+import acir
+from acir import cli
+from acir.cli import build_parser, main
 from acir.datagen import load_csv
 
 FAST = ["--penalty-weight", "3", "--init-scale", "1.0"]
@@ -61,6 +66,15 @@ def test_datagen_allocates_remainder_to_leading_envs(tmp_path, capsys):
     assert [env.n for env in envs] == [11, 10, 10]
     assert [env.env_id for env in envs] == [0, 1, 2]
     assert envs[0].p == 10
+
+
+@pytest.mark.parametrize("env_params, message", [("", "at least one"), ("1,1", "distinct")])
+def test_datagen_rejects_empty_or_duplicate_env_params(tmp_path, capsys, env_params, message):
+    out = tmp_path / "d.csv"
+    assert run_cli("datagen", "sem", "--setting", "FOU", "--n", "30",
+                   "--env-params", env_params, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_datagen_is_deterministic(tmp_path):
@@ -288,3 +302,135 @@ def test_config_bad_boolean_is_usage_error(tmp_path, capsys):
     cfg.write_text("setting = FOU\nresplit-only = maybe\n")
     assert run_cli("bench", "run", "--config", str(cfg)) == 1
     assert "boolean" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("setting = FOU\nn 30\n")
+    assert run_cli("datagen", "sem", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 1
+    assert f"{cfg}: line 2: expected 'key = value'" in capsys.readouterr().err
+
+
+def test_config_key_of_another_command_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    out = tmp_path / "d.csv"
+    cfg.write_text("setting = FOU\nn = 30\ncalibration-out = x.txt\nmethods = SC-IRM\n")
+    assert run_cli("datagen", "sem", "--config", str(cfg), "--out", str(out)) == 1
+    assert f"{cfg}: line 3: 'calibration-out'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fit", "--data", "d.csv", "--out", "m.txt"],
+                                     ["predict", "--model", "m", "--calibration", "s",
+                                      "--input", "p"]])
+def test_config_bad_choice_is_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("method = bogus\n")
+    assert run_cli(*command, "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert "--method" in err and "'bogus'" in err
+
+
+@pytest.mark.parametrize("key", ["input_path", "in_path", "config"])
+def test_config_keys_are_flag_names_not_dests(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = x\n")
+    argv = ["bench", "summarize"] if key == "in_path" else ["predict"]
+    assert run_cli(*argv, "--config", str(cfg)) == 1
+    assert f"{key!r} is not a config key" in capsys.readouterr().err
+
+
+def test_config_input_and_in_keys_name_the_files(workspace, tmp_path, capsys):
+    _, data = workspace
+    model, state = str(tmp_path / "model.txt"), str(tmp_path / "state.txt")
+    run_cli("fit", "--data", data, "--out", model, "--calibration-out", state, *FAST)
+    points = tmp_path / "points.csv"
+    points.write_text(",".join(f"x{j}" for j in range(1, 11)) + "\n" + "0," * 9 + "0\n")
+    cfg = tmp_path / "predict.cfg"
+    cfg.write_text(f"model = {model}\ncalibration = {state}\ninput = {points}\nmethod = sc\n")
+    capsys.readouterr()
+    assert run_cli("predict", "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(
+        "predict", "--model", model, "--calibration", state, "--input", str(points),
+        "--method", "sc",
+    ) == 0
+    assert from_config == capsys.readouterr().out
+
+    out_dir = tmp_path / "out"
+    run_cli("bench", "run", "--setting", "FOU", "--reps", "1", "--n-train", "60",
+            "--n-cal", "60", "--n-test", "30", "--methods", "sc-irm", "--out", str(out_dir),
+            *FAST)
+    cfg = tmp_path / "summarize.cfg"
+    cfg.write_text(f"in = {out_dir / 'metrics.csv'}\nout = {tmp_path}\n")
+    capsys.readouterr()
+    assert run_cli("bench", "summarize", "--config", str(cfg)) == 0
+    assert (tmp_path / "summary.csv").read_bytes() == (out_dir / "summary.csv").read_bytes()
+
+
+# A value for every flag, different from its default; --method takes a non-default choice.
+SAMPLE_VALUES = {
+    "--setting": "POU", "--alpha": "0.1", "--reps": "2", "--seed": "3",
+    "--methods": "sc-irm,ac-erm", "--n-train": "90", "--n-cal": "91", "--n-test": "92",
+    "--env-params": "0.5,1,2", "--resplit-only": "true", "--test-envs": "1,2",
+    "--csv-train-fraction": "0.4", "--out": "o", "--penalty-weight": "-3",
+    "--learning-rate": "0.01", "--max-iters": "7", "--tolerance": "1e-5",
+    "--warmup-iters": "4", "--init-scale": "1.5", "--repr-dim": "3", "--fit-seed": "9",
+    "--in": "m.csv", "--n": "30", "--stream-seed": "4", "--data": "d.csv",
+    "--calibration-out": "s.txt", "--train-fraction": "0.3", "--split-seed": "5",
+    "--model": "m.txt", "--calibration": "s.txt", "--input": "p.csv",
+}
+
+
+def _flag_cases():
+    _, leaves = build_parser()
+    for words, parser in leaves.items():
+        for action in parser._actions:  # noqa: SLF001 - argparse has no public walk
+            for flag in action.option_strings:
+                if flag not in ("-h", "--help", "--config"):
+                    yield pytest.param(words, action, flag, id=" ".join(words) + " " + flag)
+
+
+@pytest.mark.parametrize("words, action, flag", list(_flag_cases()))
+def test_every_flag_can_be_a_config_key(tmp_path, monkeypatch, words, action, flag):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_" + "_".join(words), lambda args: seen.append(args) or 0)
+    if action.choices:
+        value = next(c for c in action.choices if c != action.default)
+    else:
+        value = SAMPLE_VALUES[flag]
+    _, leaves = build_parser()
+    required = [
+        [opt, SAMPLE_VALUES[opt]]
+        for act in leaves[words]._actions  # noqa: SLF001
+        if act.required and act is not action
+        for opt in act.option_strings
+    ]
+    base = [*words, *(tok for pair in required for tok in pair)]
+    assert main([*base, f"{flag}={value}"]) == 0
+    for key in (flag[2:], flag[2:].replace("-", "_")):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main([*base, "--config", str(cfg)]) == 0
+    explicit, *from_config = (vars(args) for args in seen)
+    assert explicit.pop("config") is None and explicit[action.dest] != action.default
+    for got in from_config:
+        assert got.pop("config") == str(cfg)
+        assert got == explicit
+
+
+def test_python_m_acir_reads_config(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("setting = POU\nn = 30\nseed = 5\n")
+    out = tmp_path / "d.csv"
+    src = str(Path(acir.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "acir", "datagen", "sem", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{out}\n", "")
+    expected = tmp_path / "e.csv"
+    assert run_cli("datagen", "sem", "--setting", "POU", "--n", "30", "--seed", "5",
+                   "--out", str(expected)) == 0
+    assert out.read_bytes() == expected.read_bytes()

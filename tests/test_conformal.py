@@ -346,6 +346,22 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
         load_state(str(path), EYE_MODEL)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1 two 0.0 1.0\n1.0\n2.0\n", "line 1: invalid literal for int"),
+    ("0 1 2 0.0 wide\n1.0\n2.0\n", "line 1: could not convert string to float: 'wide'"),
+    ("0 1 2 0.0 1.0\n1.0\n\nxyz\n", "line 4: could not convert string to float: 'xyz'"),
+    ("\n0 1 2 0.0\n1.0\n2.0\n", "line 2: expected section header"),
+    ("0 1 -1 0.0 1.0\n1.0\n", "line 1: env 0: n_cal must be >= 1"),
+    ("0 1 0 0.0 1.0\n", "line 1: env 0: n_cal must be >= 1"),
+])
+def test_load_state_names_file_and_line_of_a_bad_token(tmp_path, text, message):
+    path = tmp_path / "state.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_state(str(path), EYE_MODEL)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 def test_load_state_rejects_env_count_mismatch(tmp_path):
     path = tmp_path / "count.txt"
     path.write_text("0 2 1 0.0 1.0\n1.0\n")

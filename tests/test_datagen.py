@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from acir import CsvParseError, EnvDataset, SemConfig, generate_sem, load_csv, save_csv, split_dataset
-from acir.datagen import load_points
+from acir.datagen import DEFAULT_ENV_PARAMS, env_sizes, load_points
 
 N_BIG = 10000
 
@@ -37,6 +37,26 @@ def test_config_validation():
         SemConfig(setting="FOU", env_params=(0.2, -1.0))
     with pytest.raises(ValueError):
         generate_sem(SemConfig(setting="FOU"), env_param=0.7, n=10, stream_seed=0)
+
+
+@pytest.mark.parametrize("env_params, message", [
+    ((), "at least one environment"),
+    ((1.0, 1.0), "distinct"),
+    ((0.5, 2, 2.0), "distinct"),
+    ((float("nan"), 1.0), "finite"),
+    ((float("inf"), 1.0), "finite"),
+])
+def test_config_rejects_empty_duplicate_or_non_finite_env_params(env_params, message):
+    with pytest.raises(ValueError, match=message):
+        SemConfig(setting="FOU", env_params=env_params)
+
+
+def test_env_sizes_give_the_remainder_to_leading_envs():
+    assert env_sizes(31, 3) == [11, 10, 10]
+    assert env_sizes(3, 3) == [1, 1, 1]
+    assert SemConfig(setting="FOU").env_params == DEFAULT_ENV_PARAMS
+    with pytest.raises(ValueError, match="2 rows"):
+        env_sizes(2, 3)
 
 
 def test_shapes_and_env_id():

@@ -16,6 +16,7 @@ from acir import (
     load_model,
     save_model,
 )
+from acir.models import _env_stats, _eval_stats, _hessian
 
 FAST = FitConfig(penalty_weight=3.0, init_scale=1.0)
 
@@ -67,6 +68,31 @@ def test_gradient_matches_finite_differences():
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert rel < 1e-5, f"trial {trial}: relative error {rel}"
     assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 10.0])
+def test_fitter_gradient_and_hessian_match_finite_differences(lam):
+    """The fitter's own objective, gradient and Hessian in the column-sum space s."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        p = int(rng.integers(2, 6))
+        envs = [
+            EnvDataset(e, rng.normal(size=(20, p)), rng.normal(size=20))
+            for e in range(int(rng.integers(2, 4)))
+        ]
+        stats = _env_stats(envs)
+        s = rng.normal(size=p)
+        obj, grad = _eval_stats(s, stats, lam)
+        # a phi whose column sums are s predicts like s: the data-space twin agrees
+        assert obj == pytest.approx(objective_value(np.vstack([s, np.zeros(p)]), envs, lam))
+        h = 1e-6
+        steps = [(_eval_stats(s + h * e, stats, lam), _eval_stats(s - h * e, stats, lam))
+                 for e in np.eye(p)]
+        fd_grad = np.array([(hi[0] - lo[0]) / (2 * h) for hi, lo in steps])
+        fd_hess = np.array([(hi[1] - lo[1]) / (2 * h) for hi, lo in steps])
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-7 * np.abs(grad).max())
+        hess = _hessian(s, stats, lam)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-7 * np.abs(hess).max())
 
 
 def test_lambda_zero_agrees_with_erm():
@@ -181,6 +207,20 @@ def test_model_round_trip(tmp_path):
     np.testing.assert_array_equal(model.phi, back.phi)
     assert back.penalty_weight == 7.5
     assert back.d == model.d and back.p == model.p
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 two 0.0\n1.0 2.0\n3.0 4.0\n", "line 1: invalid literal for int"),
+    ("2 2 zero\n1.0 2.0\n3.0 4.0\n", "line 1: could not convert string to float: 'zero'"),
+    ("2 2 0.0\n1.0 2.0\n\n3.0 abc\n", "line 4: could not convert string to float: 'abc'"),
+    ("\n2 2\n1.0 2.0\n3.0 4.0\n", "line 2: header must be"),
+])
+def test_load_model_names_file_and_line_of_a_bad_token(tmp_path, text, message):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_model(str(path))
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_config_validation():
