@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .conformal import CalibrationState, calibrate
-from .core import EnvDataset, PredictionInterval, average_length, coverage_rate
+from .core import EnvDataset, PredictionInterval, average_length, check_alpha, coverage_rate
 from .datagen import (
     DEFAULT_ENV_PARAMS,
     SETTINGS,
@@ -85,8 +85,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"setting must be one of {SETTINGS} or 'csv:<path>', got {self.setting!r}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         object.__setattr__(self, "env_params", check_env_params(self.env_params))

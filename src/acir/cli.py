@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from typing import TextIO
 
@@ -28,7 +29,7 @@ from .bench import (
     summarize,
 )
 from .conformal import calibrate, load_state, save_state
-from .core import write_float_rows
+from .core import check_alpha, write_float_rows
 from .datagen import (
     DEFAULT_ENV_PARAMS,
     SETTINGS,
@@ -54,6 +55,15 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+
+@contextmanager
+def _usage_errors():
+    """Report a ValueError raised while checking flag values as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,6 +101,13 @@ def _comma_methods(text: str) -> tuple[str, ...]:
     return tuple(tok.strip().upper() for tok in text.split(",") if tok.strip() != "")
 
 
+def _alpha(text: str) -> float:
+    try:
+        return check_alpha(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -125,7 +142,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p = leaf(bench_sub, "bench", "run", summary="run replications and write metric files")
     run_p.add_argument("--setting", required=True,
                        help=f"one of {'/'.join(SETTINGS)} or csv:<path>")
-    run_p.add_argument("--alpha", type=float, default=None)
+    run_p.add_argument("--alpha", type=_alpha, default=None)
     run_p.add_argument("--reps", dest="replications", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--methods", type=_comma_methods, default=None,
@@ -173,7 +190,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     pred_p = leaf(sub, "predict", summary="prediction intervals at new points")
     pred_p.add_argument("--model", required=True)
     pred_p.add_argument("--calibration", required=True)
-    pred_p.add_argument("--alpha", type=float, default=0.05)
+    pred_p.add_argument("--alpha", type=_alpha, default=0.05)
     pred_p.add_argument("--input", required=True)
     pred_p.add_argument("--method", choices=["sc", "acir"], default="acir")
     pred_p.add_argument("--out", default=None, help="output CSV (default: stdout)")
@@ -223,11 +240,8 @@ def _splice_config(argv: list[str], leaves: dict[tuple[str, ...], _Parser]) -> l
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    fit = _fit_config(args)
-    try:
-        config = _from_flags(ExperimentConfig, args, fit=fit)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    with _usage_errors():
+        config = _from_flags(ExperimentConfig, args, fit=_fit_config(args))
     rows = run_experiment(config)
     paths = emit_outputs(rows, summarize(rows), args.out)
     for path in paths:
@@ -247,11 +261,9 @@ def _cmd_bench_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_datagen_sem(args: argparse.Namespace) -> int:
-    try:
+    with _usage_errors():
         sem = SemConfig(setting=args.setting, env_params=args.env_params, seed=args.seed)
         sizes = env_sizes(args.n, len(sem.env_params))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     envs = [
         generate_sem(sem, e, size, stream_seed=args.stream_seed)
         for e, size in zip(sem.env_params, sizes)
@@ -262,8 +274,9 @@ def _cmd_datagen_sem(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    with _usage_errors():
+        config = _fit_config(args)
     envs = load_csv(args.data)
-    config = _fit_config(args)
     if args.calibration_out is not None:
         splits = [split_dataset(env, args.train_fraction, seed=args.split_seed) for env in envs]
         train = [sp.train for sp in splits]

@@ -16,13 +16,16 @@ Both return one array-valued ``PredictionInterval`` for a batch of points;
 
 The calibration state is a compact, serializable artifact: sorted scores and
 two moment summaries per environment plus the model used to score. It is
-immutable, and interval construction is a pure read, so a single state can
-serve concurrent prediction requests.
+immutable, and interval construction only reads it, so a single state can
+serve concurrent prediction requests. The one write is the cache of the
+sorted pooled scores on the first SC query; threads racing to fill it
+compute the same read-only array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +33,9 @@ from .core import (
     EnvDataset,
     PredictionInterval,
     check_unique_env_ids,
-    conformal_quantile,
     numbered_lines,
     parse_tokens,
+    sorted_conformal_quantile,
     write_float_rows,
 )
 from .models import LinearIRMModel
@@ -61,7 +64,17 @@ def moment_stats(representation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CalibrationState:
-    """Sorted conformity scores and representation moments per environment."""
+    """Sorted conformity scores and representation moments per environment.
+
+    Cost model: construction (and so calibrate and load_state) validates
+    the per-environment scores once, and the pooled scores are sorted once,
+    on the first SC query, into ``pooled_sorted``. After that a conformal
+    quantile is one index read into sorted scores: env_quantiles reads one
+    per environment, sc_intervals one from ``pooled_sorted``, and nothing
+    is sorted or re-validated per query but alpha. A single acir_interval
+    is those m reads plus the O(p*d) computation of the point's d-dimensional
+    representation and its m weights.
+    """
 
     model: LinearIRMModel
     env_ids: tuple[int, ...]
@@ -102,12 +115,23 @@ class CalibrationState:
     def m(self) -> int:
         return len(self.env_ids)
 
+    @cached_property
+    def pooled_sorted(self) -> np.ndarray:
+        """The pooled scores sorted ascending, read-only; sorted on first use.
+
+        Sorting here, not at construction, keeps states that never serve an
+        SC query (AC-only prediction) free of this copy.
+        """
+        pooled = np.sort(np.concatenate(self.scores))
+        pooled.setflags(write=False)
+        return pooled
+
     def pooled_scores(self) -> np.ndarray:
         return np.concatenate(self.scores)
 
     def env_quantiles(self, alpha: float) -> np.ndarray:
         """Per-environment conformal quantiles at miscoverage alpha."""
-        return np.array([conformal_quantile(sc, alpha) for sc in self.scores])
+        return np.array([sorted_conformal_quantile(sc, alpha) for sc in self.scores])
 
     # -- similarity weighting -------------------------------------------------
 
@@ -149,7 +173,7 @@ class CalibrationState:
     def sc_intervals(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """Split-conformal intervals: the pooled calibration quantile around each prediction."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        half = conformal_quantile(self.pooled_scores(), alpha)
+        half = sorted_conformal_quantile(self.pooled_sorted, alpha)
         centers = self.model.predict(x)
         return PredictionInterval(centers, np.full(centers.shape, half))
 
@@ -228,6 +252,16 @@ def save_state(state: CalibrationState, path: str) -> None:
             write_float_rows(fh, [sc])
 
 
+def _parse_scores(path: str, block: list[tuple[int, str]]) -> np.ndarray:
+    """One float per numbered line, converted in one pass; a bad line is named."""
+    try:
+        return np.fromiter(map(float, [text for _, text in block]), float, len(block))
+    except ValueError:
+        for lineno, text in block:
+            parse_tokens(path, lineno, (text,))
+        raise
+
+
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
     """Read a state written by save_state; every value is re-validated."""
     env_ids, scores, mus, vs = [], [], [], []
@@ -254,7 +288,7 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
             raise ValueError(f"{path}: env {env_id}: fewer than {n_cal} score lines")
         block = lines[pos + 1 : pos + 1 + n_cal]
         env_ids.append(env_id)
-        scores.append(np.array([parse_tokens(path, no, (tok,))[0] for no, tok in block]))
+        scores.append(_parse_scores(path, block))
         mus.append(mu)
         vs.append(v)
         pos += 1 + n_cal

@@ -18,7 +18,9 @@ __all__ = [
     "EnvDataset",
     "DataSplit",
     "PredictionInterval",
+    "check_alpha",
     "conformal_quantile",
+    "sorted_conformal_quantile",
     "coverage_rate",
     "average_length",
     "check_unique_env_ids",
@@ -26,8 +28,16 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
+    """a as a read-only float array of its own.
+
+    A float array that already owns its data and is read-only is kept as it
+    is: the library freezes the arrays it has just built (generated or split
+    data) and hands them over, so they are not copied a second time.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float, copy=True)
+        a.setflags(write=False)
     return a
 
 
@@ -158,12 +168,35 @@ class PredictionInterval:
         return (self.lower <= y) & (y <= self.upper)
 
 
+def check_alpha(alpha: float) -> float:
+    """alpha as a float; a ValueError unless it is a miscoverage rate in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return float(alpha)
+
+
+def sorted_conformal_quantile(sorted_scores: np.ndarray, alpha: float) -> float:
+    """conformal_quantile of scores already sorted ascending, by one index read.
+
+    This is where the rank k = ceil((1 - alpha) * (n + 1)) and the +inf for
+    k > n are defined. Only alpha is checked: the caller vouches that the
+    scores are a nonempty, finite, nonnegative, ascending 1-D array.
+    """
+    n = len(sorted_scores)
+    k = math.ceil((1.0 - check_alpha(alpha)) * (n + 1))
+    if k > n:
+        return math.inf
+    return float(sorted_scores[k - 1])
+
+
 def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
     """Finite-sample conformal quantile of a vector of conformity scores.
 
     Returns the k-th smallest score with k = ceil((1 - alpha) * (n + 1)),
     or +inf when k exceeds n (the calibration set is too small for the
     requested miscoverage level; an infinite interval keeps validity).
+    Validates the scores, sorts them once and reads the rank from
+    sorted_conformal_quantile, the one definition of k.
 
     Parameters
     ----------
@@ -173,19 +206,13 @@ def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
         Miscoverage rate in (0, 1).
     """
     scores = np.asarray(scores, dtype=float).ravel()
-    n = scores.size
-    if n == 0:
+    if scores.size == 0:
         raise ValueError("scores must be nonempty")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     if scores.min() < 0:
         raise ValueError("scores must be nonnegative")
-    k = math.ceil((1.0 - alpha) * (n + 1))
-    if k > n:
-        return math.inf
-    return float(np.sort(scores)[k - 1])
+    return sorted_conformal_quantile(np.sort(scores), alpha)
 
 
 def coverage_rate(intervals: PredictionInterval, truths: np.ndarray) -> float:

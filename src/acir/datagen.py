@@ -124,6 +124,12 @@ def env_sizes(total: int, m: int) -> list[int]:
     return [base + 1 if i < rem else base for i in range(m)]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A freshly built array, made read-only so that EnvDataset keeps it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
 def generate_sem(
     config: SemConfig,
     env_param: float,
@@ -179,7 +185,7 @@ def generate_sem(
     x1 = rng_x1.normal(0.0, e, size=(n, config.dim_x1)) + h @ config.w_h1.T
     y = x1 @ config.w_1y + rng_y.normal(0.0, sigma_y, size=n) + h @ config.w_hy
     x2 = np.outer(y, config.w_y2) + rng_x2.normal(0.0, sigma_2, size=(n, config.dim_x2))
-    return EnvDataset(env_id=idx, features=np.hstack([x1, x2]), targets=y)
+    return EnvDataset(env_id=idx, features=_frozen(np.hstack([x1, x2])), targets=_frozen(y))
 
 
 def split_dataset(data: EnvDataset, train_fraction: float, seed: int) -> DataSplit:
@@ -199,8 +205,10 @@ def split_dataset(data: EnvDataset, train_fraction: float, seed: int) -> DataSpl
     perm = np.random.default_rng(seed).permutation(n)
     tr, cal = perm[:n_train], perm[n_train:]
     return DataSplit(
-        train=EnvDataset(data.env_id, data.features[tr], data.targets[tr]),
-        calibration=EnvDataset(data.env_id, data.features[cal], data.targets[cal]),
+        train=EnvDataset(data.env_id, _frozen(data.features[tr]), _frozen(data.targets[tr])),
+        calibration=EnvDataset(
+            data.env_id, _frozen(data.features[cal]), _frozen(data.targets[cal])
+        ),
     )
 
 

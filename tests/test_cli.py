@@ -54,6 +54,37 @@ def test_summarize_requires_in_path():
     assert run_cli("bench", "summarize") == 1
 
 
+# Every input path named below is missing: exit 1, not 2, shows that the
+# value was rejected before any file was opened.
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--penalty-weight", "-3"],
+     "penalty_weight must be >= 0"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--penalty-weight", "-3",
+      "--out", "{d}"], "penalty_weight must be >= 0"),
+    (["bench", "run", "--setting", "FOU", "--alpha", "1.5", "--out", "{d}"],
+     "alpha must be in (0, 1), got 1.5"),
+    (["predict", "--model", "{d}/missing.txt", "--calibration", "{d}/missing.state",
+      "--input", "{d}/missing.csv", "--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+    (["predict", "--model", "{d}/missing.txt", "--calibration", "{d}/missing.state",
+      "--input", "{d}/missing.csv", "--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
+    (["predict", "--model", "{d}/missing.txt", "--calibration", "{d}/missing.state",
+      "--input", "{d}/missing.csv", "--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+])
+def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, argv, message):
+    assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_bad_alpha_in_a_config_file_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "predict.cfg"
+    config.write_text("alpha = 1.5\n")
+    assert run_cli("predict", "--config", str(config), "--model", "m", "--calibration", "s",
+                   "--input", "x") == 1
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # datagen
 

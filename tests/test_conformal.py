@@ -303,6 +303,42 @@ def test_env_quantiles_match_brute_force():
     )
 
 
+def test_quantiles_read_from_the_state_equal_quantiles_of_the_raw_scores():
+    model, envs, state = make_state(seed=18, n=37)
+    raw = [np.abs(env.targets - model.predict(env.features)) for env in envs]
+    x = np.zeros((2, 4))
+    for alpha in (0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9):
+        np.testing.assert_array_equal(
+            state.env_quantiles(alpha), [conformal_quantile(r, alpha) for r in raw]
+        )
+        pooled = conformal_quantile(np.concatenate(raw), alpha)
+        assert state.sc_interval(x[0], alpha).half_width == pooled
+        np.testing.assert_array_equal(state.sc_intervals(x, alpha).half_width, [pooled, pooled])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, np.nan, -0.1, 1.5])
+def test_every_interval_entry_point_rejects_a_bad_alpha(alpha):
+    _, _, state = make_state(seed=19)
+    x = np.zeros(4)
+    for call in (
+        lambda: state.env_quantiles(alpha),
+        lambda: state.sc_interval(x, alpha),
+        lambda: state.sc_intervals(x[None, :], alpha),
+        lambda: state.acir_interval(x, alpha),
+        lambda: state.acir_intervals(x[None, :], alpha),
+    ):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            call()
+
+
+def test_pooled_sorted_scores_are_read_only_and_sorted():
+    _, _, state = make_state(seed=20)
+    np.testing.assert_array_equal(state.pooled_sorted, np.sort(state.pooled_scores()))
+    assert not state.pooled_sorted.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        state.pooled_sorted[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -350,6 +386,8 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
     ("0 1 two 0.0 1.0\n1.0\n2.0\n", "line 1: invalid literal for int"),
     ("0 1 2 0.0 wide\n1.0\n2.0\n", "line 1: could not convert string to float: 'wide'"),
     ("0 1 2 0.0 1.0\n1.0\n\nxyz\n", "line 4: could not convert string to float: 'xyz'"),
+    ("0 2 1 0.0 1.0\n1.0\n1 2 2 0.0 1.0\n1.0\n2.0x\n",
+     "line 5: could not convert string to float: '2.0x'"),
     ("\n0 1 2 0.0\n1.0\n2.0\n", "line 2: expected section header"),
     ("0 1 -1 0.0 1.0\n1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 0 0.0 1.0\n", "line 1: env 0: n_cal must be >= 1"),

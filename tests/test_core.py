@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acir import (
     DataSplit,
@@ -12,6 +14,7 @@ from acir import (
     conformal_quantile,
     coverage_rate,
 )
+from acir.core import sorted_conformal_quantile
 
 
 def brute_force_quantile(scores, alpha):
@@ -37,6 +40,25 @@ def test_quantile_matches_brute_force_oracle():
         scores = rng.exponential(size=n)
         alpha = float(rng.uniform(0.01, 0.99))
         assert conformal_quantile(scores, alpha) == brute_force_quantile(scores.tolist(), alpha)
+
+
+# Scores from a small pool, so ties (and 0.0 beside -0.0) are common.
+_SCORES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]),
+              st.floats(0.0, 1e6, allow_subnormal=True)),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=_SCORES, alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(scores=[0.0, -0.0, 0.0], alpha=0.5)
+@example(scores=[3.0, 1.0, 2.0], alpha=0.1)  # k = 4 > n: +inf
+@example(scores=[1.0] * 60, alpha=1e-300)
+def test_sorted_lookup_equals_quantile_and_oracle(scores, alpha):
+    expected = brute_force_quantile(scores, alpha)
+    from_sorted = sorted_conformal_quantile(np.sort(np.array(scores)), alpha)
+    assert from_sorted == conformal_quantile(np.array(scores), alpha) == expected
 
 
 def test_quantile_monotone_in_alpha():
@@ -83,6 +105,19 @@ def test_env_dataset_is_immutable():
     env = EnvDataset(env_id=0, features=np.ones((2, 2)), targets=np.zeros(2))
     with pytest.raises(ValueError):
         env.features[0, 0] = 7.0
+
+
+def test_env_dataset_keeps_frozen_arrays_and_copies_others():
+    x, y = np.ones((2, 2)), np.zeros(2)
+    env = EnvDataset(env_id=0, features=x, targets=y)
+    assert not np.shares_memory(env.features, x) and not np.shares_memory(env.targets, y)
+    x.setflags(write=False)
+    y.setflags(write=False)
+    env = EnvDataset(env_id=0, features=x, targets=y)
+    assert env.features is x and env.targets is y
+    view = np.ones((4, 2))[::2]
+    view.setflags(write=False)
+    assert not np.shares_memory(EnvDataset(env_id=0, features=view, targets=y).features, view)
 
 
 def test_check_unique_env_ids():

@@ -158,6 +158,10 @@ def test_split_sizes_and_determinism():
     assert sp.train.n == 1000 and sp.calibration.n == 1000
     sp2 = split_dataset(data, 0.5, seed=3)
     np.testing.assert_array_equal(sp.train.features, sp2.train.features)
+    for part in (data, sp.train, sp.calibration):
+        for a in (part.features, part.targets):
+            assert a.flags.owndata and not a.flags.writeable
+    assert not np.shares_memory(sp.train.features, data.features)
 
 
 def test_split_partitions_the_rows():
