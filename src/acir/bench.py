@@ -18,7 +18,14 @@ from typing import Iterator
 import numpy as np
 
 from .conformal import CalibrationState, calibrate
-from .core import EnvDataset, PredictionInterval, average_length, check_alpha, coverage_rate
+from .core import (
+    EnvDataset,
+    PredictionInterval,
+    average_length,
+    check_alpha,
+    check_train_fraction,
+    coverage_rate,
+)
 from .datagen import (
     DEFAULT_ENV_PARAMS,
     SETTINGS,
@@ -86,6 +93,7 @@ class ExperimentConfig:
                 f"setting must be one of {SETTINGS} or 'csv:<path>', got {self.setting!r}"
             )
         check_alpha(self.alpha)
+        check_train_fraction(self.csv_train_fraction)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         object.__setattr__(self, "env_params", check_env_params(self.env_params))
@@ -110,8 +118,6 @@ class ExperimentConfig:
         if self.is_csv:
             if not self.test_envs:
                 raise ValueError("CSV mode requires test_envs to name held-out environments")
-            if not 0.0 < self.csv_train_fraction < 1.0:
-                raise ValueError("csv_train_fraction must lie in (0, 1)")
 
     @property
     def is_csv(self) -> bool:

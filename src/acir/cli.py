@@ -17,7 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .bench import (
     METHODS,
@@ -29,7 +29,7 @@ from .bench import (
     summarize,
 )
 from .conformal import calibrate, load_state, save_state
-from .core import check_alpha, write_float_rows
+from .core import check_alpha, check_train_fraction, write_float_rows
 from .datagen import (
     DEFAULT_ENV_PARAMS,
     SETTINGS,
@@ -101,11 +101,16 @@ def _comma_methods(text: str) -> tuple[str, ...]:
     return tuple(tok.strip().upper() for tok in text.split(",") if tok.strip() != "")
 
 
-def _alpha(text: str) -> float:
-    try:
-        return check_alpha(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked_float(check: Callable[[float], float]) -> Callable[[str], float]:
+    """An argparse type: the float passed through ``check``, whose ValueError is a usage error."""
+
+    def convert(text: str) -> float:
+        try:
+            return check(float(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -142,7 +147,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p = leaf(bench_sub, "bench", "run", summary="run replications and write metric files")
     run_p.add_argument("--setting", required=True,
                        help=f"one of {'/'.join(SETTINGS)} or csv:<path>")
-    run_p.add_argument("--alpha", type=_alpha, default=None)
+    run_p.add_argument("--alpha", type=_checked_float(check_alpha), default=None)
     run_p.add_argument("--reps", dest="replications", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--methods", type=_comma_methods, default=None,
@@ -154,7 +159,8 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p.add_argument("--resplit-only", type=_boolean, nargs="?", const=True, default=None)
     run_p.add_argument("--test-envs", type=_comma_ints, default=None,
                        help="CSV mode: env ids held out for evaluation")
-    run_p.add_argument("--csv-train-fraction", type=float, default=None)
+    run_p.add_argument("--csv-train-fraction", type=_checked_float(check_train_fraction),
+                       default=None)
     run_p.add_argument("--out", default=".", help="output directory (default .)")
     _add_fit_flags(run_p)
 
@@ -178,7 +184,8 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     fit_p.add_argument("--method", choices=["irm", "erm"], default="irm")
     fit_p.add_argument("--calibration-out", default=None,
                        help="also split, calibrate, and write this state file")
-    fit_p.add_argument("--train-fraction", type=float, default=0.5)
+    fit_p.add_argument("--train-fraction", type=_checked_float(check_train_fraction),
+                       default=0.5)
     fit_p.add_argument("--split-seed", type=int, default=0)
     _add_fit_flags(fit_p)
 
@@ -190,7 +197,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     pred_p = leaf(sub, "predict", summary="prediction intervals at new points")
     pred_p.add_argument("--model", required=True)
     pred_p.add_argument("--calibration", required=True)
-    pred_p.add_argument("--alpha", type=_alpha, default=0.05)
+    pred_p.add_argument("--alpha", type=_checked_float(check_alpha), default=0.05)
     pred_p.add_argument("--input", required=True)
     pred_p.add_argument("--method", choices=["sc", "acir"], default="acir")
     pred_p.add_argument("--out", default=None, help="output CSV (default: stdout)")

@@ -19,6 +19,7 @@ __all__ = [
     "DataSplit",
     "PredictionInterval",
     "check_alpha",
+    "check_train_fraction",
     "conformal_quantile",
     "sorted_conformal_quantile",
     "coverage_rate",
@@ -173,6 +174,17 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return float(alpha)
+
+
+def check_train_fraction(fraction: float) -> float:
+    """fraction as a float; a ValueError unless it is a train share in (0, 1).
+
+    Whether a share leaves both parts of n rows nonempty depends on n, so
+    split_dataset checks that when it splits.
+    """
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"train fraction must be in (0, 1), got {fraction}")
+    return float(fraction)
 
 
 def sorted_conformal_quantile(sorted_scores: np.ndarray, alpha: float) -> float:

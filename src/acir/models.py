@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,10 +82,12 @@ class LinearIRMModel:
     def p(self) -> int:
         return self.phi.shape[1]
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Effective prediction weights: column sums of phi."""
-        return self.phi.sum(axis=0)
+        """Effective prediction weights: column sums of phi, read-only, summed once."""
+        weights = self.phi.sum(axis=0)
+        weights.setflags(write=False)
+        return weights
 
     def represent(self, x: np.ndarray) -> np.ndarray:
         """Representation phi @ x; accepts one vector (p,) or a matrix (n, p)."""

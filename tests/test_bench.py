@@ -52,6 +52,12 @@ def test_config_rejects_bad_alpha_and_replications():
         small_config(replications=0)
 
 
+@pytest.mark.parametrize("fraction", [1.5, 0.0, float("nan")])
+def test_config_rejects_a_train_fraction_outside_the_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"train fraction must be in \(0, 1\)"):
+        ExperimentConfig(setting="csv:data.csv", test_envs=(0,), csv_train_fraction=fraction)
+
+
 def test_config_rejects_totals_below_env_count():
     with pytest.raises(ValueError, match="n_test_total"):
         small_config(n_test_total=2)

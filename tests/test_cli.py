@@ -77,6 +77,33 @@ def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, a
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+@pytest.mark.parametrize("argv, key", [
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt",
+      "--calibration-out", "{d}/state.txt"], "train-fraction"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--out", "{d}"],
+     "csv-train-fraction"),
+], ids=["fit", "bench-run"])
+def test_a_train_fraction_outside_the_unit_interval_is_a_usage_error(
+    tmp_path, capsys, argv, key, value, as_config
+):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    argv = [arg.format(d=run_dir) for arg in argv]
+    if as_config:
+        config = tmp_path / "fraction.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{key}", value]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"train fraction must be in (0, 1), got {float(value)}" in err
+    assert "No such file" not in err
+    assert os.listdir(run_dir) == []
+
+
 def test_bad_alpha_in_a_config_file_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "predict.cfg"
     config.write_text("alpha = 1.5\n")

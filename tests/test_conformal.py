@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from acir import conformal
 from acir.conformal import (
     CalibrationState,
     calibrate,
@@ -11,7 +14,7 @@ from acir.conformal import (
     save_state,
 )
 from acir.core import EnvDataset, conformal_quantile
-from acir.models import LinearIRMModel
+from acir.models import FitConfig, LinearIRMModel, fit_irmv1
 
 ALPHA = 0.05
 
@@ -48,6 +51,51 @@ def test_moment_stats_works_along_the_last_axis():
     np.testing.assert_array_equal(v, [moment_stats(rep[0])[1], 1.0])
 
 
+# d from 2 to 300 runs numpy's plain (d < 8), 8-way unrolled (up to 128)
+# and pairwise (above 128) sums; a common offset makes the subtraction of
+# the mean cancel.
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 300),
+    rows=st.sampled_from([None, 1, 2, 5]),
+    exponent=st.integers(-300, 300),
+    offset=st.sampled_from([0.0, 1.0, -1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, rows=None, exponent=0, offset=0.0, seed=0)
+@example(d=129, rows=5, exponent=300, offset=1.0, seed=1)
+@example(d=300, rows=1, exponent=-300, offset=-1e3, seed=2)
+def test_moment_stats_equals_numpy_mean_and_std_bit_for_bit(d, rows, exponent, offset, seed):
+    shape = (d,) if rows is None else (rows, d)
+    rep = (np.random.default_rng(seed).standard_normal(shape) + offset) * 10.0**exponent
+    with np.errstate(over="ignore"):  # squares of 1e300 overflow in both
+        mu, v = moment_stats(rep)
+        want_mu, want_v = np.mean(rep, axis=-1), np.std(rep, axis=-1)
+    assert mu.tobytes() == want_mu.tobytes() and v.tobytes() == want_v.tobytes()
+    if rows is None:
+        assert type(mu) is np.float64 and type(v) is np.float64
+    else:
+        assert mu.shape == v.shape == (rows,)
+
+
+def test_moments_are_the_prediction_over_d_and_a_projection_training_leaves_alone():
+    # Fitting moves only the column sums of phi, by the same shift on every
+    # row: phi = phi0 + 1 (s - s0) / d. So mu_x = f(x) / d and v_x is the
+    # spread of phi0 @ x, a seeded random projection of x.
+    rng = np.random.default_rng(21)
+    train = [EnvDataset(e, rng.normal(scale=e + 1, size=(80, 4)), rng.normal(size=80))
+             for e in range(3)]
+    config = FitConfig(penalty_weight=1.0, init_scale=1.0, seed=5, repr_dim=6)
+    model = fit_irmv1(train, config)
+    phi0 = np.random.default_rng(config.seed).normal(0.0, config.init_scale, size=(6, 4))
+    shift = model.phi - phi0
+    assert np.ptp(shift, axis=0).max() < 1e-12 < np.abs(shift).max()
+    x = rng.normal(scale=3.0, size=(50, 4))
+    mu_x, v_x = moment_stats(model.represent(x))
+    np.testing.assert_allclose(mu_x, model.predict(x) / model.d, rtol=1e-12)
+    np.testing.assert_allclose(v_x, moment_stats(x @ phi0.T)[1], rtol=1e-12)
+
+
 def test_moment_stats_rejects_scalar_representation():
     with pytest.raises(ValueError, match=">= 2"):
         moment_stats(np.array([5.0]))
@@ -73,6 +121,38 @@ def test_calibrate_sorts_scores_ascending():
 
 # ---------------------------------------------------------------------------
 # state validation
+
+
+def test_state_keeps_frozen_scores_and_copies_others():
+    owned, writeable = np.array([0.5, 1.0, 2.0]), np.array([0.5, 1.0, 2.0])
+    owned.setflags(write=False)
+    view = np.array([0.5, 9.0, 1.0, 9.0, 2.0])[::2]
+    view.setflags(write=False)
+    state = CalibrationState(model=EYE_MODEL, env_ids=(0, 1, 2),
+                             scores=(owned, writeable, view), mu=np.zeros(3), v=np.zeros(3))
+    assert state.scores[0] is owned
+    assert not np.shares_memory(state.scores[1], writeable)
+    assert not np.shares_memory(state.scores[2], view)
+    assert not any(sc.flags.writeable for sc in state.scores)
+
+
+def test_calibrate_and_load_state_hand_over_read_only_scores(tmp_path, monkeypatch):
+    handed = []
+
+    class Recording(CalibrationState):
+        def __post_init__(self):
+            handed.append(self.scores)
+            super().__post_init__()
+
+    monkeypatch.setattr(conformal, "CalibrationState", Recording)
+    model, _, state = make_state(seed=22)
+    path = str(tmp_path / "state.txt")
+    save_state(state, path)
+    back = load_state(path, model)
+    assert len(handed) == 2
+    for given_scores, kept in zip(handed, (state, back)):
+        for a, b in zip(given_scores, kept.scores):
+            assert a is b and a.flags.owndata and not a.flags.writeable
 
 
 def test_state_rejects_duplicate_env_ids():

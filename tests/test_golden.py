@@ -3,8 +3,10 @@
 Each SHA-256 below was taken from the seed implementation (Python 3.11,
 numpy 2.4); those of data.csv, model.txt and invariance.csv from the last
 version with the row-wise CSV reader and writer, whose outputs were the
-seed's. A refactor that keeps the numbers keeps these hashes; a change that
-alters an output file on purpose must say so and update the pin.
+seed's; the SINGLE_POINT pins from the last version that computed the
+moments with np.mean/np.std and copied every interval's arrays. A refactor
+that keeps the numbers keeps these hashes; a change that alters an output
+on purpose must say so and update the pin.
 """
 
 import hashlib
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 
 from acir.cli import main
+from acir.conformal import load_state
+from acir.models import load_model
 
 BENCH_PEU = [
     "bench", "run", "--setting", "PEU", "--reps", "3", "--seed", "11",
@@ -36,6 +40,14 @@ GOLDEN = {
     "invariance.csv": "1b93bd7da951d130df46ccfeb8204e7bbef86e5b2fd92432d2fdb2a42899c12f",
     "acir.csv": "1e3e333578b3f4939860a6881300b761219e705cf937eef1468c4e5500ae1130",
     "sc.csv": "2cbb8896704f6cba2c38c9c734b8e5df118bef5c7fc6695de1a6c88c76a2f1c5",
+}
+
+# The single-point calls, one at a time: float64 bytes of (center, half_width)
+# for 256 points on the fixture's state.txt and model.txt.
+SINGLE_POINT = {
+    "acir_interval": "6ac74a4df0ed0fa869f58e4a3b42c8ed6d791359fe40e9519cd16899cfeb49b0",
+    "acir_interval+delta": "b8c4c542dab1216eb35f3bf5433a34b8e463a2200f6d8c2d4d3a0352b0d4196d",
+    "sc_interval": "8a6aebf181d88299aa5fefdfd75be35bc2a901b5c55904cbc19469f31c1a99cf",
 }
 
 
@@ -80,3 +92,20 @@ def test_output_bytes_match_seed(outputs, name):
 def test_tiny_calibration_run_reports_infinite_lengths(outputs):
     text = (outputs / "FEU" / "metrics.csv").read_text(encoding="utf-8")
     assert ",inf\n" in text
+
+
+@pytest.mark.parametrize("call", sorted(SINGLE_POINT))
+def test_single_point_answers_match_seed(outputs, call):
+    model = load_model(str(outputs / "model.txt"))
+    state = load_state(str(outputs / "state.txt"), model)
+    rng = np.random.default_rng(3)
+    points = rng.standard_normal((256, model.p)) * rng.choice([0.2, 2.0, 5.0], size=(256, 1))
+    delta = np.array([0.05, 0.0, 0.4])
+    ask = {
+        "acir_interval": lambda x: state.acir_interval(x, 0.1),
+        "acir_interval+delta": lambda x: state.acir_interval(x, 0.1, delta),
+        "sc_interval": lambda x: state.sc_interval(x, 0.1),
+    }[call]
+    answers = np.array([(iv.center, iv.half_width) for iv in map(ask, points)])
+    assert answers.dtype == np.float64 and answers.shape == (256, 2)
+    assert hashlib.sha256(answers.tobytes()).hexdigest() == SINGLE_POINT[call]

@@ -174,6 +174,16 @@ def test_predict_and_represent_are_linear():
     assert model.predict(x1) == pytest.approx(float(model.represent(x1).sum()))
 
 
+def test_weights_are_the_column_sums_of_phi_computed_once_and_read_only():
+    phi = np.random.default_rng(4).normal(size=(5, 3))
+    model = LinearIRMModel(phi=phi)
+    w = model.weights
+    assert w is model.weights and not w.flags.writeable
+    assert w.tobytes() == phi.sum(axis=0).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+
+
 def test_predict_identity_and_zero():
     model = LinearIRMModel(phi=np.eye(4), penalty_weight=0.0)
     assert model.predict(np.ones(4)) == pytest.approx(4.0)
