@@ -135,9 +135,11 @@ class PredictionInterval:
                 f"center and half_width must share one shape (n,) or (), "
                 f"got {center.shape} and {half_width.shape}"
             )
-        if not np.isfinite(center).all():
+        # count_nonzero, not ndarray.all, whose Python-level wrapper costs
+        # more than the check on a single point
+        if np.count_nonzero(np.isfinite(center)) != center.size:
             raise ValueError("center must be finite")
-        if not (half_width >= 0).all():
+        if np.count_nonzero(half_width >= 0) != half_width.size:
             raise ValueError("half_width must be >= 0")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_width", half_width)

@@ -24,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,50 +186,108 @@ def irm_objective(
 # fitting
 
 
-def _env_stats(envs: list[EnvDataset]) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    stats = []
+class _EnvStats(NamedTuple):
+    """Second moments of every training environment, stacked on a leading axis.
+
+    a[e] is x'x / n_e, b[e] is x'y / n_e and c[e] is y'y / n_e for environment
+    e, so the risk of environment e at weights s is s'a[e]s - 2 b[e]'s + c[e].
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: tuple[float, ...]
+
+
+def _env_stats(envs: list[EnvDataset]) -> _EnvStats:
+    a, b, c = [], [], []
     for env in envs:
         x, y = env.features, env.targets
         n = env.n
-        stats.append((x.T @ x / n, x.T @ y / n, float(y @ y) / n))
-    return stats
+        a.append(x.T @ x / n)
+        b.append(x.T @ y / n)
+        c.append(float(y @ y) / n)
+    return _EnvStats(np.stack(a), np.stack(b), tuple(c))
 
 
-def _eval_stats(
-    s: np.ndarray, stats: list[tuple[np.ndarray, np.ndarray, float]], lam: float
-) -> tuple[float, np.ndarray]:
-    """Objective and its gradient with respect to the prediction weights s."""
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis exactly as ``total = zeros; total += row`` does.
+
+    np.add.reduce adds a contiguous axis pairwise (here, when p = 1), while
+    accumulate adds in order. Adding 0.0 last turns the -0.0 that only a run
+    of -0.0 rows can leave into the loop's +0.0, and changes nothing else.
+    """
+    return np.add.accumulate(rows, axis=0)[-1] + 0.0
+
+
+class _Point(NamedTuple):
+    """The objective at some weights s, its gradient, and what _hessian reuses."""
+
+    obj: float
+    grad: np.ndarray
+    a_s: np.ndarray  # a[e] @ s for every environment
+    g: list[float]  # the per-environment penalty gradients g_e
+
+
+_ONE_TWO = np.array([[1.0], [2.0]])  # stacks a_s and 2 a_s in one product
+
+
+def _eval_stats(s: np.ndarray, stats: _EnvStats, lam: float) -> _Point:
+    """Objective and its gradient with respect to the prediction weights s.
+
+    All environments at once, one numpy call per quantity, and yet equal bit
+    for bit to a loop over environments: a @ s is one matrix-vector product
+    per environment either way, and each environment's dot product is a
+    (1, p) @ (p, 1) product, which rounds like a 1-D dot (the (m, p) @ (p,)
+    product does not). The terms are summed in the loop's order.
+    """
+    a_s = stats.a @ s
+    col = s[:, None]
+    s_a_s = (a_s[:, None, :] @ col).ravel().tolist()
+    b_s = (stats.b[:, None, :] @ col).ravel().tolist()
     obj = 0.0
-    grad = np.zeros_like(s)
-    for a, b, c in stats:
-        a_s = a @ s
-        risk = float(s @ a_s) - 2.0 * float(b @ s) + c
-        g = 2.0 * (float(s @ a_s) - float(b @ s))
+    gs = []
+    factors = []
+    for sas, bs, c in zip(s_a_s, b_s, stats.c):
+        risk = sas - 2.0 * bs + c
+        g = 2.0 * (sas - bs)
         obj += risk + lam * g * g
-        grad += 2.0 * (a_s - b)
-        if lam > 0:
-            grad += 4.0 * lam * g * (2.0 * a_s - b)
-    return obj, grad
+        gs.append(g)
+        factors += (2.0, 4.0 * lam * g)
+    m, p = a_s.shape
+    if lam > 0:
+        # Environment e adds 2 (a_s - b), then 4 lam g (2 a_s - b).
+        rows = a_s[:, None, :] * _ONE_TWO
+        rows -= stats.b[:, None, :]
+        rows = rows.reshape(2 * m, p)
+        rows *= np.array(factors)[:, None]
+    else:
+        rows = a_s - stats.b
+        rows *= 2.0
+    return _Point(obj, _ordered_sum(rows), a_s, gs)
 
 
-def _hessian(
-    s: np.ndarray, stats: list[tuple[np.ndarray, np.ndarray, float]], lam: float
-) -> np.ndarray:
-    """Hessian of the objective with respect to the prediction weights s."""
-    p = s.size
-    hess = np.zeros((p, p))
-    for a, b, _ in stats:
-        hess += 2.0 * a
-        if lam > 0:
-            g = 2.0 * (float(s @ (a @ s)) - float(b @ s))
-            u = 2.0 * (a @ s) - b
-            hess += lam * (8.0 * np.outer(u, u) + 8.0 * g * a)
-    return hess
+def _hessian(at: _Point, stats: _EnvStats, lam: float) -> np.ndarray:
+    """Hessian of the objective with respect to the weights that ``at`` was evaluated at."""
+    a = stats.a
+    if not lam > 0:
+        return _ordered_sum(2.0 * a)
+    m, p = at.a_s.shape
+    # Environment e adds 2 a, then lam (8 u u' + 8 g a) with u = 2 a_s - b.
+    rows = np.empty((m, 2, p, p))
+    np.multiply(a, 2.0, out=rows[:, 0])
+    penalty = rows[:, 1]
+    u = 2.0 * at.a_s - stats.b
+    np.multiply(u[:, :, None], u[:, None, :], out=penalty)
+    penalty *= 8.0
+    penalty += np.array([8.0 * g for g in at.g])[:, None, None] * a
+    penalty *= lam
+    return _ordered_sum(rows.reshape(2 * m, p, p))
 
 
 def _descend(
     s: np.ndarray,
-    stats: list,
+    at: _Point,
+    stats: _EnvStats,
     lam: float,
     lr: float,
     max_iters: int,
@@ -237,9 +296,10 @@ def _descend(
 ) -> np.ndarray:
     """Full-batch descent in weight space with backtracking line search.
 
-    Steps along the Newton direction when the Hessian is positive definite
-    (the penalty makes the objective quartic with curvature spanning many
-    orders of magnitude across environments, where a raw gradient step
+    ``at`` is _eval_stats(s, stats, lam), which the caller has already
+    computed. Steps along the Newton direction when the Hessian is positive
+    definite (the penalty makes the objective quartic with curvature spanning
+    many orders of magnitude across environments, where a raw gradient step
     cannot make progress) and falls back to the gradient direction
     otherwise. Backtracking halves the step until the objective does not
     increase, so accepted iterations are non-increasing by construction.
@@ -248,44 +308,44 @@ def _descend(
     the phi-space gradient norm is sqrt(d) * |grad_s|; both conversions are
     applied so learning_rate and tolerance keep their phi-space meaning.
     """
-    obj, grad = _eval_stats(s, stats, lam)
-    if not math.isfinite(obj):
+    if not math.isfinite(at.obj):
         raise FitError("objective is non-finite at iteration 0")
     sqrt_d = math.sqrt(d)
     last_step = 1.0
-    for _ in range(max_iters):
-        if sqrt_d * float(np.linalg.norm(grad)) < tol:
-            break
-        direction = None
-        try:
-            cand = np.linalg.solve(_hessian(s, stats, lam), grad)
-            if np.all(np.isfinite(cand)) and float(cand @ grad) > 0:
-                direction = cand
-        except np.linalg.LinAlgError:
-            pass
-        if direction is None:
-            direction = (lr * d) * grad
-        # warm-start the line search near the last accepted step so a
-        # plateau crawl does not re-halve from 1 on every iteration
-        step = min(1.0, 2.0 * last_step)
-        accepted = False
-        while step > 1e-20:
-            s_new = s - step * direction
-            # Oversized trial steps may overflow; they are rejected below,
-            # so keep numpy quiet rather than leak warnings for dead ends.
-            with np.errstate(over="ignore", invalid="ignore"):
-                obj_new, grad_new = _eval_stats(s_new, stats, lam)
-            if math.isfinite(obj_new) and obj_new <= obj:
-                accepted = True
+    # Oversized trial steps may overflow; they are rejected below, so keep
+    # numpy quiet rather than leak warnings for dead ends.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            grad = at.grad
+            if sqrt_d * math.sqrt(grad.dot(grad)) < tol:  # np.linalg.norm, bit for bit
                 break
-            step *= 0.5
-        if not accepted:
-            break
-        last_step = step
-        progress = obj - obj_new
-        s, obj, grad = s_new, obj_new, grad_new
-        if progress <= 1e-14 * max(1.0, abs(obj)):
-            break
+            direction = None
+            try:
+                cand = np.linalg.solve(_hessian(at, stats, lam), grad)
+                if np.isfinite(cand).all() and float(cand @ grad) > 0:
+                    direction = cand
+            except np.linalg.LinAlgError:
+                pass
+            if direction is None:
+                direction = (lr * d) * grad
+            # warm-start the line search near the last accepted step so a
+            # plateau crawl does not re-halve from 1 on every iteration
+            step = min(1.0, 2.0 * last_step)
+            accepted = False
+            while step > 1e-20:
+                s_new = s - step * direction
+                trial = _eval_stats(s_new, stats, lam)
+                if math.isfinite(trial.obj) and trial.obj <= at.obj:
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+            last_step = step
+            progress = at.obj - trial.obj
+            s, at = s_new, trial
+            if progress <= 1e-14 * max(1.0, abs(at.obj)):
+                break
     return s
 
 
@@ -314,15 +374,17 @@ def fit_irmv1(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
     s0 = phi0.sum(axis=0)
 
     start = s0
+    at_start = _eval_stats(s0, stats, lam)
     if lam > 0 and config.warmup_iters > 0:
         warmed = _descend(
-            s0, stats, 0.0, config.learning_rate, config.warmup_iters,
-            config.tolerance, d,
+            s0, _eval_stats(s0, stats, 0.0), stats, 0.0, config.learning_rate,
+            config.warmup_iters, config.tolerance, d,
         )
-        if _eval_stats(warmed, stats, lam)[0] <= _eval_stats(s0, stats, lam)[0]:
-            start = warmed
+        at_warmed = _eval_stats(warmed, stats, lam)
+        if at_warmed.obj <= at_start.obj:
+            start, at_start = warmed, at_warmed
     s_fin = _descend(
-        start, stats, lam, config.learning_rate, config.max_iters,
+        start, at_start, stats, lam, config.learning_rate, config.max_iters,
         config.tolerance, d,
     )
     phi = phi0 + (s_fin - s0) / d

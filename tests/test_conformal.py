@@ -225,6 +225,40 @@ def test_weights_hand_computed_equal_split():
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
 
+def _oracle_weights(state, x):
+    """The weight matrix as first written: every step on the (n, m) layout."""
+    mu_x, v_x = moment_stats(state.model.represent(x))
+    log_sim = -np.abs(v_x[:, None] - state.v) - np.abs(mu_x[:, None] - state.mu)
+    tau = np.exp(log_sim - log_sim.max(axis=1, keepdims=True))
+    return tau / tau.sum(axis=1, keepdims=True)
+
+
+# m up to 12 crosses numpy's 8-element pairwise block in the row sums.
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.sampled_from([1, 2, 7, 40]),
+    spread=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=9, n=1, spread=0, seed=0)
+@example(m=3, n=40, spread=3, seed=1)
+def test_weights_equal_the_row_layout_formula_bit_for_bit(m, n, spread, seed):
+    rng = np.random.default_rng(seed)
+    model = LinearIRMModel(phi=rng.normal(size=(4, 5)), penalty_weight=0.0)
+    state = CalibrationState(
+        model=model,
+        env_ids=tuple(range(m)),
+        scores=tuple(np.sort(np.abs(rng.normal(size=5))) for _ in range(m)),
+        mu=rng.normal(size=m) * 10.0**spread,
+        v=np.abs(rng.normal(size=m)) * 10.0**spread,
+    )
+    x = rng.normal(size=(n, 5)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+    w = state._weights_matrix(x)
+    assert w.flags.c_contiguous
+    assert w.tobytes() == _oracle_weights(state, x).tobytes()
+
+
 def test_weights_sum_to_one_and_positive():
     model, envs, state = make_state(seed=2)
     rng = np.random.default_rng(3)

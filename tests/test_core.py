@@ -151,6 +151,25 @@ def test_prediction_interval_bounds():
         PredictionInterval(center=[0.0, 1.0], half_width=1.0)
 
 
+@pytest.mark.parametrize("center, half_width, message", [
+    (math.nan, 1.0, "center must be finite"),
+    ([0.0, math.inf], [1.0, 1.0], "center must be finite"),
+    ([-math.inf, 0.0], [1.0, 1.0], "center must be finite"),
+    (0.0, -0.1, "half_width must be >= 0"),
+    ([0.0, 1.0], [1.0, math.nan], "half_width must be >= 0"),
+    ([0.0, 1.0], [-math.inf, 1.0], "half_width must be >= 0"),
+])
+def test_prediction_interval_checks_name_the_bad_field(center, half_width, message):
+    with pytest.raises(ValueError, match=message):
+        PredictionInterval(center=center, half_width=half_width)
+
+
+def test_prediction_interval_accepts_edge_values():
+    iv = PredictionInterval(center=[0.0, -1e308], half_width=[-0.0, math.inf])
+    assert iv.half_width[1] == math.inf
+    assert len(PredictionInterval(np.empty(0), np.empty(0))) == 0
+
+
 def test_prediction_interval_batch_is_elementwise_with_row_views():
     iv = PredictionInterval(center=[0.0, 10.0, 20.0], half_width=[1.0, 2.0, math.inf])
     assert len(iv) == 3

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from acir import CsvParseError, EnvDataset, SemConfig, generate_sem, load_csv, save_csv, split_dataset
-from acir.datagen import DEFAULT_ENV_PARAMS, env_sizes, load_points
+from acir.datagen import DEFAULT_ENV_PARAMS, _normal, env_sizes, load_points
 
 N_BIG = 10000
 
@@ -364,3 +364,76 @@ def test_load_points_reads_a_matrix_and_names_bad_lines(tmp_path):
     path.write_text("x1,x2\n1,2,3\n")
     with pytest.raises(CsvParseError, match="line 2: expected 2 columns, got 3"):
         load_points(str(path), 2)
+
+
+def _oracle_generate_sem(config, env_param, n, stream_seed, sigma_scale=1.0, confounder_seed=None):
+    """generate_sem as first written: one rng.normal call per block, then hstack."""
+    e = float(env_param)
+    idx = config.env_index(e)
+    sigma_y, sigma_2 = (e, 1.0) if config.setting[1] == "O" else (1.0, e)
+    sigma_y *= sigma_scale
+    sigma_2 *= sigma_scale
+    root = np.random.SeedSequence([int(config.seed), int(stream_seed), idx])
+    ss_h, ss_x1, ss_y, ss_x2 = root.spawn(4)
+    if confounder_seed is not None:
+        ss_h = np.random.SeedSequence(int(confounder_seed))
+    rng_h, rng_x1, rng_y, rng_x2 = map(np.random.default_rng, (ss_h, ss_x1, ss_y, ss_x2))
+    h = rng_h.normal(0.0, e, size=(n, config.dim_x1))
+    x1 = rng_x1.normal(0.0, e, size=(n, config.dim_x1)) + h @ config.w_h1.T
+    y = x1 @ config.w_1y + rng_y.normal(0.0, sigma_y, size=n) + h @ config.w_hy
+    x2 = np.outer(y, config.w_y2) + rng_x2.normal(0.0, sigma_2, size=(n, config.dim_x2))
+    return np.hstack([x1, x2]), y
+
+
+@pytest.mark.parametrize("setting", ["FOU", "FEU", "POU", "PEU"])
+def test_generate_sem_equals_the_per_block_normal_draws_bit_for_bit(setting):
+    cfg = SemConfig(setting=setting, env_params=(0.0, 0.2, 5.0), dim_x1=3, dim_x2=4, seed=5)
+    for e in cfg.env_params:
+        for n, sigma_scale, confounder_seed in [(1, 1.0, None), (40, 1.0, None),
+                                                (40, 0.3, 9), (40, 0.0, None)]:
+            data = generate_sem(cfg, e, n, stream_seed=2, sigma_scale=sigma_scale,
+                                confounder_seed=confounder_seed)
+            features, targets = _oracle_generate_sem(cfg, e, n, 2, sigma_scale, confounder_seed)
+            assert data.features.tobytes() == features.tobytes()
+            assert data.targets.tobytes() == targets.tobytes()
+
+
+@pytest.mark.parametrize("seed, stream_seed", [(0, 0), (2**32 - 1, 7), (2**32, 1), (3, 2**40 + 5)])
+def test_seeds_of_any_width_give_the_streams_of_their_int_list(seed, stream_seed):
+    # One uint32 array when every seed fits 32 bits; the list numpy splits otherwise.
+    cfg = SemConfig(setting="PEU", seed=seed)
+    data = generate_sem(cfg, 5.0, 30, stream_seed=stream_seed)
+    features, targets = _oracle_generate_sem(cfg, 5.0, 30, stream_seed)
+    assert data.features.tobytes() == features.tobytes()
+    assert data.targets.tobytes() == targets.tobytes()
+
+
+def test_negative_stream_seed_is_rejected_as_numpy_does():
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_sem(SemConfig(setting="FOU"), 2.0, 10, stream_seed=-1)
+
+
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 1.0, 1e300])
+def test_in_place_draw_is_generator_normal_bit_for_bit(scale):
+    # 1e300 * z overflows for |z| > 1.8: in place numpy says so, normal() does not
+    with np.errstate(over="ignore"):
+        for shape in [7, (50, 3)]:
+            got = _normal(np.random.default_rng(4), scale, shape)
+            want = np.random.default_rng(4).normal(0.0, scale, size=shape)
+            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape
+
+
+@pytest.mark.parametrize("sigma_scale", [-1.0, float("nan"), float("inf")])
+def test_bad_sigma_scale_is_rejected_up_front_by_name(sigma_scale):
+    cfg = SemConfig(setting="FOU", seed=1)
+    with pytest.raises(ValueError, match=r"sigma_scale must be finite and >= 0, got"):
+        generate_sem(cfg, 2.0, 10, stream_seed=0, sigma_scale=sigma_scale)
+
+
+def test_zero_noise_writes_no_negative_zero():
+    # Scale 0 makes 0 * z = -0.0 of every negative z; normal(0.0, 0.0) gives +0.0.
+    cfg = SemConfig(setting="POU", env_params=(0.0, 1.0), seed=2)
+    data = generate_sem(cfg, 0.0, 200, stream_seed=3, sigma_scale=0.0)
+    assert not data.features.any() and not data.targets.any()
+    assert not np.signbit(data.features).any() and not np.signbit(data.targets).any()

@@ -4,7 +4,10 @@ Each SHA-256 below was taken from the seed implementation (Python 3.11,
 numpy 2.4); those of data.csv, model.txt and invariance.csv from the last
 version with the row-wise CSV reader and writer, whose outputs were the
 seed's; the SINGLE_POINT pins from the last version that computed the
-moments with np.mean/np.std and copied every interval's arrays. A refactor
+moments with np.mean/np.std and copied every interval's arrays; the pins of
+the FOU, POU and nine-environment bench runs and of the datagen-* files from
+the last version that drew every noise block with Generator.normal and
+looped over environments in the fitter (commit 1c62b1a). A refactor
 that keeps the numbers keeps these hashes; a change that alters an output
 on purpose must say so and update the pin.
 """
@@ -21,6 +24,13 @@ from acir.models import load_model
 BENCH_PEU = [
     "bench", "run", "--setting", "PEU", "--reps", "3", "--seed", "11",
     "--n-train", "300", "--n-cal", "300", "--n-test", "300",
+    "--penalty-weight", "1.0", "--init-scale", "1.0",
+]
+# m >= 8 environments: numpy sums 8 or more terms pairwise, a loop does not.
+BENCH_NINE_ENVS = [
+    "bench", "run", "--setting", "POU", "--reps", "2", "--seed", "13",
+    "--n-train", "450", "--n-cal", "450", "--n-test", "450",
+    "--env-params", "0.2,0.5,1.0,1.5,2.0,3.0,4.0,5.0,6.0",
     "--penalty-weight", "1.0", "--init-scale", "1.0",
 ]
 # Nine calibration rows over three environments give infinite quantiles.
@@ -40,6 +50,15 @@ GOLDEN = {
     "invariance.csv": "1b93bd7da951d130df46ccfeb8204e7bbef86e5b2fd92432d2fdb2a42899c12f",
     "acir.csv": "1e3e333578b3f4939860a6881300b761219e705cf937eef1468c4e5500ae1130",
     "sc.csv": "2cbb8896704f6cba2c38c9c734b8e5df118bef5c7fc6695de1a6c88c76a2f1c5",
+    "FOU/metrics.csv": "62a28a58fbaeff69eb99fc8aea9826b5c64d2c995354e004dc67fa339a30a3b0",
+    "FOU/summary.csv": "3362c38d944ac43e7c35c1f013f1cd2379835406f3b0dd6f5b353fc4708cd94a",
+    "POU/metrics.csv": "f6cf0b82b12bd6f81e8816dcb56009e34baba6ba799d1ad76904d835071c9c2d",
+    "POU/summary.csv": "d8a984142a8b1d2576f6355fcd8f5580792b3d3a045b3ddb28fea2e46c05c554",
+    "NINE/metrics.csv": "3239b7e6a584d9200feb5e10e65fecb89d3ba1681a6a071b8a35dfc4eb24aac2",
+    "NINE/summary.csv": "4081da4964941bcacf4495516e2e6456f5b3cbc5f36dc491c9e5e3af6fc34f37",
+    "datagen-FOU.csv": "321797570bce567ff950ae7ddc7f81f5a342bc8927e1950b237f8926d8fff726",
+    "datagen-FEU.csv": "25b8a83bb5d35f14e8af6fdba1e1cf618b51c7d336cab90d88807fb3200177ce",
+    "datagen-POU.csv": "88c44bfe605f486652d1390be1af203ebfd6a3b2d704f0982e120ddfa69fa881",
 }
 
 # The single-point calls, one at a time: float64 bytes of (center, half_width)
@@ -68,6 +87,13 @@ def outputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     assert main(BENCH_PEU + ["--out", str(d / "PEU")]) == 0
     assert main(BENCH_FEU_TINY + ["--out", str(d / "FEU")]) == 0
+    for setting in ("FOU", "POU"):
+        argv = [setting if arg == "PEU" else arg for arg in BENCH_PEU]
+        assert main(argv + ["--out", str(d / setting)]) == 0
+    assert main(BENCH_NINE_ENVS + ["--out", str(d / "NINE")]) == 0
+    for setting in ("FOU", "FEU", "POU"):
+        assert main(["datagen", "sem", "--setting", setting, "--n", "3000", "--seed", "2",
+                     "--out", str(d / f"datagen-{setting}.csv")]) == 0
     data, model, state, points = d / "data.csv", d / "model.txt", d / "state.txt", d / "points.csv"
     assert main(["datagen", "sem", "--setting", "PEU", "--n", "3000", "--seed", "2",
                  "--out", str(data)]) == 0

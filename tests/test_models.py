@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acir import (
     EnvDataset,
@@ -16,7 +18,7 @@ from acir import (
     load_model,
     save_model,
 )
-from acir.models import _env_stats, _eval_stats, _hessian
+from acir.models import _env_stats, _eval_stats, _hessian, _ordered_sum
 
 FAST = FitConfig(penalty_weight=3.0, init_scale=1.0)
 
@@ -82,7 +84,8 @@ def test_fitter_gradient_and_hessian_match_finite_differences(lam):
         ]
         stats = _env_stats(envs)
         s = rng.normal(size=p)
-        obj, grad = _eval_stats(s, stats, lam)
+        at = _eval_stats(s, stats, lam)
+        obj, grad = at.obj, at.grad
         # a phi whose column sums are s predicts like s: the data-space twin agrees
         assert obj == pytest.approx(objective_value(np.vstack([s, np.zeros(p)]), envs, lam))
         h = 1e-6
@@ -91,7 +94,7 @@ def test_fitter_gradient_and_hessian_match_finite_differences(lam):
         fd_grad = np.array([(hi[0] - lo[0]) / (2 * h) for hi, lo in steps])
         fd_hess = np.array([(hi[1] - lo[1]) / (2 * h) for hi, lo in steps])
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-7 * np.abs(grad).max())
-        hess = _hessian(s, stats, lam)
+        hess = _hessian(at, stats, lam)
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-7 * np.abs(hess).max())
 
 
@@ -242,3 +245,91 @@ def test_config_validation():
         FitConfig(init_scale=0.0)
     with pytest.raises(ValueError):
         FitConfig(repr_dim=1)
+
+
+# ---------------------------------------------------------------------------
+# The stacked fitter against the loop over environments it replaced, kept here
+# as an oracle: objective, gradient and Hessian must agree bit for bit.
+
+
+def _oracle_env_stats(envs):
+    stats = []
+    for env in envs:
+        x, y = env.features, env.targets
+        n = env.n
+        stats.append((x.T @ x / n, x.T @ y / n, float(y @ y) / n))
+    return stats
+
+
+def _oracle_eval_stats(s, stats, lam):
+    obj = 0.0
+    grad = np.zeros_like(s)
+    for a, b, c in stats:
+        a_s = a @ s
+        risk = float(s @ a_s) - 2.0 * float(b @ s) + c
+        g = 2.0 * (float(s @ a_s) - float(b @ s))
+        obj += risk + lam * g * g
+        grad += 2.0 * (a_s - b)
+        if lam > 0:
+            grad += 4.0 * lam * g * (2.0 * a_s - b)
+    return obj, grad
+
+
+def _oracle_hessian(s, stats, lam):
+    p = s.size
+    hess = np.zeros((p, p))
+    for a, b, _ in stats:
+        hess += 2.0 * a
+        if lam > 0:
+            g = 2.0 * (float(s @ (a @ s)) - float(b @ s))
+            u = 2.0 * (a @ s) - b
+            hess += lam * (8.0 * np.outer(u, u) + 8.0 * g * a)
+    return hess
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),  # crosses numpy's 8-element pairwise-sum block
+    p=st.integers(1, 12),
+    lam_exp=st.one_of(st.none(), st.integers(-12, 12)),
+    x_exp=st.integers(-40, 40),
+    s_exp=st.integers(-40, 40),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=9, p=1, lam_exp=0, x_exp=0, s_exp=0, zero_column=False, seed=0)
+@example(m=1, p=3, lam_exp=None, x_exp=0, s_exp=0, zero_column=True, seed=1)
+def test_stacked_fitter_equals_the_loop_over_environments_bit_for_bit(
+    m, p, lam_exp, x_exp, s_exp, zero_column, seed
+):
+    rng = np.random.default_rng(seed)
+    lam = 0.0 if lam_exp is None else float(rng.uniform(1, 10)) * 10.0**lam_exp
+    envs = []
+    for e in range(m):
+        n = int(rng.integers(1, 25))
+        # rows of many magnitudes inside one environment, too
+        x = rng.standard_normal((n, p)) * 10.0 ** (x_exp + rng.uniform(-3, 3, size=(n, 1)))
+        if zero_column:
+            x[:, 0] = 0.0  # zero moments: the sign of zero must match as well
+        envs.append(EnvDataset(e, x, rng.standard_normal(n) * 10.0**x_exp))
+    s = rng.standard_normal(p) * 10.0**s_exp
+    if zero_column:
+        s[0] = -0.0
+    stats, oracle = _env_stats(envs), _oracle_env_stats(envs)
+    at = _eval_stats(s, stats, lam)
+    want_obj, want_grad = _oracle_eval_stats(s, oracle, lam)
+    assert np.float64(at.obj).tobytes() == np.float64(want_obj).tobytes()
+    assert at.grad.tobytes() == want_grad.tobytes()
+    assert _hessian(at, stats, lam).tobytes() == _oracle_hessian(s, oracle, lam).tobytes()
+
+
+def test_ordered_sum_adds_rows_in_order_from_positive_zero():
+    rng = np.random.default_rng(8)
+    for shape in [(9, 1), (17, 1), (9, 3), (9, 2, 2), (1, 4)]:
+        rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 12, size=shape)
+        total = np.zeros(shape[1:])
+        for row in rows:
+            total += row
+        assert _ordered_sum(rows).tobytes() == total.tobytes()
+    # a run of -0.0 rows sums to the loop's +0.0
+    assert _ordered_sum(np.full((3, 2), -0.0)).tobytes() == np.zeros(2).tobytes()
