@@ -3,105 +3,9 @@
 Split-conformal and environment-weighted adaptive intervals around linear
 invariant-risk-minimization predictors, with a structural-equation benchmark
 generator and a cross-environment invariance statistic.
+
+Import each name from its module: ``acir.core``, ``acir.datagen``,
+``acir.models``, ``acir.conformal``, ``acir.invariance`` or ``acir.bench``.
 """
 
-from .core import (
-    DataSplit,
-    EnvDataset,
-    PredictionInterval,
-    average_length,
-    check_unique_env_ids,
-    conformal_quantile,
-    coverage_rate,
-)
-from .datagen import (
-    SETTINGS,
-    CsvParseError,
-    SemConfig,
-    generate_sem,
-    load_csv,
-    save_csv,
-    split_dataset,
-)
-from .models import (
-    FitConfig,
-    FitError,
-    LinearIRMModel,
-    fit_erm,
-    fit_irmv1,
-    irm_objective,
-    load_model,
-    save_model,
-)
-from .conformal import CalibrationState, calibrate, load_state, moment_stats, save_state
-from .invariance import (
-    RATIO_CLAMP,
-    DensityModel,
-    InvarianceReport,
-    fit_density,
-    inv_statistic,
-    likelihood_ratio,
-    m_hat,
-    write_report,
-)
-from .bench import (
-    METHODS,
-    BenchError,
-    ExperimentConfig,
-    MetricsRow,
-    SummaryRow,
-    emit_outputs,
-    read_metrics,
-    run_experiment,
-    summarize,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DataSplit",
-    "EnvDataset",
-    "PredictionInterval",
-    "average_length",
-    "check_unique_env_ids",
-    "conformal_quantile",
-    "coverage_rate",
-    "SETTINGS",
-    "CsvParseError",
-    "SemConfig",
-    "generate_sem",
-    "load_csv",
-    "save_csv",
-    "split_dataset",
-    "FitConfig",
-    "FitError",
-    "LinearIRMModel",
-    "fit_erm",
-    "fit_irmv1",
-    "irm_objective",
-    "load_model",
-    "save_model",
-    "CalibrationState",
-    "calibrate",
-    "load_state",
-    "moment_stats",
-    "save_state",
-    "RATIO_CLAMP",
-    "DensityModel",
-    "InvarianceReport",
-    "fit_density",
-    "inv_statistic",
-    "likelihood_ratio",
-    "m_hat",
-    "write_report",
-    "METHODS",
-    "BenchError",
-    "ExperimentConfig",
-    "MetricsRow",
-    "SummaryRow",
-    "emit_outputs",
-    "read_metrics",
-    "run_experiment",
-    "summarize",
-    "__version__",
-]

@@ -89,16 +89,14 @@ def _fit_config(args: argparse.Namespace) -> FitConfig:
     return _from_flags(FitConfig, args, seed=args.fit_seed)
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+def _comma_list(convert: Callable[[str], object]) -> Callable[[str], tuple]:
+    """An argparse type: ``convert`` of each non-blank comma-separated token."""
 
+    def parse(text: str) -> tuple:
+        return tuple(convert(tok) for tok in text.split(",") if tok.strip() != "")
 
-def _comma_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-
-
-def _comma_methods(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip().upper() for tok in text.split(",") if tok.strip() != "")
+    parse.__name__ = f"{convert.__name__} list"  # argparse names the type in its errors
+    return parse
 
 
 def _checked_float(check: Callable[[float], float]) -> Callable[[str], float]:
@@ -150,14 +148,14 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p.add_argument("--alpha", type=_checked_float(check_alpha), default=None)
     run_p.add_argument("--reps", dest="replications", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--methods", type=_comma_methods, default=None,
+    run_p.add_argument("--methods", type=_comma_list(str.strip), default=None,
                        help=f"comma list from {','.join(METHODS)}")
     run_p.add_argument("--n-train", dest="n_train_total", type=int, default=None)
     run_p.add_argument("--n-cal", dest="n_cal_total", type=int, default=None)
     run_p.add_argument("--n-test", dest="n_test_total", type=int, default=None)
-    run_p.add_argument("--env-params", type=_comma_floats, default=None)
+    run_p.add_argument("--env-params", type=_comma_list(float), default=None)
     run_p.add_argument("--resplit-only", type=_boolean, nargs="?", const=True, default=None)
-    run_p.add_argument("--test-envs", type=_comma_ints, default=None,
+    run_p.add_argument("--test-envs", type=_comma_list(int), default=None,
                        help="CSV mode: env ids held out for evaluation")
     run_p.add_argument("--csv-train-fraction", type=_checked_float(check_train_fraction),
                        default=None)
@@ -175,7 +173,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     sem_p.add_argument("--n", type=int, required=True, help="total rows across environments")
     sem_p.add_argument("--seed", type=int, default=0)
     sem_p.add_argument("--stream-seed", type=int, default=0)
-    sem_p.add_argument("--env-params", type=_comma_floats, default=DEFAULT_ENV_PARAMS)
+    sem_p.add_argument("--env-params", type=_comma_list(float), default=DEFAULT_ENV_PARAMS)
     sem_p.add_argument("--out", required=True)
 
     fit_p = leaf(sub, "fit", summary="train a model from CSV data")

@@ -82,12 +82,7 @@ class CalibrationState:
     ``pooled_sorted``, and nothing is sorted or re-validated per query but
     alpha. A single acir_interval is those m reads plus the O(p*d)
     computation of the point's d-dimensional representation and its m
-    weights, run as a 1-row batch. At p = d = 10 and m = 3 numpy's per-call
-    dispatch, not arithmetic, sets its cost: about 55 us per call in the
-    benchmark's traced point_queries pass (2-vCPU Xeon, numpy 2.4), 5 us of
-    them in env_quantiles. Timed alone, the weights take about 22-26 us
-    (moment_stats 9 us of them), building the interval 7 us (its two
-    checks about 2 us) and the prediction 1.5 us.
+    weights, run as the batch code on one row. README gives its timings.
 
     The moments have closed forms that the code does not use, since they
     agree only up to rounding: mu_x is the prediction f(x) divided by d,

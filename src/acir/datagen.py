@@ -161,9 +161,6 @@ def generate_sem(
     env_param: float,
     n: int,
     stream_seed: int,
-    *,
-    sigma_scale: float = 1.0,
-    confounder_seed: int | None = None,
 ) -> EnvDataset:
     """Draw n i.i.d. observations from one environment of the SEM.
 
@@ -185,15 +182,7 @@ def generate_sem(
     stream_seed : int
         Seed of the noise stream. Identical (config.seed, stream_seed) pairs
         reproduce the data exactly.
-    sigma_scale : float, optional
-        Test hook scaling both noise standard deviations; finite and >= 0.
-        0 removes the Y and X2 noise entirely.
-    confounder_seed : int, optional
-        Test hook replacing the hidden confounder's stream; under F settings
-        this has no observable effect.
     """
-    if not (math.isfinite(sigma_scale) and sigma_scale >= 0):
-        raise ValueError(f"sigma_scale must be finite and >= 0, got {sigma_scale}")
     if n < 1:
         raise ValueError("n must be >= 1")
     observed, noise_kind = _parse_setting(config.setting)
@@ -203,13 +192,9 @@ def generate_sem(
         sigma_y, sigma_2 = e, 1.0
     else:
         sigma_y, sigma_2 = 1.0, e
-    sigma_y *= sigma_scale
-    sigma_2 *= sigma_scale
 
     root = np.random.SeedSequence(_entropy(int(config.seed), int(stream_seed), idx))
     ss_h, ss_x1, ss_y, ss_x2 = root.spawn(4)
-    if confounder_seed is not None:
-        ss_h = np.random.SeedSequence(int(confounder_seed))
     d1 = config.dim_x1
 
     x1 = _normal(np.random.default_rng(ss_x1), e, (n, d1))

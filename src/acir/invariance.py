@@ -30,8 +30,6 @@ __all__ = [
     "DensityModel",
     "InvarianceReport",
     "fit_density",
-    "likelihood_ratio",
-    "m_hat",
     "inv_statistic",
     "write_report",
 ]

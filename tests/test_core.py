@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acir import (
+from acir.core import (
     DataSplit,
     EnvDataset,
     PredictionInterval,
@@ -13,8 +13,8 @@ from acir import (
     check_unique_env_ids,
     conformal_quantile,
     coverage_rate,
+    sorted_conformal_quantile,
 )
-from acir.core import sorted_conformal_quantile
 
 
 def brute_force_quantile(scores, alpha):
@@ -185,6 +185,21 @@ def test_prediction_interval_batch_is_elementwise_with_row_views():
         row.half_width[...] = 0.0
     with pytest.raises(TypeError):
         len(row)
+
+
+def test_prediction_interval_iterates_its_row_views():
+    rng = np.random.default_rng(8)
+    iv = PredictionInterval(center=rng.normal(size=5), half_width=rng.exponential(size=5))
+    rows = list(iv)
+    assert len(rows) == len(iv)
+    for i, row in enumerate(rows):
+        assert row.center.shape == () and row.half_width.shape == ()
+        assert row.center.tobytes() == iv[i].center.tobytes()
+        assert row.half_width.tobytes() == iv[i].half_width.tobytes()
+        assert np.shares_memory(row.center, iv.center)
+        assert np.shares_memory(row.half_width, iv.half_width)
+    with pytest.raises(TypeError):
+        iter(rows[0])  # a single point has no rows
 
 
 def test_coverage_rate_counts_indicators():

@@ -7,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from acir import CsvParseError, EnvDataset, SemConfig, generate_sem, load_csv, save_csv, split_dataset
-from acir.datagen import DEFAULT_ENV_PARAMS, _normal, env_sizes, load_points
+from acir.core import EnvDataset
+from acir.datagen import (
+    DEFAULT_ENV_PARAMS,
+    CsvParseError,
+    SemConfig,
+    _normal,
+    env_sizes,
+    generate_sem,
+    load_csv,
+    load_points,
+    save_csv,
+    split_dataset,
+)
 
 N_BIG = 10000
 
@@ -125,30 +136,6 @@ def test_x1_variances_monotone_in_env_param():
         data = generate_sem(cfg, e, N_BIG, stream_seed=8)
         variances.append(data.features[:, : cfg.dim_x1].var(axis=0).mean())
     assert variances[0] < variances[1] < variances[2]
-
-
-def test_noiseless_hook_recovers_structural_equation():
-    # With both noise terms removed, Y = w_1y . X1 exactly; pooled least
-    # squares on (X1, Y) recovers the weights (closed-form oracle).
-    cfg = SemConfig(setting="FOU", seed=6)
-    data = generate_sem(cfg, 2.0, 500, stream_seed=2, sigma_scale=0.0)
-    x1 = data.features[:, : cfg.dim_x1]
-    np.testing.assert_allclose(data.targets, x1 @ cfg.w_1y, rtol=0, atol=1e-12)
-    beta, *_ = np.linalg.lstsq(x1, data.targets, rcond=None)
-    np.testing.assert_allclose(beta, cfg.w_1y, atol=1e-10)
-
-
-def test_confounder_stream_is_inert_under_f():
-    cfg = SemConfig(setting="FEU", seed=3)
-    a = generate_sem(cfg, 0.2, 40, stream_seed=1, confounder_seed=100)
-    b = generate_sem(cfg, 0.2, 40, stream_seed=1, confounder_seed=200)
-    np.testing.assert_array_equal(a.features, b.features)
-    np.testing.assert_array_equal(a.targets, b.targets)
-    # ... and active under P
-    cfg_p = SemConfig(setting="PEU", seed=3)
-    c = generate_sem(cfg_p, 0.2, 40, stream_seed=1, confounder_seed=100)
-    d = generate_sem(cfg_p, 0.2, 40, stream_seed=1, confounder_seed=200)
-    assert not np.array_equal(c.targets, d.targets)
 
 
 def test_split_sizes_and_determinism():
@@ -366,17 +353,13 @@ def test_load_points_reads_a_matrix_and_names_bad_lines(tmp_path):
         load_points(str(path), 2)
 
 
-def _oracle_generate_sem(config, env_param, n, stream_seed, sigma_scale=1.0, confounder_seed=None):
+def _oracle_generate_sem(config, env_param, n, stream_seed):
     """generate_sem as first written: one rng.normal call per block, then hstack."""
     e = float(env_param)
     idx = config.env_index(e)
     sigma_y, sigma_2 = (e, 1.0) if config.setting[1] == "O" else (1.0, e)
-    sigma_y *= sigma_scale
-    sigma_2 *= sigma_scale
     root = np.random.SeedSequence([int(config.seed), int(stream_seed), idx])
     ss_h, ss_x1, ss_y, ss_x2 = root.spawn(4)
-    if confounder_seed is not None:
-        ss_h = np.random.SeedSequence(int(confounder_seed))
     rng_h, rng_x1, rng_y, rng_x2 = map(np.random.default_rng, (ss_h, ss_x1, ss_y, ss_x2))
     h = rng_h.normal(0.0, e, size=(n, config.dim_x1))
     x1 = rng_x1.normal(0.0, e, size=(n, config.dim_x1)) + h @ config.w_h1.T
@@ -389,11 +372,9 @@ def _oracle_generate_sem(config, env_param, n, stream_seed, sigma_scale=1.0, con
 def test_generate_sem_equals_the_per_block_normal_draws_bit_for_bit(setting):
     cfg = SemConfig(setting=setting, env_params=(0.0, 0.2, 5.0), dim_x1=3, dim_x2=4, seed=5)
     for e in cfg.env_params:
-        for n, sigma_scale, confounder_seed in [(1, 1.0, None), (40, 1.0, None),
-                                                (40, 0.3, 9), (40, 0.0, None)]:
-            data = generate_sem(cfg, e, n, stream_seed=2, sigma_scale=sigma_scale,
-                                confounder_seed=confounder_seed)
-            features, targets = _oracle_generate_sem(cfg, e, n, 2, sigma_scale, confounder_seed)
+        for n in (1, 40):
+            data = generate_sem(cfg, e, n, stream_seed=2)
+            features, targets = _oracle_generate_sem(cfg, e, n, 2)
             assert data.features.tobytes() == features.tobytes()
             assert data.targets.tobytes() == targets.tobytes()
 
@@ -424,16 +405,11 @@ def test_in_place_draw_is_generator_normal_bit_for_bit(scale):
             assert got.shape == want.shape
 
 
-@pytest.mark.parametrize("sigma_scale", [-1.0, float("nan"), float("inf")])
-def test_bad_sigma_scale_is_rejected_up_front_by_name(sigma_scale):
-    cfg = SemConfig(setting="FOU", seed=1)
-    with pytest.raises(ValueError, match=r"sigma_scale must be finite and >= 0, got"):
-        generate_sem(cfg, 2.0, 10, stream_seed=0, sigma_scale=sigma_scale)
-
-
 def test_zero_noise_writes_no_negative_zero():
-    # Scale 0 makes 0 * z = -0.0 of every negative z; normal(0.0, 0.0) gives +0.0.
+    # Under POU env_param 0 scales H, X1 and the Y noise to 0; 0 * z = -0.0
+    # of every negative z, where normal(0.0, 0.0) gives +0.0.
     cfg = SemConfig(setting="POU", env_params=(0.0, 1.0), seed=2)
-    data = generate_sem(cfg, 0.0, 200, stream_seed=3, sigma_scale=0.0)
-    assert not data.features.any() and not data.targets.any()
-    assert not np.signbit(data.features).any() and not np.signbit(data.targets).any()
+    data = generate_sem(cfg, 0.0, 200, stream_seed=3)
+    x1 = data.features[:, : cfg.dim_x1]
+    assert not x1.any() and not data.targets.any()
+    assert not np.signbit(x1).any() and not np.signbit(data.targets).any()

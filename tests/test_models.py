@@ -5,20 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acir import (
-    EnvDataset,
+from acir.core import EnvDataset
+from acir.datagen import SemConfig, generate_sem
+from acir.models import (
     FitConfig,
     FitError,
     LinearIRMModel,
-    SemConfig,
+    _env_stats,
+    _eval_stats,
+    _hessian,
+    _ordered_sum,
     fit_erm,
     fit_irmv1,
-    generate_sem,
     irm_objective,
     load_model,
     save_model,
 )
-from acir.models import _env_stats, _eval_stats, _hessian, _ordered_sum
 
 FAST = FitConfig(penalty_weight=3.0, init_scale=1.0)
 
@@ -143,11 +145,12 @@ def test_x2_block_shrinks_as_penalty_grows():
 
 
 def test_noiseless_risk_approaches_zero():
-    cfg = SemConfig(setting="FOU", seed=2)
-    envs = [
-        generate_sem(cfg, e, 200, stream_seed=1, sigma_scale=0.0)
-        for e in cfg.env_params
-    ]
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=5)
+    envs = []
+    for e, scale in enumerate((0.2, 2.0, 5.0)):
+        x = rng.normal(0.0, scale, size=(200, 5))
+        envs.append(EnvDataset(e, x, x @ w))
     model = fit_irmv1(envs, FitConfig(penalty_weight=0.0, init_scale=1.0))
     risk, _, _ = irm_objective(model, envs)
     assert risk < 1e-6
