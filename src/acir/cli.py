@@ -75,7 +75,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--warmup-iters", type=int, default=None)
     group.add_argument("--init-scale", type=float, default=None)
     group.add_argument("--repr-dim", type=int, default=None)
-    group.add_argument("--fit-seed", type=int, default=None)
+    group.add_argument("--fit-seed", type=_seed, default=None)
 
 
 def _from_flags(cls: type, args: argparse.Namespace, **named):
@@ -109,6 +109,16 @@ def _checked_float(check: Callable[[float], float]) -> Callable[[str], float]:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
+
+
+def _seed(text: str) -> int:
+    """An argparse type: an integer >= 0, the seeds numpy's generators accept."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text}")
+    return int(text)
+
+
+_seed.__name__ = "int"  # argparse names the type in its errors
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -147,7 +157,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
                        help=f"one of {'/'.join(SETTINGS)} or csv:<path>")
     run_p.add_argument("--alpha", type=_checked_float(check_alpha), default=None)
     run_p.add_argument("--reps", dest="replications", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None)
+    run_p.add_argument("--seed", type=_seed, default=None)
     run_p.add_argument("--methods", type=_comma_list(str.strip), default=None,
                        help=f"comma list from {','.join(METHODS)}")
     run_p.add_argument("--n-train", dest="n_train_total", type=int, default=None)
@@ -171,8 +181,8 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     sem_p = leaf(datagen_sub, "datagen", "sem", summary="draw one dataset and write it as CSV")
     sem_p.add_argument("--setting", required=True)
     sem_p.add_argument("--n", type=int, required=True, help="total rows across environments")
-    sem_p.add_argument("--seed", type=int, default=0)
-    sem_p.add_argument("--stream-seed", type=int, default=0)
+    sem_p.add_argument("--seed", type=_seed, default=0)
+    sem_p.add_argument("--stream-seed", type=_seed, default=0)
     sem_p.add_argument("--env-params", type=_comma_list(float), default=DEFAULT_ENV_PARAMS)
     sem_p.add_argument("--out", required=True)
 
@@ -184,7 +194,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
                        help="also split, calibrate, and write this state file")
     fit_p.add_argument("--train-fraction", type=_checked_float(check_train_fraction),
                        default=0.5)
-    fit_p.add_argument("--split-seed", type=int, default=0)
+    fit_p.add_argument("--split-seed", type=_seed, default=0)
     _add_fit_flags(fit_p)
 
     assess_p = leaf(sub, "assess", summary="invariance report for a fitted model")

@@ -32,8 +32,10 @@ import numpy as np
 from .core import (
     EnvDataset,
     PredictionInterval,
+    _check_env_ids,
+    _frozen,
     _readonly,
-    check_unique_env_ids,
+    check_envs,
     numbered_lines,
     parse_tokens,
     sorted_conformal_quantile,
@@ -97,10 +99,7 @@ class CalibrationState:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.env_ids) < 1:
-            raise ValueError("need at least one environment")
-        if len(set(self.env_ids)) != len(self.env_ids):
-            raise ValueError(f"duplicate environment ids in {self.env_ids}")
+        _check_env_ids(self.env_ids)
         if not (len(self.scores) == len(self.env_ids) == len(self.mu) == len(self.v)):
             raise ValueError("per-environment fields disagree on length")
         frozen = []
@@ -115,12 +114,9 @@ class CalibrationState:
             frozen.append(sc)
         object.__setattr__(self, "env_ids", tuple(int(e) for e in self.env_ids))
         object.__setattr__(self, "scores", tuple(frozen))
-        mu = np.array(self.mu, dtype=float, copy=True)
-        v = np.array(self.v, dtype=float, copy=True)
+        mu, v = _readonly(self.mu), _readonly(self.v)
         if not (np.isfinite(mu).all() and np.isfinite(v).all() and v.min() >= 0):
             raise ValueError("moment summaries must be finite, spreads nonnegative")
-        mu.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
 
@@ -135,9 +131,7 @@ class CalibrationState:
         Sorting here, not at construction, keeps states that never serve an
         SC query (AC-only prediction) free of this copy.
         """
-        pooled = np.sort(np.concatenate(self.scores))
-        pooled.setflags(write=False)
-        return pooled
+        return _frozen(np.sort(np.concatenate(self.scores)))
 
     def pooled_scores(self) -> np.ndarray:
         return np.concatenate(self.scores)
@@ -197,7 +191,7 @@ class CalibrationState:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         half = sorted_conformal_quantile(self.pooled_sorted, alpha)
         centers = self.model.predict(x)
-        return PredictionInterval(centers, np.full(centers.shape, half))
+        return PredictionInterval(_frozen(centers), _frozen(np.full(centers.shape, half)))
 
     def sc_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """sc_intervals for the single point x of shape (p,)."""
@@ -234,12 +228,8 @@ class CalibrationState:
                     f"entries, got {delta}"
                 )
             halves = halves + w @ delta
-        # Both arrays are new and owned here; read-only, the interval keeps
-        # them instead of copying them.
-        centers = self.model.predict(x)
-        centers.setflags(write=False)
-        halves.setflags(write=False)
-        return PredictionInterval(centers, halves)
+        # Both arrays are new and owned here: handed over, not copied.
+        return PredictionInterval(_frozen(self.model.predict(x)), _frozen(halves))
 
 
 def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:
@@ -249,15 +239,13 @@ def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:
     within each environment. The moment summaries are the environment means
     of the per-sample representation mean and spread from moment_stats.
     """
-    check_unique_env_ids(cal)
+    check_envs(cal)
     env_ids, scores, mus, vs = [], [], [], []
     for env in cal:
         resid = np.abs(env.targets - model.predict(env.features))
         mu_x, v_x = moment_stats(model.represent(env.features))
-        sorted_scores = np.sort(resid)
-        sorted_scores.setflags(write=False)  # handed over to the state, not copied
         env_ids.append(env.env_id)
-        scores.append(sorted_scores)
+        scores.append(_frozen(np.sort(resid)))  # handed over to the state, not copied
         mus.append(float(mu_x.mean()))
         vs.append(float(v_x.mean()))
     return CalibrationState(
@@ -292,8 +280,7 @@ def _parse_scores(path: str, block: list[tuple[int, str]]) -> np.ndarray:
         for lineno, text in block:
             parse_tokens(path, lineno, (text,))
         raise
-    scores.setflags(write=False)
-    return scores
+    return _frozen(scores)
 
 
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:

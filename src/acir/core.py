@@ -24,21 +24,26 @@ __all__ = [
     "sorted_conformal_quantile",
     "coverage_rate",
     "average_length",
-    "check_unique_env_ids",
+    "check_envs",
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """a as a read-only float array of its own.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A freshly built array, made read-only: handed over, _readonly keeps it without a copy."""
+    a.setflags(write=False)
+    return a
 
-    A float array that already owns its data and is read-only is kept as it
-    is: the library freezes the arrays it has just built (generated or split
-    data) and hands them over, so they are not copied a second time.
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """a as a read-only float array of its own: how every container takes an array.
+
+    An owned, read-only float array, as the library hands over what it has
+    just built (see _frozen), is kept. Anything else, views included, is
+    copied, so a caller's array is never frozen or aliased.
     """
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64
             and a.flags.owndata and not a.flags.writeable):
-        a = np.array(a, dtype=float, copy=True)
-        a.setflags(write=False)
+        a = _frozen(np.array(a, dtype=float, copy=True))
     return a
 
 
@@ -89,13 +94,22 @@ class EnvDataset:
         return self.features.shape[1]
 
 
-def check_unique_env_ids(envs: list[EnvDataset] | tuple[EnvDataset, ...]) -> None:
-    """Raise if the collection reuses an environment id (or is empty)."""
-    if len(envs) == 0:
+def _check_env_ids(env_ids: Sequence[int]) -> None:
+    """Raise unless the environment ids are nonempty and distinct."""
+    if len(env_ids) == 0:
         raise ValueError("need at least one environment")
-    ids = [env.env_id for env in envs]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate environment ids in {ids}")
+    if len(set(env_ids)) != len(env_ids):
+        raise ValueError(f"duplicate environment ids in {env_ids}")
+
+
+def check_envs(envs: Sequence[EnvDataset]) -> int:
+    """The environments' feature count; a ValueError unless they are nonempty,
+    have distinct ids and share one feature count."""
+    _check_env_ids([env.env_id for env in envs])
+    p = envs[0].p
+    if any(env.p != p for env in envs):
+        raise ValueError("environments disagree on feature count")
+    return p
 
 
 @dataclass(frozen=True)
@@ -276,8 +290,12 @@ def numbered_lines(path: str) -> list[tuple[int, str]]:
 
 
 def parse_tokens(path: str, lineno: int, tokens: Sequence[str], kind: type = float) -> list:
-    """``kind`` of each token; a malformed token is a ValueError naming the file and line."""
+    """``kind`` of each token; a malformed or non-finite one is a ValueError naming the line."""
     try:
-        return [kind(tok) for tok in tokens]
+        values = [kind(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for tok, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
+    return values

@@ -26,7 +26,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .core import DataSplit, EnvDataset, write_float_rows
+from .core import DataSplit, EnvDataset, _frozen, check_envs, write_float_rows
 
 __all__ = [
     "SemConfig",
@@ -100,8 +100,7 @@ class SemConfig:
             w_h1 = np.zeros_like(w_h1)
             w_hy = np.zeros_like(w_hy)
         for name, w in (("w_1y", w_1y), ("w_y2", w_y2), ("w_h1", w_h1), ("w_hy", w_hy)):
-            w.setflags(write=False)
-            object.__setattr__(self, name, w)
+            object.__setattr__(self, name, _frozen(w))
 
     @property
     def p(self) -> int:
@@ -122,12 +121,6 @@ def env_sizes(total: int, m: int) -> list[int]:
         raise ValueError(f"{total} rows cannot give each of {m} environments a row")
     base, rem = divmod(total, m)
     return [base + 1 if i < rem else base for i in range(m)]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A freshly built array, made read-only so that EnvDataset keeps it without a copy."""
-    a.setflags(write=False)
-    return a
 
 
 def _entropy(*values: int) -> np.ndarray | list[int]:
@@ -385,11 +378,7 @@ def save_csv(envs: list[EnvDataset], path: str) -> None:
     Floats are written with shortest round-trip formatting, so a
     load_csv of the output reproduces the values exactly.
     """
-    if not envs:
-        raise ValueError("need at least one environment")
-    p = envs[0].p
-    if any(env.p != p for env in envs):
-        raise ValueError("environments disagree on feature count")
+    p = check_envs(envs)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_expected_header(p)) + "\r\n")
         for env in envs:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EnvDataset, check_unique_env_ids
+from .core import EnvDataset, _frozen, _readonly, check_envs
 from .models import LinearIRMModel
 
 __all__ = [
@@ -47,14 +47,12 @@ class DensityModel:
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        variances = np.atleast_2d(np.asarray(self.variances, dtype=float))
+        means = _readonly(np.atleast_2d(self.means))
+        variances = _readonly(np.atleast_2d(self.variances))
         if means.shape != variances.shape or means.shape[0] != len(self.env_ids):
             raise ValueError("means/variances must be (m, p) matching env_ids")
         if variances.min() <= 0:
             raise ValueError("variances must be strictly positive")
-        means.setflags(write=False)
-        variances.setflags(write=False)
         object.__setattr__(self, "env_ids", tuple(int(e) for e in self.env_ids))
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
@@ -84,10 +82,7 @@ def fit_density(envs: list[EnvDataset]) -> DensityModel:
     Variances are per-coordinate population variances, floored at 1e-8 (with
     a warning) so constant coordinates do not produce a degenerate fit.
     """
-    check_unique_env_ids(envs)
-    dims = {env.p for env in envs}
-    if len(dims) != 1:
-        raise ValueError(f"environments disagree on feature dimension: {sorted(dims)}")
+    check_envs(envs)
     means, variances = [], []
     for env in envs:
         var = env.features.var(axis=0)
@@ -101,8 +96,8 @@ def fit_density(envs: list[EnvDataset]) -> DensityModel:
         variances.append(var)
     return DensityModel(
         env_ids=tuple(env.env_id for env in envs),
-        means=np.array(means),
-        variances=np.array(variances),
+        means=_frozen(np.array(means)),
+        variances=_frozen(np.array(variances)),
     )
 
 
@@ -172,16 +167,13 @@ class InvarianceReport:
 
     def __post_init__(self) -> None:
         m = len(self.env_ids)
-        mat = np.asarray(self.m_hat, dtype=float)
-        delta = np.asarray(self.delta, dtype=float)
+        mat, delta = _readonly(self.m_hat), _readonly(self.delta)
         if mat.shape != (m, m):
             raise ValueError(f"m_hat must be ({m}, {m}), got {mat.shape}")
         if delta.shape != (m,):
             raise ValueError(f"delta must have length {m}, got {delta.shape}")
         if self.inv < 0 or delta.min() < 0:
             raise ValueError("inv and delta entries must be nonnegative")
-        mat.setflags(write=False)
-        delta.setflags(write=False)
         object.__setattr__(self, "m_hat", mat)
         object.__setattr__(self, "delta", delta)
 
@@ -193,7 +185,7 @@ def inv_statistic(
     ratio_fn=None,
 ) -> InvarianceReport:
     """Assess invariance of the model's predictions across environments."""
-    check_unique_env_ids(envs)
+    check_envs(envs)
     if len(envs) < 2:
         raise ValueError(f"need >= 2 environments to compare, got {len(envs)}")
     env_ids = tuple(env.env_id for env in envs)
@@ -205,7 +197,7 @@ def inv_statistic(
     inv = float(np.mean(np.var(mat, axis=1)))
     off_diag = mat.sum(axis=1) - np.diag(mat)
     delta = np.abs(off_diag / (m - 1) - np.diag(mat))
-    return InvarianceReport(env_ids=env_ids, m_hat=mat, inv=inv, delta=delta)
+    return InvarianceReport(env_ids=env_ids, m_hat=_frozen(mat), inv=inv, delta=_frozen(delta))
 
 
 def write_report(report: InvarianceReport, path: str) -> None:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EnvDataset, check_unique_env_ids, numbered_lines, parse_tokens
+from .core import EnvDataset, _frozen, _readonly, check_envs, numbered_lines, parse_tokens
 
 __all__ = [
     "LinearIRMModel",
@@ -44,6 +44,12 @@ __all__ = [
 
 class FitError(RuntimeError):
     """Gradient descent encountered a non-finite objective."""
+
+
+def _check_penalty_weight(weight: float) -> float:
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"penalty_weight must be >= 0 and finite, got {weight}")
+    return float(weight)
 
 
 @dataclass(frozen=True)
@@ -62,18 +68,15 @@ class LinearIRMModel:
     penalty_weight: float = 0.0
 
     def __post_init__(self) -> None:
-        phi = np.array(self.phi, dtype=float, copy=True)
+        phi = _readonly(self.phi)
         if phi.ndim != 2:
             raise ValueError(f"phi must be a matrix, got ndim={phi.ndim}")
         if phi.shape[0] < 2:
             raise ValueError(f"representation dimension must be >= 2, got {phi.shape[0]}")
         if not np.isfinite(phi).all():
             raise ValueError("phi must be finite")
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be >= 0")
-        phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "penalty_weight", float(self.penalty_weight))
+        object.__setattr__(self, "penalty_weight", _check_penalty_weight(self.penalty_weight))
 
     @property
     def d(self) -> int:
@@ -86,9 +89,7 @@ class LinearIRMModel:
     @cached_property
     def weights(self) -> np.ndarray:
         """Effective prediction weights: column sums of phi, read-only, summed once."""
-        weights = self.phi.sum(axis=0)
-        weights.setflags(write=False)
-        return weights
+        return _frozen(self.phi.sum(axis=0))
 
     def represent(self, x: np.ndarray) -> np.ndarray:
         """Representation phi @ x; accepts one vector (p,) or a matrix (n, p)."""
@@ -129,14 +130,14 @@ class FitConfig:
     repr_dim: int | None = None
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.tolerance <= 0:
-            raise ValueError("learning_rate and tolerance must be positive")
+        # the comparisons are written so that NaN fails them
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.tolerance < math.inf):
+            raise ValueError("learning_rate and tolerance must be positive and finite")
         if self.max_iters < 1 or self.warmup_iters < 0:
             raise ValueError("iteration counts out of range")
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be >= 0")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
+        _check_penalty_weight(self.penalty_weight)
+        if not 0.0 < self.init_scale < math.inf:
+            raise ValueError("init_scale must be positive and finite")
         if self.repr_dim is not None and self.repr_dim < 2:
             raise ValueError("repr_dim must be >= 2")
 
@@ -157,7 +158,9 @@ def irm_objective(
         to phi. Identical rows: predictions depend on phi only through
         its column sums.
     """
-    check_unique_env_ids(envs)
+    p = check_envs(envs)
+    if p != model.p:
+        raise ValueError(f"expected {model.p} features, got {p}")
     s = model.weights
     lam = model.penalty_weight
     risk = 0.0
@@ -165,10 +168,6 @@ def irm_objective(
     grad_s = np.zeros(model.p)
     for env in envs:
         x, y = env.features, env.targets
-        if x.shape[1] != model.p:
-            raise ValueError(
-                f"env {env.env_id}: expected {model.p} features, got {x.shape[1]}"
-            )
         z = x @ s
         r = z - y
         n = env.n
@@ -357,10 +356,7 @@ def fit_irmv1(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
     scores better under it, so the returned model never exceeds the initial
     objective value.
     """
-    check_unique_env_ids(envs=train)
-    p = train[0].p
-    if any(env.p != p for env in train):
-        raise ValueError("environments disagree on feature count")
+    p = check_envs(train)
     lam = config.penalty_weight
     if lam > 0 and len(train) < 2:
         warnings.warn(
@@ -387,8 +383,7 @@ def fit_irmv1(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
         start, at_start, stats, lam, config.learning_rate, config.max_iters,
         config.tolerance, d,
     )
-    phi = phi0 + (s_fin - s0) / d
-    return LinearIRMModel(phi=phi, penalty_weight=lam)
+    return LinearIRMModel(phi=_frozen(phi0 + (s_fin - s0) / d), penalty_weight=lam)
 
 
 def fit_erm(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
@@ -426,4 +421,7 @@ def load_model(path: str) -> LinearIRMModel:
         raise ValueError(
             f"{path}: declared shape ({d}, {p}) does not match the {len(rows)} rows given"
         )
-    return LinearIRMModel(phi=np.array(rows, dtype=float), penalty_weight=lam)
+    try:
+        return LinearIRMModel(phi=_frozen(np.array(rows, dtype=float)), penalty_weight=lam)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

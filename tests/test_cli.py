@@ -69,6 +69,18 @@ def test_summarize_requires_in_path():
       "--input", "{d}/missing.csv", "--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
     (["predict", "--model", "{d}/missing.txt", "--calibration", "{d}/missing.state",
       "--input", "{d}/missing.csv", "--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--tolerance", "nan"],
+     "learning_rate and tolerance must be positive and finite"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--learning-rate", "nan"],
+     "learning_rate and tolerance must be positive and finite"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--penalty-weight", "nan"],
+     "penalty_weight must be >= 0 and finite, got nan"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--penalty-weight", "inf"],
+     "penalty_weight must be >= 0 and finite, got inf"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--init-scale", "nan"],
+     "init_scale must be positive and finite"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--tolerance", "inf",
+      "--out", "{d}"], "learning_rate and tolerance must be positive and finite"),
 ])
 def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, argv, message):
     assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1
@@ -101,6 +113,34 @@ def test_a_train_fraction_outside_the_unit_interval_is_a_usage_error(
     err = capsys.readouterr().err
     assert f"train fraction must be in (0, 1), got {float(value)}" in err
     assert "No such file" not in err
+    assert os.listdir(run_dir) == []
+
+
+@pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, key", [
+    (["datagen", "sem", "--setting", "FOU", "--n", "30", "--out", "{d}/d.csv"], "seed"),
+    (["datagen", "sem", "--setting", "FOU", "--n", "30", "--out", "{d}/d.csv"], "stream-seed"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--out", "{d}"],
+     "seed"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--out", "{d}"],
+     "fit-seed"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt"], "split-seed"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt"], "fit-seed"),
+], ids=["datagen-seed", "datagen-stream-seed", "bench-run-seed", "bench-run-fit-seed",
+        "fit-split-seed", "fit-fit-seed"])
+def test_a_negative_seed_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv, key, as_config):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    argv = [arg.format(d=run_dir) for arg in argv]
+    if as_config:
+        config = tmp_path / "seed.cfg"
+        config.write_text(f"{key} = -1\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{key}", "-1"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument --{key}: seeds must be >= 0, got -1" in err
     assert os.listdir(run_dir) == []
 
 

@@ -505,6 +505,7 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
     ("\n0 1 2 0.0\n1.0\n2.0\n", "line 2: expected section header"),
     ("0 1 -1 0.0 1.0\n1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 0 0.0 1.0\n", "line 1: env 0: n_cal must be >= 1"),
+    ("0 1 2 nan 1.0\n1.0\n2.0\n", "line 1: non-finite value 'nan'"),
 ])
 def test_load_state_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     path = tmp_path / "state.txt"

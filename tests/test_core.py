@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from acir.core import (
     EnvDataset,
     PredictionInterval,
     average_length,
-    check_unique_env_ids,
+    check_envs,
     conformal_quantile,
     coverage_rate,
     sorted_conformal_quantile,
 )
+from acir.conformal import calibrate
+from acir.datagen import save_csv
+from acir.invariance import DensityModel, fit_density, inv_statistic
+from acir.models import FitConfig, LinearIRMModel, fit_irmv1, irm_objective
 
 
 def brute_force_quantile(scores, alpha):
@@ -120,14 +125,38 @@ def test_env_dataset_keeps_frozen_arrays_and_copies_others():
     assert not np.shares_memory(EnvDataset(env_id=0, features=view, targets=y).features, view)
 
 
-def test_check_unique_env_ids():
+def test_check_envs():
     a = EnvDataset(0, np.ones((1, 1)), np.zeros(1))
     b = EnvDataset(1, np.ones((1, 1)), np.zeros(1))
-    check_unique_env_ids([a, b])
-    with pytest.raises(ValueError):
-        check_unique_env_ids([])
-    with pytest.raises(ValueError):
-        check_unique_env_ids([a, EnvDataset(0, np.ones((1, 1)), np.zeros(1))])
+    assert check_envs([a, b]) == 1
+    assert check_envs((EnvDataset(3, np.ones((2, 4)), np.zeros(2)),)) == 4
+    with pytest.raises(ValueError, match="need at least one environment"):
+        check_envs([])
+    with pytest.raises(ValueError, match="duplicate environment ids"):
+        check_envs([a, EnvDataset(0, np.ones((1, 1)), np.zeros(1))])
+    with pytest.raises(ValueError, match="environments disagree on feature count"):
+        check_envs([a, EnvDataset(1, np.ones((1, 2)), np.zeros(1))])
+
+
+MODEL = LinearIRMModel(phi=np.ones((2, 2)))
+DENSITY = DensityModel(env_ids=(0, 1), means=np.zeros((2, 2)), variances=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("take", [
+    pytest.param(lambda envs, path: fit_irmv1(envs, FitConfig()), id="fit_irmv1"),
+    pytest.param(lambda envs, path: irm_objective(MODEL, envs), id="irm_objective"),
+    pytest.param(save_csv, id="save_csv"),
+    pytest.param(lambda envs, path: fit_density(envs), id="fit_density"),
+    pytest.param(lambda envs, path: inv_statistic(MODEL, DENSITY, envs), id="inv_statistic"),
+    pytest.param(lambda envs, path: calibrate(MODEL, envs), id="calibrate"),
+])
+def test_every_env_list_function_rejects_mixed_feature_counts_alike(tmp_path, take):
+    rng = np.random.default_rng(1)
+    a = EnvDataset(0, rng.normal(size=(10, 2)), rng.normal(size=10))
+    b = EnvDataset(1, rng.normal(size=(10, 3)), rng.normal(size=10))
+    with pytest.raises(ValueError, match="^environments disagree on feature count$"):
+        take([a, b], str(tmp_path / "data.csv"))
+    assert os.listdir(tmp_path) == []  # checked before any file is opened
 
 
 def test_data_split_requires_matching_env():

@@ -188,6 +188,15 @@ def test_csv_round_trip_is_exact(tmp_path):
         np.testing.assert_array_equal(orig.targets, re_read.targets)
 
 
+def test_save_csv_rejects_two_environments_with_one_id(tmp_path):
+    # load_csv would read them back as one merged environment
+    env = EnvDataset(0, np.ones((2, 1)), np.zeros(2))
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValueError, match=r"duplicate environment ids in \[0, 0\]"):
+        save_csv([env, env], str(path))
+    assert not path.exists()
+
+
 def test_csv_groups_rows_by_env(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("env,y,x1\n1,0.5,1.0\n1,0.25,2.0\n")

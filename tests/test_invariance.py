@@ -47,16 +47,6 @@ def test_fit_density_floors_constant_feature():
     assert dens.variances[0, 1] > 1e-8
 
 
-def test_fit_density_rejects_dimension_mismatch():
-    a = EnvDataset(0, np.zeros((10, 2)) + np.arange(2), np.zeros(10))
-    b = EnvDataset(1, np.zeros((10, 3)) + np.arange(3), np.zeros(10))
-    # nonzero spread so the variance floor is not the failing check
-    a = EnvDataset(0, np.random.default_rng(1).normal(size=(10, 2)), np.zeros(10))
-    b = EnvDataset(1, np.random.default_rng(2).normal(size=(10, 3)), np.zeros(10))
-    with pytest.raises(ValueError, match="dimension"):
-        fit_density([a, b])
-
-
 def test_log_density_closed_form():
     dens = DensityModel(
         env_ids=(0,), means=np.array([[0.0, 0.0]]), variances=np.array([[1.0, 4.0]])
@@ -64,6 +54,36 @@ def test_log_density_closed_form():
     x = np.array([[1.0, 2.0]])
     expected = -0.5 * ((1.0 / 1.0 + 4.0 / 4.0) + np.log(2 * np.pi * 1.0) + np.log(2 * np.pi * 4.0))
     assert abs(dens.log_density(x, 0)[0] - expected) < 1e-12
+
+
+def _owned_and_view(rows):
+    """A writeable (2, 2) array of the caller's and a (2, 2) view into a writeable base."""
+    base = np.array(rows * 2, dtype=float)
+    return np.array(rows, dtype=float), base, base[::2]
+
+
+def test_density_model_neither_freezes_nor_aliases_the_callers_arrays():
+    means, base, variances = _owned_and_view([[1.0, 2.0], [3.0, 4.0]])
+    dens = DensityModel(env_ids=(0, 1), means=means, variances=variances)
+    assert means.flags.writeable and variances.flags.writeable and base.flags.writeable
+    means[0, 0] = 9.0
+    variances[0, 0] = -1.0
+    base[2, 1] = -1.0
+    assert dens.means.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert dens.variances.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+    assert not (dens.means.flags.writeable or dens.variances.flags.writeable)
+
+
+def test_invariance_report_neither_freezes_nor_aliases_the_callers_arrays():
+    mat, base, _ = _owned_and_view([[1.0, 2.0], [3.0, 4.0]])
+    delta = base[1]
+    report = InvarianceReport(env_ids=(0, 1), m_hat=mat, inv=0.5, delta=delta)
+    assert mat.flags.writeable and delta.flags.writeable
+    mat[0, 0] = 9.0
+    base[1, 0] = -1.0
+    assert report.m_hat.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert report.delta.tolist() == [3.0, 4.0]
+    assert not (report.m_hat.flags.writeable or report.delta.flags.writeable)
 
 
 def test_density_model_rejects_nonpositive_variance():

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -230,6 +231,11 @@ def test_model_round_trip(tmp_path):
     ("2 2 zero\n1.0 2.0\n3.0 4.0\n", "line 1: could not convert string to float: 'zero'"),
     ("2 2 0.0\n1.0 2.0\n\n3.0 abc\n", "line 4: could not convert string to float: 'abc'"),
     ("\n2 2\n1.0 2.0\n3.0 4.0\n", "line 2: header must be"),
+    ("2 2 nan\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite value 'nan'"),
+    ("2 2 inf\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite value 'inf'"),
+    ("2 2 0.0\n1.0 2.0\n\n3.0 -inf\n", "line 4: non-finite value '-inf'"),
+    ("1 2 0.0\n1.0 2.0\n", "representation dimension must be >= 2, got 1"),
+    ("2 2 -1.0\n1.0 2.0\n3.0 4.0\n", "penalty_weight must be >= 0 and finite, got -1.0"),
 ])
 def test_load_model_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     path = tmp_path / "model.txt"
@@ -237,6 +243,19 @@ def test_load_model_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         load_model(str(path))
     assert str(info.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["learning_rate", "tolerance", "penalty_weight", "init_scale"])
+def test_non_finite_fit_options_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field}.* finite"):
+        FitConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_model_rejects_a_non_finite_penalty_weight(value):
+    with pytest.raises(ValueError, match="penalty_weight must be >= 0 and finite"):
+        LinearIRMModel(phi=np.eye(2), penalty_weight=value)
 
 
 def test_config_validation():
