@@ -21,8 +21,10 @@ from .conformal import CalibrationState, calibrate
 from .core import (
     EnvDataset,
     PredictionInterval,
+    _frozen,
     average_length,
     check_alpha,
+    check_seed,
     check_train_fraction,
     coverage_rate,
 )
@@ -93,6 +95,7 @@ class ExperimentConfig:
                 f"setting must be one of {SETTINGS} or 'csv:<path>', got {self.setting!r}"
             )
         check_alpha(self.alpha)
+        check_seed(self.seed)
         check_train_fraction(self.csv_train_fraction)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
@@ -104,16 +107,11 @@ class ExperimentConfig:
             for name in ("n_train_total", "n_cal_total", "n_test_total"):
                 if getattr(self, name) < m:
                     raise ValueError(f"{name} must be >= number of environments")
-        seen = []
         for method in self.methods:
-            canon = method.upper()
-            if canon not in METHODS:
+            if method.upper() not in METHODS:
                 raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-            if canon not in seen:
-                seen.append(canon)
-        object.__setattr__(
-            self, "methods", tuple(m for m in METHODS if m in seen)
-        )
+        chosen = {method.upper() for method in self.methods}
+        object.__setattr__(self, "methods", tuple(m for m in METHODS if m in chosen))
         object.__setattr__(self, "test_envs", tuple(int(e) for e in self.test_envs))
         if self.is_csv:
             if not self.test_envs:
@@ -198,8 +196,8 @@ def _score_method(
     build = state.sc_intervals if method.startswith("SC") else state.acir_intervals
     by_env = [build(env.features, config.alpha) for env in test]
     pooled = PredictionInterval(
-        np.concatenate([iv.center for iv in by_env]),
-        np.concatenate([iv.half_width for iv in by_env]),
+        _frozen(np.concatenate([iv.center for iv in by_env])),
+        _frozen(np.concatenate([iv.half_width for iv in by_env])),
     )
     rows = [row("pooled", pooled, np.concatenate([env.targets for env in test]))]
     return rows + [row(str(env.env_id), iv, env.targets) for env, iv in zip(test, by_env)]
@@ -211,40 +209,34 @@ def _replication_data(
     csv_envs: list[EnvDataset] | None,
     replication: int,
 ) -> tuple[list[EnvDataset], list[EnvDataset], list[EnvDataset]]:
-    """Train, calibration, and test environments for one replication."""
+    """Train, calibration, and test environments for one replication.
+
+    The data source only decides the pools to split, their train fractions
+    and the test sets; every pool is then split with a seed derived from its
+    env_id, which for a synthetic pool is its index in env_params.
+    """
     if csv_envs is not None:
         test = [env for env in csv_envs if env.env_id in config.test_envs]
         pools = [env for env in csv_envs if env.env_id not in config.test_envs]
-        train, cal = [], []
-        for env in pools:
-            sp = split_dataset(
-                env,
-                config.csv_train_fraction,
-                seed=_derived_seed(config.seed, replication, env.env_id),
-            )
-            train.append(sp.train)
-            cal.append(sp.calibration)
-        return train, cal, test
-
-    assert sem is not None
-    m = len(config.env_params)
-    n_tr = env_sizes(config.n_train_total, m)
-    n_cal = env_sizes(config.n_cal_total, m)
-    n_te = env_sizes(config.n_test_total, m)
-    data_rep = 0 if config.resplit_only else replication
-    train, cal, test = [], [], []
-    for i, e in enumerate(config.env_params):
-        pool = generate_sem(sem, e, n_tr[i] + n_cal[i], stream_seed=2 * data_rep)
+        fractions = [config.csv_train_fraction] * len(pools)
+    else:
+        assert sem is not None
+        m = len(config.env_params)
+        n_tr = env_sizes(config.n_train_total, m)
+        n_cal = env_sizes(config.n_cal_total, m)
+        n_te = env_sizes(config.n_test_total, m)
+        data_rep = 0 if config.resplit_only else replication
+        pools, test = [], []
+        for i, e in enumerate(config.env_params):
+            pools.append(generate_sem(sem, e, n_tr[i] + n_cal[i], stream_seed=2 * data_rep))
+            test.append(generate_sem(sem, e, n_te[i], stream_seed=2 * data_rep + 1))
         # fraction chosen so floor(frac * n) hits the train count exactly
-        sp = split_dataset(
-            pool,
-            (n_tr[i] + 0.5) / pool.n,
-            seed=_derived_seed(config.seed, replication, i),
-        )
-        train.append(sp.train)
-        cal.append(sp.calibration)
-        test.append(generate_sem(sem, e, n_te[i], stream_seed=2 * data_rep + 1))
-    return train, cal, test
+        fractions = [(n + 0.5) / pool.n for n, pool in zip(n_tr, pools)]
+    splits = [
+        split_dataset(pool, fraction, seed=_derived_seed(config.seed, replication, pool.env_id))
+        for pool, fraction in zip(pools, fractions)
+    ]
+    return [sp.train for sp in splits], [sp.calibration for sp in splits], test
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
@@ -269,20 +261,16 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
         )
 
     need = {method.split("-")[1] for method in config.methods}
+    # Looked up per call, not at import: a tracer may swap the fitters on this module.
+    fitters = {name: fit for name, fit in (("ERM", fit_erm), ("IRM", fit_irmv1)) if name in need}
     rows: list[MetricsRow] = []
     for rep in range(config.replications):
         with _stage(rep, "generate"):
             train, cal, test = _replication_data(config, sem, csv_envs, rep)
-        models = {}
         with _stage(rep, "fit"):
-            if "ERM" in need:
-                models["ERM"] = fit_erm(train, config.fit)
-            if "IRM" in need:
-                models["IRM"] = fit_irmv1(train, config.fit)
-        states = {}
+            models = {name: fit(train, config.fit) for name, fit in fitters.items()}
         with _stage(rep, "calibrate"):
-            for name, model in models.items():
-                states[name] = calibrate(model, cal)
+            states = {name: calibrate(model, cal) for name, model in models.items()}
         with _stage(rep, "score"):
             for method in config.methods:
                 state = states[method.split("-")[1]]
@@ -330,38 +318,29 @@ def emit_outputs(
 ) -> tuple[str, str, str]:
     """Write metrics.csv, summary.csv, and boxplot_data.csv under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    summary_path = os.path.join(out_dir, "summary.csv")
-    boxplot_path = os.path.join(out_dir, "boxplot_data.csv")
-
     ordered = sorted(rows, key=lambda r: (r.method, r.setting, r.replication, r.scope))
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_METRICS_HEADER) + "\n")
-        for r in ordered:
-            fh.write(
-                f"{r.method},{r.setting},{r.replication},{r.scope},"
-                f"{r.coverage!r},{r.avg_length!r}\n"
-            )
-
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            "method,setting,scope,replications,coverage_mean,coverage_sd,"
-            "length_mean,length_sd\n"
-        )
-        for s in summary:
-            fh.write(
-                f"{s.method},{s.setting},{s.scope},{s.replications},"
-                f"{s.coverage_mean!r},{s.coverage_sd!r},"
-                f"{s.length_mean!r},{s.length_sd!r}\n"
-            )
-
     box = sorted(ordered, key=lambda r: (r.method, r.setting, r.scope, r.replication))
-    with open(boxplot_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,setting,scope,replication,metric,value\n")
-        for r in box:
-            fh.write(f"{r.method},{r.setting},{r.scope},{r.replication},coverage,{r.coverage!r}\n")
-            fh.write(f"{r.method},{r.setting},{r.scope},{r.replication},length,{r.avg_length!r}\n")
-    return metrics_path, summary_path, boxplot_path
+    files = [(
+        "metrics.csv",
+        ",".join(_METRICS_HEADER),
+        [f"{r.method},{r.setting},{r.replication},{r.scope},{r.coverage!r},{r.avg_length!r}"
+         for r in ordered],
+    ), (
+        "summary.csv",
+        "method,setting,scope,replications,coverage_mean,coverage_sd,length_mean,length_sd",
+        [f"{s.method},{s.setting},{s.scope},{s.replications},{s.coverage_mean!r},"
+         f"{s.coverage_sd!r},{s.length_mean!r},{s.length_sd!r}" for s in summary],
+    ), (
+        "boxplot_data.csv",
+        "method,setting,scope,replication,metric,value",
+        [f"{r.method},{r.setting},{r.scope},{r.replication},{metric},{value!r}"
+         for r in box for metric, value in (("coverage", r.coverage), ("length", r.avg_length))],
+    )]
+    paths = tuple(os.path.join(out_dir, name) for name, _, _ in files)
+    for path, (_, header, lines) in zip(paths, files):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line + "\n" for line in [header, *lines]))
+    return paths
 
 
 def read_metrics(path: str) -> list[MetricsRow]:

@@ -29,7 +29,7 @@ from .bench import (
     summarize,
 )
 from .conformal import calibrate, load_state, save_state
-from .core import check_alpha, check_train_fraction, write_float_rows
+from .core import check_alpha, check_seed, check_train_fraction, write_float_rows
 from .datagen import (
     DEFAULT_ENV_PARAMS,
     SETTINGS,
@@ -99,26 +99,22 @@ def _comma_list(convert: Callable[[str], object]) -> Callable[[str], tuple]:
     return parse
 
 
-def _checked_float(check: Callable[[float], float]) -> Callable[[str], float]:
-    """An argparse type: the float passed through ``check``, whose ValueError is a usage error."""
+def _checked(kind: type, check: Callable) -> Callable[[str], object]:
+    """An argparse type: ``kind`` of the text passed through ``check``, whose
+    ValueError is a usage error."""
 
-    def convert(text: str) -> float:
+    def convert(text: str):
+        value = kind(text)
         try:
-            return check(float(text))
+            return check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
+    convert.__name__ = kind.__name__  # argparse names the type in its errors
     return convert
 
 
-def _seed(text: str) -> int:
-    """An argparse type: an integer >= 0, the seeds numpy's generators accept."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text}")
-    return int(text)
-
-
-_seed.__name__ = "int"  # argparse names the type in its errors
+_seed = _checked(int, check_seed)
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -155,7 +151,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p = leaf(bench_sub, "bench", "run", summary="run replications and write metric files")
     run_p.add_argument("--setting", required=True,
                        help=f"one of {'/'.join(SETTINGS)} or csv:<path>")
-    run_p.add_argument("--alpha", type=_checked_float(check_alpha), default=None)
+    run_p.add_argument("--alpha", type=_checked(float, check_alpha), default=None)
     run_p.add_argument("--reps", dest="replications", type=int, default=None)
     run_p.add_argument("--seed", type=_seed, default=None)
     run_p.add_argument("--methods", type=_comma_list(str.strip), default=None,
@@ -167,7 +163,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p.add_argument("--resplit-only", type=_boolean, nargs="?", const=True, default=None)
     run_p.add_argument("--test-envs", type=_comma_list(int), default=None,
                        help="CSV mode: env ids held out for evaluation")
-    run_p.add_argument("--csv-train-fraction", type=_checked_float(check_train_fraction),
+    run_p.add_argument("--csv-train-fraction", type=_checked(float, check_train_fraction),
                        default=None)
     run_p.add_argument("--out", default=".", help="output directory (default .)")
     _add_fit_flags(run_p)
@@ -192,7 +188,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     fit_p.add_argument("--method", choices=["irm", "erm"], default="irm")
     fit_p.add_argument("--calibration-out", default=None,
                        help="also split, calibrate, and write this state file")
-    fit_p.add_argument("--train-fraction", type=_checked_float(check_train_fraction),
+    fit_p.add_argument("--train-fraction", type=_checked(float, check_train_fraction),
                        default=0.5)
     fit_p.add_argument("--split-seed", type=_seed, default=0)
     _add_fit_flags(fit_p)
@@ -205,7 +201,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     pred_p = leaf(sub, "predict", summary="prediction intervals at new points")
     pred_p.add_argument("--model", required=True)
     pred_p.add_argument("--calibration", required=True)
-    pred_p.add_argument("--alpha", type=_checked_float(check_alpha), default=0.05)
+    pred_p.add_argument("--alpha", type=_checked(float, check_alpha), default=0.05)
     pred_p.add_argument("--input", required=True)
     pred_p.add_argument("--method", choices=["sc", "acir"], default="acir")
     pred_p.add_argument("--out", default=None, help="output CSV (default: stdout)")

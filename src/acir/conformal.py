@@ -272,10 +272,14 @@ def save_state(state: CalibrationState, path: str) -> None:
 def _parse_scores(path: str, block: list[tuple[int, str]]) -> np.ndarray:
     """One float per numbered line, converted in one pass; a bad line is named.
 
-    The array is returned read-only, so the state keeps it without a copy.
+    float() reads nan and inf, so a non-finite result sends the block to the
+    same line-by-line rescan as a malformed one. The array is returned
+    read-only, so the state keeps it without a copy.
     """
     try:
         scores = np.fromiter(map(float, [text for _, text in block]), float, len(block))
+        if not np.isfinite(scores).all():
+            raise ValueError("non-finite score")
     except ValueError:
         for lineno, text in block:
             parse_tokens(path, lineno, (text,))

@@ -19,6 +19,7 @@ __all__ = [
     "DataSplit",
     "PredictionInterval",
     "check_alpha",
+    "check_seed",
     "check_train_fraction",
     "conformal_quantile",
     "sorted_conformal_quantile",
@@ -190,6 +191,13 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return float(alpha)
+
+
+def check_seed(seed: int) -> int:
+    """seed as an int; a ValueError unless it is >= 0, as numpy's generators need."""
+    if seed < 0:
+        raise ValueError(f"seeds must be >= 0, got {seed}")
+    return int(seed)
 
 
 def check_train_fraction(fraction: float) -> float:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .core import DataSplit, EnvDataset, _frozen, check_envs, write_float_rows
+from .core import DataSplit, EnvDataset, _frozen, check_envs, check_seed, write_float_rows
 
 __all__ = [
     "SemConfig",
@@ -91,7 +91,7 @@ class SemConfig:
         if self.dim_x1 < 1 or self.dim_x2 < 1:
             raise ValueError("dims must be >= 1")
         object.__setattr__(self, "env_params", check_env_params(self.env_params))
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(check_seed(self.seed))
         w_1y = rng.standard_normal(self.dim_x1)
         w_y2 = rng.standard_normal(self.dim_x2)
         w_h1 = rng.standard_normal((self.dim_x1, self.dim_x1))

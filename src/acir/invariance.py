@@ -11,15 +11,15 @@ scalar: larger means less invariant.
 Density ratios between environments are estimated with independent
 diagonal-Gaussian fits per environment, which keeps the estimator closed
 form and cheap in moderate dimension. Ratios are evaluated in log space and
-clamped to [1e-6, 1e6] so a single far-tail point cannot dominate the mean;
-the clamp bounds are recorded on the report. The ratio estimator is
+clamped to [1e-6, 1e6] so a single far-tail point cannot dominate the mean.
+The ratio estimator is
 pluggable for callers who have something better than the Gaussian fit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,15 +155,13 @@ class InvarianceReport:
     inv is the mean over baselines of the population variance of each
     baseline's row — the variance includes the own-source (diagonal) entry.
     delta[e] is |mean of row e excluding the diagonal - diagonal entry|,
-    usable as a per-environment interval inflation. ratio_clamp records the
-    bounds applied to the density-ratio estimates that produced m_hat.
+    usable as a per-environment interval inflation.
     """
 
     env_ids: tuple[int, ...]
     m_hat: np.ndarray
     inv: float
     delta: np.ndarray
-    ratio_clamp: tuple[float, float] = field(default=RATIO_CLAMP)
 
     def __post_init__(self) -> None:
         m = len(self.env_ids)

@@ -28,7 +28,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EnvDataset, _frozen, _readonly, check_envs, numbered_lines, parse_tokens
+from .core import (
+    EnvDataset,
+    _frozen,
+    _readonly,
+    check_envs,
+    check_seed,
+    numbered_lines,
+    parse_tokens,
+)
 
 __all__ = [
     "LinearIRMModel",
@@ -140,6 +148,7 @@ class FitConfig:
             raise ValueError("init_scale must be positive and finite")
         if self.repr_dim is not None and self.repr_dim < 2:
             raise ValueError("repr_dim must be >= 2")
+        check_seed(self.seed)
 
 
 def irm_objective(

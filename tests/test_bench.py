@@ -58,6 +58,11 @@ def test_config_rejects_a_train_fraction_outside_the_unit_interval(fraction):
         ExperimentConfig(setting="csv:data.csv", test_envs=(0,), csv_train_fraction=fraction)
 
 
+def test_config_rejects_a_negative_seed_before_any_run():
+    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+        small_config(seed=-1)
+
+
 def test_config_rejects_totals_below_env_count():
     with pytest.raises(ValueError, match="n_test_total"):
         small_config(n_test_total=2)
@@ -145,6 +150,27 @@ def test_resplit_only_freezes_the_synthetic_draw():
     np.testing.assert_array_equal(
         np.sort(pool0, axis=0), np.sort(pool1, axis=0)
     )
+
+
+def test_stage_functions_are_looked_up_on_the_module_at_call_time(monkeypatch):
+    # The benchmark's tracer swaps these names on acir.bench; a runner that
+    # bound them at import time would silently drop them from its breakdown.
+    import acir.bench
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("generate_sem", "split_dataset", "fit_erm", "fit_irmv1",
+             "calibrate", "coverage_rate", "average_length")
+    for name in names:
+        monkeypatch.setattr(acir.bench, name, counting(name, getattr(acir.bench, name)))
+    run_experiment(small_config(replications=1))
+    assert [calls.get(name, 0) for name in names] == [6, 3, 1, 1, 2, 16, 16]
 
 
 def test_stage_failure_is_annotated(tmp_path):

@@ -50,6 +50,11 @@ def test_config_validation():
         generate_sem(SemConfig(setting="FOU"), env_param=0.7, n=10, stream_seed=0)
 
 
+def test_a_negative_sem_seed_is_rejected_with_the_seed_rule():
+    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+        SemConfig(setting="FOU", seed=-1)
+
+
 @pytest.mark.parametrize("env_params, message", [
     ((), "at least one environment"),
     ((1.0, 1.0), "distinct"),

@@ -7,12 +7,16 @@ seed's; the SINGLE_POINT pins from the last version that computed the
 moments with np.mean/np.std and copied every interval's arrays; the pins of
 the FOU, POU and nine-environment bench runs and of the datagen-* files from
 the last version that drew every noise block with Generator.normal and
-looped over environments in the fitter (commit 1c62b1a). A refactor
+looped over environments in the fitter (commit 1c62b1a); the pins of the
+CSV-mode and resplit-only bench runs from the last version that split the
+synthetic and CSV pools in two separate loops and wrote each output file with
+its own block of code (commit c73ee32). A refactor
 that keeps the numbers keeps these hashes; a change that alters an output
 on purpose must say so and update the pin.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -39,6 +43,17 @@ BENCH_FEU_TINY = [
     "--n-train", "120", "--n-cal", "9", "--n-test", "90",
     "--penalty-weight", "0.7", "--init-scale", "1.0",
 ]
+# Run from the data file's directory: the setting column holds the path as given.
+BENCH_CSV = [
+    "bench", "run", "--setting", "csv:d.csv", "--test-envs", "2", "--reps", "3",
+    "--seed", "9", "--csv-train-fraction", "0.4",
+    "--penalty-weight", "1.0", "--init-scale", "1.0",
+]
+BENCH_RESPLIT = [
+    "bench", "run", "--setting", "POU", "--resplit-only", "--reps", "3", "--seed", "9",
+    "--n-train", "300", "--n-cal", "300", "--n-test", "300",
+    "--penalty-weight", "1.0", "--init-scale", "1.0",
+]
 
 GOLDEN = {
     "PEU/metrics.csv": "5dde6c947234dc9a0bca83ab90f029d138009d160038ad2956d14b8a0e642f42",
@@ -59,6 +74,10 @@ GOLDEN = {
     "datagen-FOU.csv": "321797570bce567ff950ae7ddc7f81f5a342bc8927e1950b237f8926d8fff726",
     "datagen-FEU.csv": "25b8a83bb5d35f14e8af6fdba1e1cf618b51c7d336cab90d88807fb3200177ce",
     "datagen-POU.csv": "88c44bfe605f486652d1390be1af203ebfd6a3b2d704f0982e120ddfa69fa881",
+    "CSV/metrics.csv": "90f2710e117d8866db432b8324b47d5fd769666c82271081aad25bcea8075e45",
+    "CSV/summary.csv": "e073ce62f15b8a48ff3f9fd2b14dddfce93b361f2ba5c56a8d3ea1b9df879eb8",
+    "RESPLIT/metrics.csv": "548dd86527a1c5ef6ccd85c4f77bf61e7f6dfd336f144b852e63081cc07bd3c7",
+    "RESPLIT/summary.csv": "6dfe25cfd354b1cc5c26452caa5024e82b25b6fd4cb66eaa863c683658098670",
 }
 
 # The single-point calls, one at a time: float64 bytes of (center, half_width)
@@ -91,6 +110,15 @@ def outputs(tmp_path_factory):
         argv = [setting if arg == "PEU" else arg for arg in BENCH_PEU]
         assert main(argv + ["--out", str(d / setting)]) == 0
     assert main(BENCH_NINE_ENVS + ["--out", str(d / "NINE")]) == 0
+    assert main(BENCH_RESPLIT + ["--out", str(d / "RESPLIT")]) == 0
+    cwd = os.getcwd()
+    os.chdir(d)
+    try:
+        assert main(["datagen", "sem", "--setting", "PEU", "--n", "1800", "--seed", "4",
+                     "--out", "d.csv"]) == 0
+        assert main(BENCH_CSV + ["--out", "CSV"]) == 0
+    finally:
+        os.chdir(cwd)
     for setting in ("FOU", "FEU", "POU"):
         assert main(["datagen", "sem", "--setting", setting, "--n", "3000", "--seed", "2",
                      "--out", str(d / f"datagen-{setting}.csv")]) == 0

@@ -258,6 +258,11 @@ def test_model_rejects_a_non_finite_penalty_weight(value):
         LinearIRMModel(phi=np.eye(2), penalty_weight=value)
 
 
+def test_a_negative_fit_seed_is_rejected_at_construction():
+    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+        FitConfig(seed=-1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(learning_rate=0.0)
