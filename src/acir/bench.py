@@ -110,6 +110,8 @@ class ExperimentConfig:
         for method in self.methods:
             if method.upper() not in METHODS:
                 raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        if not self.methods:
+            raise ValueError(f"need at least one method; choose from {METHODS}")
         chosen = {method.upper() for method in self.methods}
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in chosen))
         object.__setattr__(self, "test_envs", tuple(int(e) for e in self.test_envs))

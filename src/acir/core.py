@@ -9,7 +9,13 @@ all of it can be used from concurrent workers without coordination.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import signal
+import tempfile
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -93,6 +99,13 @@ class EnvDataset:
     @property
     def p(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def second_moments(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """x'x / n, x'y / n and y'y / n, computed on first use and kept read-only,
+        so fitting ERM and IRM on the same environment computes them once."""
+        x, y, n = self.features, self.targets, self.n
+        return _frozen(x.T @ x / n), _frozen(x.T @ y / n), float(y @ y) / n
 
 
 def _check_env_ids(env_ids: Sequence[int]) -> None:
@@ -271,6 +284,12 @@ def average_length(intervals: PredictionInterval) -> float:
 
 
 _WRITE_BLOCK_ROWS = 2048
+# The worker costs a few ms in a 130 MB process: about 2 ms to fork and reap,
+# and it starts formatting 2-7 ms after the fork. A row costs 1.5-2 µs per
+# float to format (2-vCPU Xeon, Python 3.11). From this many rows on, half
+# the rows outweigh that even at one float a row, and a file of a few
+# thousand rows stays on one process.
+_PARALLEL_ROWS = 8192
 
 
 def write_float_rows(
@@ -283,12 +302,80 @@ def write_float_rows(
     is Python's shortest round-trip form, so reading a value back gives the
     same float. Lines are built and written a block of rows at a time: as
     fast as one whole-file string, without holding the file in memory.
+
+    From _PARALLEL_ROWS rows on, when _can_fork allows, a forked worker
+    formats the second half of the rows while this process formats the
+    first, and the bytes are the same as from one process.
     """
     n = len(columns[0])
-    for start in range(0, n, _WRITE_BLOCK_ROWS):
-        stop = start + _WRITE_BLOCK_ROWS
-        block = np.column_stack([c[start:stop] for c in columns]).tolist()
+    if n >= _PARALLEL_ROWS and _can_fork():
+        _write_in_two(fh, columns, prefix, end, n)
+    else:
+        _write_blocks(fh, columns, prefix, end, 0, n)
+
+
+def _write_blocks(
+    fh: TextIO, columns: Sequence[np.ndarray], prefix: str, end: str, start: int, stop: int
+) -> None:
+    """Rows start to stop, a block of _WRITE_BLOCK_ROWS rows at a time."""
+    for lo in range(start, stop, _WRITE_BLOCK_ROWS):
+        hi = min(lo + _WRITE_BLOCK_ROWS, stop)
+        block = np.column_stack([c[lo:hi] for c in columns]).tolist()
         fh.write("".join(prefix + ",".join(map(repr, row)) + end for row in block))
+
+
+def _can_fork() -> bool:
+    """Whether a worker can be forked safely and has a CPU of its own to run on.
+
+    Forking a process with a second thread can deadlock the child on a lock
+    that thread held, and Python 3.12+ warns about it.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _write_in_two(
+    fh: TextIO, columns: Sequence[np.ndarray], prefix: str, end: str, n: int
+) -> None:
+    """Write the rows with a forked worker formatting those from the middle block on.
+
+    The worker streams its text into an unlinked temporary file, a block at
+    a time, and leaves only through os._exit, so it never flushes a file
+    object it shares with this process. Once this process has written the
+    first half, it reaps the worker and copies the file after it. The worker
+    is reaped on every path; one that fails makes the write an OSError. If
+    no worker can be forked, this process writes every row.
+    """
+    mid = round(n / (2 * _WRITE_BLOCK_ROWS)) * _WRITE_BLOCK_ROWS
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
+        try:
+            pid = os.fork()
+        except OSError:  # no process or memory to spare: format every row here
+            _write_blocks(fh, columns, prefix, end, 0, n)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                _write_blocks(tail, columns, prefix, end, mid, n)
+                tail.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        finished = False
+        try:
+            _write_blocks(fh, columns, prefix, end, 0, mid)
+            finished = True
+        finally:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise OSError(f"the row-formatting worker failed with exit code {code}")
+        tail.seek(0)
+        shutil.copyfileobj(tail, fh)
 
 
 def numbered_lines(path: str) -> list[tuple[int, str]]:

@@ -178,6 +178,7 @@ def generate_sem(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    stream_seed = check_seed(stream_seed)
     observed, noise_kind = _parse_setting(config.setting)
     e = float(env_param)
     idx = config.env_index(e)
@@ -186,7 +187,7 @@ def generate_sem(
     else:
         sigma_y, sigma_2 = 1.0, e
 
-    root = np.random.SeedSequence(_entropy(int(config.seed), int(stream_seed), idx))
+    root = np.random.SeedSequence(_entropy(int(config.seed), stream_seed, idx))
     ss_h, ss_x1, ss_y, ss_x2 = root.spawn(4)
     d1 = config.dim_x1
 
@@ -221,7 +222,7 @@ def split_dataset(data: EnvDataset, train_fraction: float, seed: int) -> DataSpl
         raise ValueError(
             f"train_fraction={train_fraction} leaves an empty part for n={n}"
         )
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(check_seed(seed)).permutation(n)
 
     def part(rows: np.ndarray) -> EnvDataset:
         # take gathers whole rows about twice as fast as fancy indexing

@@ -207,14 +207,8 @@ class _EnvStats(NamedTuple):
 
 
 def _env_stats(envs: list[EnvDataset]) -> _EnvStats:
-    a, b, c = [], [], []
-    for env in envs:
-        x, y = env.features, env.targets
-        n = env.n
-        a.append(x.T @ x / n)
-        b.append(x.T @ y / n)
-        c.append(float(y @ y) / n)
-    return _EnvStats(np.stack(a), np.stack(b), tuple(c))
+    a, b, c = zip(*(env.second_moments for env in envs))
+    return _EnvStats(np.stack(a), np.stack(b), c)
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:

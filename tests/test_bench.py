@@ -83,6 +83,11 @@ def test_config_canonicalizes_methods_to_fixed_order():
         small_config(methods=("SC-XXX",))
 
 
+def test_config_rejects_an_empty_method_list():
+    with pytest.raises(ValueError, match="need at least one method"):
+        small_config(methods=())
+
+
 def test_config_csv_mode_requires_test_envs():
     with pytest.raises(ValueError, match="test_envs"):
         ExperimentConfig(setting="csv:/tmp/data.csv")

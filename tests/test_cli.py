@@ -144,6 +144,15 @@ def test_a_negative_seed_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv
     assert os.listdir(run_dir) == []
 
 
+def test_an_empty_method_list_is_a_usage_error_before_any_work(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    assert run_cli("bench", "run", "--setting", "FOU", "--reps", "1", "--methods", "",
+                   "--out", str(run_dir)) == 1
+    assert "need at least one method" in capsys.readouterr().err
+    assert os.listdir(run_dir) == []
+
+
 def test_bad_alpha_in_a_config_file_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "predict.cfg"
     config.write_text("alpha = 1.5\n")

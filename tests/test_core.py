@@ -1,11 +1,14 @@
+import io
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acir import cli, core
 from acir.core import (
     DataSplit,
     EnvDataset,
@@ -16,10 +19,10 @@ from acir.core import (
     coverage_rate,
     sorted_conformal_quantile,
 )
-from acir.conformal import calibrate
+from acir.conformal import CalibrationState, calibrate, save_state
 from acir.datagen import save_csv
 from acir.invariance import DensityModel, fit_density, inv_statistic
-from acir.models import FitConfig, LinearIRMModel, fit_irmv1, irm_objective
+from acir.models import FitConfig, LinearIRMModel, fit_irmv1, irm_objective, save_model
 
 
 def brute_force_quantile(scores, alpha):
@@ -256,3 +259,194 @@ def test_metrics_are_permutation_invariant():
     ivs, shuffled = PredictionInterval(c, h), PredictionInterval(c[perm], h[perm])
     assert coverage_rate(ivs, y) == coverage_rate(shuffled, y[perm])
     assert average_length(ivs) == average_length(shuffled)
+
+
+# ---------------------------------------------------------------------------
+# write_float_rows: one process or two, the same bytes
+
+BLOCK, THRESHOLD = 4, 6  # small, so every boundary is a few rows away
+ROW_COUNTS = sorted({1, BLOCK - 1, BLOCK, BLOCK + 1, THRESHOLD - 1, THRESHOLD,
+                     THRESHOLD + 1, 2 * BLOCK + 1})
+EDGE_VALUES = [1e16, -2e-05, 5e-324, 0.1, -0.0, 1.7976931348623157e308, 3.0]
+
+
+def edge_column(n, shift=0):
+    return np.array([EDGE_VALUES[(i + shift) % len(EDGE_VALUES)] for i in range(n)])
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of BLOCK rows, the worker from THRESHOLD rows on, and the fork
+    gate forced open, so a test does not depend on the host's CPUs (the gate
+    has tests of its own)."""
+    monkeypatch.setattr(core, "_WRITE_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(core, "_PARALLEL_ROWS", THRESHOLD)
+    monkeypatch.setattr(core, "_can_fork", lambda: True)
+
+
+@pytest.fixture
+def two_ways(small_blocks, monkeypatch):
+    """Run a write on one process, then as write_float_rows chooses; return
+    both outputs and the row counts of the writes that forked a worker."""
+    write_in_two = core._write_in_two
+    forks = []
+
+    def counted(*args):
+        forks.append(args[-1])
+        write_in_two(*args)
+
+    monkeypatch.setattr(core, "_write_in_two", counted)
+
+    def run(write):
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(core, "_PARALLEL_ROWS", 10**9)
+            serial = write()
+        assert forks == []
+        return serial, write(), forks
+
+    return run
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_save_csv_bytes_do_not_depend_on_the_worker(two_ways, tmp_path, n):
+    envs = [
+        EnvDataset(7, np.column_stack([edge_column(n, 1), edge_column(n, 2)]), edge_column(n)),
+        EnvDataset(3, np.column_stack([edge_column(n, 4), edge_column(n, 5)]), edge_column(n, 3)),
+    ]
+    path = tmp_path / "data.csv"
+
+    def write():
+        save_csv(envs, str(path))
+        return path.read_bytes()
+
+    serial, parallel, forks = two_ways(write)
+    assert parallel == serial
+    lines = serial.split(b"\r\n")
+    assert len(lines) == 2 * n + 2 and lines[-1] == b"" and b"\n" not in b"".join(lines)
+    assert lines[1] == b"7,1e+16,-2e-05,5e-324"
+    assert forks == ([n, n] if n >= THRESHOLD else [])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_save_state_bytes_do_not_depend_on_the_worker(two_ways, tmp_path, n):
+    model = LinearIRMModel(phi=np.array([[0.5], [0.5]]), penalty_weight=0.0)
+    scores = tuple(np.sort(np.abs(edge_column(n, shift))) for shift in (0, 3))
+    state = CalibrationState(model, (0, 1), scores, np.array([0.0, -2e-05]), np.array([1.0, 5e-324]))
+    path = tmp_path / "state.txt"
+
+    def write():
+        save_state(state, str(path))
+        return path.read_bytes()
+
+    serial, parallel, forks = two_ways(write)
+    assert parallel == serial
+    assert len(serial.splitlines()) == 2 * n + 2
+    assert forks == ([n, n] if n >= THRESHOLD else [])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_predict_output_does_not_depend_on_the_worker(two_ways, tmp_path, capsys, n, to_stdout):
+    # phi's columns sum to 1, so each center is its point: the edge values
+    model = LinearIRMModel(phi=np.array([[0.5], [0.5]]), penalty_weight=0.0)
+    state = CalibrationState(model, (0,), (np.array([0.0, 2e-05, 1.0]),), np.zeros(1), np.ones(1))
+    save_model(model, str(tmp_path / "model.txt"))
+    save_state(state, str(tmp_path / "state.txt"))
+    points = tmp_path / "points.csv"
+    points.write_text("x1\n" + "".join(f"{v!r}\n" for v in edge_column(n).tolist()))
+    out = tmp_path / "intervals.csv"
+    argv = ["predict", "--model", str(tmp_path / "model.txt"), "--calibration",
+            str(tmp_path / "state.txt"), "--input", str(points), "--alpha", "0.25",
+            "--method", "sc"]
+
+    def write():
+        assert cli.main(argv + ([] if to_stdout else ["--out", str(out)])) == 0
+        printed = capsys.readouterr().out
+        return printed if to_stdout else out.read_text()
+
+    serial, parallel, forks = two_ways(write)
+    assert parallel == serial
+    lines = serial.splitlines()
+    assert lines[0] == "center,lower,upper" and len(lines) == n + 1
+    assert lines[1].startswith("1e+16,")
+    assert forks == ([n] if n >= THRESHOLD else [])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, second_thread, expected", [
+    ({0, 1}, False, True),
+    ({0}, False, False),
+    ({0, 1}, True, False),
+], ids=["two-cpus", "one-cpu", "second-thread"])
+def test_the_worker_needs_a_second_cpu_and_no_second_thread(
+    monkeypatch, cpus, second_thread, expected
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    monkeypatch.setattr(core, "_PARALLEL_ROWS", 2)
+    forks = []
+    monkeypatch.setattr(core, "_write_in_two", lambda *args: forks.append(args[-1]))
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    if second_thread:
+        helper.start()
+    try:
+        assert core._can_fork() is expected
+        core.write_float_rows(io.StringIO(), [np.arange(3.0)])
+        assert forks == ([3] if expected else [])
+    finally:
+        release.set()
+        if second_thread:
+            helper.join(timeout=10)
+            assert not helper.is_alive()
+
+
+def test_a_failing_worker_fails_the_write_and_is_reaped(small_blocks, monkeypatch):
+    parent, write_blocks = os.getpid(), core._write_blocks
+
+    def failing_in_the_worker(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failure")
+        write_blocks(*args)
+
+    monkeypatch.setattr(core, "_write_blocks", failing_in_the_worker)
+    with pytest.raises(OSError, match="row-formatting worker failed with exit code 1"):
+        core.write_float_rows(io.StringIO(), [np.arange(20.0)])
+    assert_no_child_left()
+
+
+class _FailingWrites(io.StringIO):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["exception", "interrupt"])
+def test_a_failure_in_the_parents_half_reaps_the_worker(small_blocks, error):
+    with pytest.raises(type(error)):
+        core.write_float_rows(_FailingWrites(error), [np.arange(20.0)])
+    assert_no_child_left()
+
+
+def test_a_write_whose_fork_fails_formats_every_row_itself(small_blocks, monkeypatch):
+    columns = [edge_column(20), edge_column(20, 1)]
+    serial = io.StringIO()
+    core._write_blocks(serial, columns, "", "\n", 0, 20)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = io.StringIO()
+    core.write_float_rows(out, columns)
+    assert out.getvalue() == serial.getvalue()

@@ -55,6 +55,17 @@ def test_a_negative_sem_seed_is_rejected_with_the_seed_rule():
         SemConfig(setting="FOU", seed=-1)
 
 
+def test_a_negative_stream_seed_is_rejected_with_the_seed_rule():
+    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+        generate_sem(SemConfig(setting="FOU"), env_param=0.2, n=10, stream_seed=-1)
+
+
+def test_a_negative_split_seed_is_rejected_with_the_seed_rule():
+    data = EnvDataset(0, np.ones((4, 1)), np.zeros(4))
+    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+        split_dataset(data, 0.5, seed=-1)
+
+
 @pytest.mark.parametrize("env_params, message", [
     ((), "at least one environment"),
     ((1.0, 1.0), "distinct"),
@@ -401,11 +412,6 @@ def test_seeds_of_any_width_give_the_streams_of_their_int_list(seed, stream_seed
     features, targets = _oracle_generate_sem(cfg, 5.0, 30, stream_seed)
     assert data.features.tobytes() == features.tobytes()
     assert data.targets.tobytes() == targets.tobytes()
-
-
-def test_negative_stream_seed_is_rejected_as_numpy_does():
-    with pytest.raises(ValueError, match="non-negative"):
-        generate_sem(SemConfig(setting="FOU"), 2.0, 10, stream_seed=-1)
 
 
 @pytest.mark.parametrize("scale", [0.0, 5e-324, 1.0, 1e300])
