@@ -8,7 +8,6 @@ around ERM and IRM fits), plus aggregation and plot-ready exports.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from contextlib import contextmanager
@@ -31,7 +30,6 @@ from .core import (
 from .datagen import (
     DEFAULT_ENV_PARAMS,
     SETTINGS,
-    CsvParseError,
     SemConfig,
     check_env_params,
     env_sizes,
@@ -50,12 +48,9 @@ __all__ = [
     "run_experiment",
     "summarize",
     "emit_outputs",
-    "read_metrics",
 ]
 
 METHODS = ("SC-ERM", "SC-IRM", "AC-ERM", "AC-IRM")
-
-_METRICS_HEADER = ["method", "setting", "replication", "scope", "coverage", "avg_length"]
 
 
 class BenchError(RuntimeError):
@@ -324,7 +319,7 @@ def emit_outputs(
     box = sorted(ordered, key=lambda r: (r.method, r.setting, r.scope, r.replication))
     files = [(
         "metrics.csv",
-        ",".join(_METRICS_HEADER),
+        "method,setting,replication,scope,coverage,avg_length",
         [f"{r.method},{r.setting},{r.replication},{r.scope},{r.coverage!r},{r.avg_length!r}"
          for r in ordered],
     ), (
@@ -344,31 +339,3 @@ def emit_outputs(
             fh.write("".join(line + "\n" for line in [header, *lines]))
     return paths
 
-
-def read_metrics(path: str) -> list[MetricsRow]:
-    """Parse a metrics.csv written by emit_outputs back into rows."""
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _METRICS_HEADER:
-            raise CsvParseError(f"{path}: unexpected header {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(_METRICS_HEADER):
-                raise CsvParseError(f"{path}: line {lineno}: expected 6 fields, got {len(rec)}")
-            try:
-                rows.append(
-                    MetricsRow(
-                        method=rec[0],
-                        setting=rec[1],
-                        replication=int(rec[2]),
-                        scope=rec[3],
-                        coverage=float(rec[4]),
-                        avg_length=float(rec[5]),
-                    )
-                )
-            except ValueError as exc:
-                raise CsvParseError(f"{path}: line {lineno}: {exc}") from exc
-    return rows

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``bench run`` / ``bench summarize`` for the experiment pipeline,
-``datagen sem`` for writing synthetic benchmark data, ``fit`` to train a
-model (and optionally calibrate it) from a CSV, ``assess`` for the
-invariance report, and ``predict`` for interval construction at new points.
+Subcommands: ``bench run`` for the experiment pipeline, ``datagen sem`` for
+writing synthetic benchmark data, ``fit`` to train a model (and optionally
+calibrate it) from a CSV, ``assess`` for the invariance report, and
+``predict`` for interval construction at new points.
 
 Every leaf command accepts ``--config FILE`` holding ``key = value`` lines,
 each key a flag of that command; explicit flags override file values.
@@ -13,7 +13,6 @@ Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -24,7 +23,6 @@ from .bench import (
     BenchError,
     ExperimentConfig,
     emit_outputs,
-    read_metrics,
     run_experiment,
     summarize,
 )
@@ -168,10 +166,6 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p.add_argument("--out", default=".", help="output directory (default .)")
     _add_fit_flags(run_p)
 
-    sum_p = leaf(bench_sub, "bench", "summarize", summary="recompute summaries from metrics.csv")
-    sum_p.add_argument("--in", dest="in_path", required=True)
-    sum_p.add_argument("--out", default=None, help="output directory (default: alongside input)")
-
     datagen = sub.add_parser("datagen", help="synthetic data")
     datagen_sub = datagen.add_subparsers(dest="datagen_command", required=True)
     sem_p = leaf(datagen_sub, "datagen", "sem", summary="draw one dataset and write it as CSV")
@@ -255,17 +249,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         config = _from_flags(ExperimentConfig, args, fit=_fit_config(args))
     rows = run_experiment(config)
     paths = emit_outputs(rows, summarize(rows), args.out)
-    for path in paths:
-        print(path)
-    return 0
-
-
-def _cmd_bench_summarize(args: argparse.Namespace) -> int:
-    rows = read_metrics(args.in_path)
-    if not rows:
-        raise _UsageError(f"{args.in_path} holds no metric rows")
-    out_dir = args.out or os.path.dirname(args.in_path) or "."
-    paths = emit_outputs(rows, summarize(rows), out_dir)
     for path in paths:
         print(path)
     return 0

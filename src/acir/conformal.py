@@ -7,9 +7,7 @@ Two interval constructions share one calibration pass:
 * ``acir_intervals`` keeps per-environment quantiles and combines them with
   weights that measure how similar each test point's representation moments
   are to each environment's average moments, so the half-width adapts to
-  the environment the point appears to come from. An optional nonnegative
-  per-environment inflation vector can widen the result by its weighted
-  average.
+  the environment the point appears to come from.
 
 Both return one array-valued ``PredictionInterval`` for a batch of points;
 ``sc_interval`` and ``acir_interval`` are their single-point views.
@@ -197,37 +195,18 @@ class CalibrationState:
         """sc_intervals for the single point x of shape (p,)."""
         return self.sc_intervals(np.asarray(x, dtype=float)[None, :], alpha)[0]
 
-    def acir_intervals(
-        self, x: np.ndarray, alpha: float, delta_inflation: np.ndarray | None = None
-    ) -> PredictionInterval:
-        """Adaptive intervals with similarity-weighted per-environment quantiles.
+    def acir_intervals(self, x: np.ndarray, alpha: float) -> PredictionInterval:
+        """Adaptive intervals with similarity-weighted per-environment quantiles."""
+        return self._acir(np.atleast_2d(np.asarray(x, dtype=float)), alpha)
 
-        delta_inflation, when given, is a finite nonnegative per-environment
-        vector whose weighted average is added to each half-width.
-        """
-        return self._acir(np.atleast_2d(np.asarray(x, dtype=float)), alpha, delta_inflation)
-
-    def acir_interval(
-        self, x: np.ndarray, alpha: float, delta_inflation: np.ndarray | None = None
-    ) -> PredictionInterval:
+    def acir_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """acir_intervals for the single point x of shape (p,)."""
-        return self._acir(np.asarray(x, dtype=float)[None, :], alpha, delta_inflation)[0]
+        return self._acir(np.asarray(x, dtype=float)[None, :], alpha)[0]
 
-    def _acir(
-        self, x: np.ndarray, alpha: float, delta_inflation: np.ndarray | None
-    ) -> PredictionInterval:
+    def _acir(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         # The one AC body. acir_interval calls it directly rather than through
         # acir_intervals, so a call profile keeps single-point queries apart.
-        w = self._weights_matrix(x)
-        halves = self._combine(w, self.env_quantiles(alpha))
-        if delta_inflation is not None:
-            delta = np.asarray(delta_inflation, dtype=float).ravel()
-            if delta.size != self.m or not (np.isfinite(delta).all() and delta.min() >= 0):
-                raise ValueError(
-                    f"delta_inflation must have length {self.m} and finite nonnegative "
-                    f"entries, got {delta}"
-                )
-            halves = halves + w @ delta
+        halves = self._combine(self._weights_matrix(x), self.env_quantiles(alpha))
         # Both arrays are new and owned here: handed over, not copied.
         return PredictionInterval(_frozen(self.model.predict(x)), _frozen(halves))
 

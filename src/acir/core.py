@@ -328,13 +328,23 @@ def _can_fork() -> bool:
     """Whether a worker can be forked safely and has a CPU of its own to run on.
 
     Forking a process with a second thread can deadlock the child on a lock
-    that thread held, and Python 3.12+ warns about it.
+    that thread held, and Python 3.12+ warns about it. The threads are
+    counted as the OS sees them, since a BLAS pool or a ``_thread`` thread is
+    not one of ``threading``'s.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
+    if not hasattr(os, "fork") or _thread_count() != 1:
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
+
+
+def _thread_count() -> int:
+    """The process's OS threads where /proc lists them, else threading's count."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
 
 
 def _write_in_two(

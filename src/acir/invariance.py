@@ -14,6 +14,16 @@ form and cheap in moderate dimension. Ratios are evaluated in log space and
 clamped to [1e-6, 1e6] so a single far-tail point cannot dominate the mean.
 The ratio estimator is
 pluggable for callers who have something better than the Gaussian fit.
+
+What the statistic measures: with exact density ratios,
+m_hat[b, s] = E_s[f(X) p_b(X)/p_s(X)] = E_b[f(X)] for every source s, so
+the population inv is 0 for every model. Nonzero values come from ratio
+misspecification (a diagonal Gaussian fitted to correlated features), from
+the clamp and from sampling noise. With the acceptance recipe (SEM seed 56,
+20 reps, penalty 1000) and the clamp above, IRM's inv was below ERM's in
+18, 10, 9 and 9 of 20 reps under FOU, POU, FEU and PEU. The paper's
+abstract (PAPER.md) does not define the statistic, so whether this is the
+paper's estimand cannot be confirmed.
 """
 
 from __future__ import annotations
@@ -154,8 +164,8 @@ class InvarianceReport:
 
     inv is the mean over baselines of the population variance of each
     baseline's row — the variance includes the own-source (diagonal) entry.
-    delta[e] is |mean of row e excluding the diagonal - diagonal entry|,
-    usable as a per-environment interval inflation.
+    delta[e] is |mean of row e excluding the diagonal - diagonal entry|.
+    It is reported, not applied: no interval is widened by it.
     """
 
     env_ids: tuple[int, ...]

@@ -1,5 +1,7 @@
 """Experiment runner: row accounting, determinism, aggregation, exports."""
 
+import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,13 @@ from acir.bench import (
     ExperimentConfig,
     MetricsRow,
     SummaryRow,
+    _replication_data,
     emit_outputs,
-    read_metrics,
     run_experiment,
     summarize,
 )
 from acir.core import EnvDataset
-from acir.datagen import CsvParseError, SemConfig, generate_sem, save_csv
+from acir.datagen import SETTINGS, SemConfig, generate_sem, save_csv
 from acir.models import FitConfig
 
 FAST_FIT = FitConfig(penalty_weight=3.0, init_scale=1.0)
@@ -140,8 +142,6 @@ def test_deterministic_byte_identical_metrics(tmp_path):
 
 
 def test_resplit_only_freezes_the_synthetic_draw():
-    from acir.bench import _replication_data
-
     cfg = small_config(resplit_only=True)
     sem = SemConfig(setting="FOU", env_params=cfg.env_params, seed=cfg.seed)
     tr0, ca0, te0 = _replication_data(cfg, sem, None, 0)
@@ -155,6 +155,32 @@ def test_resplit_only_freezes_the_synthetic_draw():
     np.testing.assert_array_equal(
         np.sort(pool0, axis=0), np.sort(pool1, axis=0)
     )
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_no_test_row_repeats_a_train_or_calibration_row(setting):
+    cfg = small_config(setting=setting)
+    sem = SemConfig(setting=setting, env_params=cfg.env_params, seed=cfg.seed)
+    for rep in range(cfg.replications):
+        train, cal, test = _replication_data(cfg, sem, None, rep)
+        seen = {tuple(row) for env in train + cal for row in env.features.tolist()}
+        leaked = [row for env in test for row in env.features.tolist() if tuple(row) in seen]
+        assert leaked == []
+
+
+def test_sc_lengths_match_their_pooled_length_and_ac_lengths_do_not():
+    # SC gives every test point one half-width, so each environment's mean
+    # equals the pooled mean up to the rounding of a mean of equal floats
+    cfg = small_config(setting="PEU")
+    rows = run_experiment(cfg)
+    for method in METHODS:
+        for rep in range(cfg.replications):
+            lengths = {r.scope: r.avg_length for r in rows
+                       if r.method == method and r.replication == rep}
+            pooled = lengths.pop("pooled")
+            same = [math.isclose(v, pooled, rel_tol=1e-12, abs_tol=0.0)
+                    for v in lengths.values()]
+            assert all(same) if method.startswith("SC") else not any(same), (method, rep)
 
 
 def test_stage_functions_are_looked_up_on_the_module_at_call_time(monkeypatch):
@@ -258,10 +284,15 @@ def test_metrics_round_trip_including_inf(tmp_path):
     rows = [
         make_row(rep=0, cov=0.9375, ln=2.25),
         make_row(rep=1, cov=1.0, ln=float("inf")),
+        make_row(rep=2, cov=0.1 + 0.2, ln=1 / 3),
     ]
     paths = emit_outputs(rows, summarize(rows), str(tmp_path))
     assert paths[0].endswith("metrics.csv")
-    back = read_metrics(paths[0])
+    with open(paths[0], encoding="utf-8", newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert header == ["method", "setting", "replication", "scope", "coverage", "avg_length"]
+    back = [MetricsRow(method, setting, int(rep), scope, float(cov), float(ln))
+            for method, setting, rep, scope, cov, ln in records]
     assert back == sorted(rows, key=lambda r: (r.method, r.setting, r.replication, r.scope))
 
 
@@ -274,30 +305,6 @@ def test_boxplot_layout(tmp_path):
     assert lines[1] == "SC-IRM,FOU,pooled,0,coverage,0.9"
     assert lines[2] == "SC-IRM,FOU,pooled,0,length,1.0"
     assert lines[3] == "SC-IRM,FOU,pooled,1,coverage,0.91"
-
-
-def test_read_metrics_rejects_wrong_header(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("method,setting,replication\nSC-IRM,FOU,0\n")
-    with pytest.raises(CsvParseError, match="header"):
-        read_metrics(str(path))
-
-
-def test_read_metrics_reports_line_numbers(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text(
-        "method,setting,replication,scope,coverage,avg_length\n"
-        "SC-IRM,FOU,0,pooled,0.9,1.0\n"
-        "SC-IRM,FOU,zero,pooled,0.9,1.0\n"
-    )
-    with pytest.raises(CsvParseError, match=": line 3: "):
-        read_metrics(str(path))
-    path.write_text(
-        "method,setting,replication,scope,coverage,avg_length\n"
-        "SC-IRM,FOU,0,pooled,0.9\n"
-    )
-    with pytest.raises(CsvParseError, match=": line 2: .*fields"):
-        read_metrics(str(path))
 
 
 # ---------------------------------------------------------------------------

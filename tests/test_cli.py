@@ -1,6 +1,8 @@
 """End-to-end command-line flows, exit codes, and config files."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -48,10 +50,6 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     ) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_summarize_requires_in_path():
-    assert run_cli("bench", "summarize") == 1
 
 
 # Every input path named below is missing: exit 1, not 2, shows that the
@@ -323,7 +321,7 @@ def test_predict_rejects_nan_calibration_state(workspace, tmp_path, capsys):
 # bench commands
 
 
-def test_bench_run_and_summarize_rewrite_identically(tmp_path, capsys):
+def test_bench_run_prints_the_files_it_wrote(tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     assert run_cli(
         "bench", "run", "--setting", "FOU", "--reps", "2",
@@ -331,15 +329,9 @@ def test_bench_run_and_summarize_rewrite_identically(tmp_path, capsys):
         "--methods", "sc-irm,ac-irm", "--out", out_dir, *FAST,
     ) == 0
     printed = capsys.readouterr().out.strip().splitlines()
-    assert [p.rsplit("/", 1)[-1] for p in printed] == [
-        "metrics.csv", "summary.csv", "boxplot_data.csv"
-    ]
-    metrics = tmp_path / "out" / "metrics.csv"
-    before = metrics.read_bytes()
-    summary_before = (tmp_path / "out" / "summary.csv").read_bytes()
-    assert run_cli("bench", "summarize", "--in", str(metrics)) == 0
-    assert metrics.read_bytes() == before
-    assert (tmp_path / "out" / "summary.csv").read_bytes() == summary_before
+    assert printed == [os.path.join(out_dir, name)
+                       for name in ("metrics.csv", "summary.csv", "boxplot_data.csv")]
+    assert all(os.path.isfile(path) for path in printed)
 
 
 def test_bench_run_methods_subset(tmp_path):
@@ -438,16 +430,16 @@ def test_config_bad_choice_is_usage_error(tmp_path, capsys, command):
     assert "--method" in err and "'bogus'" in err
 
 
-@pytest.mark.parametrize("key", ["input_path", "in_path", "config"])
+@pytest.mark.parametrize("key", ["input_path", "replications", "config"])
 def test_config_keys_are_flag_names_not_dests(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = x\n")
-    argv = ["bench", "summarize"] if key == "in_path" else ["predict"]
+    argv = ["bench", "run"] if key == "replications" else ["predict"]
     assert run_cli(*argv, "--config", str(cfg)) == 1
     assert f"{key!r} is not a config key" in capsys.readouterr().err
 
 
-def test_config_input_and_in_keys_name_the_files(workspace, tmp_path, capsys):
+def test_config_input_key_names_the_points_file(workspace, tmp_path, capsys):
     _, data = workspace
     model, state = str(tmp_path / "model.txt"), str(tmp_path / "state.txt")
     run_cli("fit", "--data", data, "--out", model, "--calibration-out", state, *FAST)
@@ -464,16 +456,6 @@ def test_config_input_and_in_keys_name_the_files(workspace, tmp_path, capsys):
     ) == 0
     assert from_config == capsys.readouterr().out
 
-    out_dir = tmp_path / "out"
-    run_cli("bench", "run", "--setting", "FOU", "--reps", "1", "--n-train", "60",
-            "--n-cal", "60", "--n-test", "30", "--methods", "sc-irm", "--out", str(out_dir),
-            *FAST)
-    cfg = tmp_path / "summarize.cfg"
-    cfg.write_text(f"in = {out_dir / 'metrics.csv'}\nout = {tmp_path}\n")
-    capsys.readouterr()
-    assert run_cli("bench", "summarize", "--config", str(cfg)) == 0
-    assert (tmp_path / "summary.csv").read_bytes() == (out_dir / "summary.csv").read_bytes()
-
 
 # A value for every flag, different from its default; --method takes a non-default choice.
 SAMPLE_VALUES = {
@@ -483,7 +465,7 @@ SAMPLE_VALUES = {
     "--csv-train-fraction": "0.4", "--out": "o", "--penalty-weight": "-3",
     "--learning-rate": "0.01", "--max-iters": "7", "--tolerance": "1e-5",
     "--warmup-iters": "4", "--init-scale": "1.5", "--repr-dim": "3", "--fit-seed": "9",
-    "--in": "m.csv", "--n": "30", "--stream-seed": "4", "--data": "d.csv",
+    "--n": "30", "--stream-seed": "4", "--data": "d.csv",
     "--calibration-out": "s.txt", "--train-fraction": "0.3", "--split-seed": "5",
     "--model": "m.txt", "--calibration": "s.txt", "--input": "p.csv",
 }
@@ -541,3 +523,23 @@ def test_python_m_acir_reads_config(tmp_path):
     assert run_cli("datagen", "sem", "--setting", "POU", "--n", "30", "--seed", "5",
                    "--out", str(expected)) == 0
     assert out.read_bytes() == expected.read_bytes()
+
+
+def _readme_commands():
+    """Each ``acir ...`` command of README's sh blocks, continuation lines joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("acir ")]
+
+
+def test_readme_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    parser, _ = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except cli._UsageError as exc:  # noqa: SLF001 - the parser's error type
+            pytest.fail(f"acir {shlex.join(argv)}: {exc}")

@@ -333,11 +333,9 @@ def test_acir_batch_matches_single_point():
 def test_single_point_calls_are_rows_of_a_one_row_batch():
     _, _, state = make_state(seed=10)
     rng = np.random.default_rng(11)
-    delta = np.array([0.1, 0.0, 2.0])
     for x in rng.normal(size=(10, 4)):
         for single, batch in (
             (state.acir_interval(x, ALPHA), state.acir_intervals(x[None, :], ALPHA)),
-            (state.acir_interval(x, ALPHA, delta), state.acir_intervals(x[None, :], ALPHA, delta)),
             (state.sc_interval(x, ALPHA), state.sc_intervals(x[None, :], ALPHA)),
         ):
             assert single.center.shape == () and len(batch) == 1
@@ -363,39 +361,6 @@ def test_degenerate_identical_envs_acir_within_one_order_statistic():
         lo, hi = min(sc, ac), max(sc, ac)
         nxt = pooled[min(gap_idx, pooled.size - 1)]
         assert hi - lo <= (nxt - lo) + 1e-12
-
-
-def test_delta_inflation_adds_weighted_average():
-    # identical environments give uniform weights, so the inflation term is
-    # exactly the mean of the per-environment deltas
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(40, 4))
-    y = rng.normal(size=40)
-    model = LinearIRMModel(phi=rng.normal(size=(2, 4)), penalty_weight=0.0)
-    state = calibrate(model, [EnvDataset(e, x, y) for e in range(3)])
-    delta = np.array([0.3, 0.6, 0.9])
-    pt = rng.normal(size=4)
-    base = state.acir_interval(pt, ALPHA).half_width
-    inflated = state.acir_interval(pt, ALPHA, delta_inflation=delta).half_width
-    assert abs(inflated - (base + 0.6)) < 1e-12
-    batch = state.acir_intervals(pt[None, :], ALPHA, delta_inflation=delta)
-    assert abs(batch[0].half_width - inflated) < 1e-12
-
-
-def test_delta_inflation_wrong_length_raises():
-    _, _, state = make_state(seed=14)
-    with pytest.raises(ValueError, match="length"):
-        state.acir_interval(np.zeros(4), ALPHA, delta_inflation=np.ones(2))
-
-
-@pytest.mark.parametrize("bad", [-0.01, -100.0, np.nan, np.inf])
-def test_delta_inflation_must_be_finite_and_nonnegative(bad):
-    _, _, state = make_state(seed=14)
-    delta = np.array([0.5, bad, 0.5])
-    with pytest.raises(ValueError, match="finite nonnegative"):
-        state.acir_interval(np.zeros(4), ALPHA, delta_inflation=delta)
-    with pytest.raises(ValueError, match="finite nonnegative"):
-        state.acir_intervals(np.zeros((3, 4)), ALPHA, delta_inflation=delta)
 
 
 def test_small_env_gives_infinite_acir_but_finite_sc():

@@ -1,3 +1,4 @@
+import _thread
 import io
 import math
 import os
@@ -396,6 +397,10 @@ def test_the_worker_needs_a_second_cpu_and_no_second_thread(
     helper = threading.Thread(target=release.wait)
     if second_thread:
         helper.start()
+    else:
+        # an unpinned BLAS may keep threads of its own; the thread count is
+        # the subject of the second-thread case, not of these
+        monkeypatch.setattr(core, "_thread_count", lambda: 1)
     try:
         assert core._can_fork() is expected
         core.write_float_rows(io.StringIO(), [np.arange(3.0)])
@@ -405,6 +410,29 @@ def test_the_worker_needs_a_second_cpu_and_no_second_thread(
         if second_thread:
             helper.join(timeout=10)
             assert not helper.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_thread_that_threading_does_not_count_closes_the_gate(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    started, release, finished = (_thread.allocate_lock() for _ in range(3))
+    for lock in (started, release, finished):
+        lock.acquire()
+
+    def hold():
+        started.release()
+        release.acquire()
+        finished.release()
+
+    active = threading.active_count()
+    _thread.start_new_thread(hold, ())
+    started.acquire()
+    try:
+        assert threading.active_count() == active
+        assert core._can_fork() is False
+    finally:
+        release.release()
+        assert finished.acquire(timeout=10)
 
 
 def test_a_failing_worker_fails_the_write_and_is_reaped(small_blocks, monkeypatch):

@@ -23,6 +23,7 @@ import pytest
 
 from acir.cli import main
 from acir.conformal import load_state
+from acir.core import PredictionInterval
 from acir.models import load_model
 
 BENCH_PEU = [
@@ -155,9 +156,17 @@ def test_single_point_answers_match_seed(outputs, call):
     rng = np.random.default_rng(3)
     points = rng.standard_normal((256, model.p)) * rng.choice([0.2, 2.0, 5.0], size=(256, 1))
     delta = np.array([0.05, 0.0, 0.4])
+
+    def acir_plus_delta(x):
+        # the AC answer plus the weighted average of a per-environment offset,
+        # so the pin also holds the bytes of environment_weights
+        iv = state.acir_interval(x, 0.1)
+        shift = (state.environment_weights(x)[None, :] @ delta)[0]
+        return PredictionInterval(iv.center, iv.half_width + shift)
+
     ask = {
         "acir_interval": lambda x: state.acir_interval(x, 0.1),
-        "acir_interval+delta": lambda x: state.acir_interval(x, 0.1, delta),
+        "acir_interval+delta": acir_plus_delta,
         "sc_interval": lambda x: state.sc_interval(x, 0.1),
     }[call]
     answers = np.array([(iv.center, iv.half_width) for iv in map(ask, points)])
