@@ -1,6 +1,6 @@
 """Shared data containers, the conformal quantile convention, evaluation metrics,
-the writer for rows of floats in text files, and the line-numbered token reader
-for the model and state files.
+the writer for rows of floats in text files, the two-process parse of large
+text files, and the line-numbered token reader for the model and state files.
 
 Everything here is immutable after construction and free of hidden state, so
 all of it can be used from concurrent workers without coordination.
@@ -8,6 +8,7 @@ all of it can be used from concurrent workers without coordination.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import shutil
@@ -16,9 +17,11 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, TextIO
+from typing import IO, Callable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 __all__ = [
     "EnvDataset",
@@ -290,6 +293,13 @@ _WRITE_BLOCK_ROWS = 2048
 # the rows outweigh that even at one float a row, and a file of a few
 # thousand rows stays on one process.
 _PARALLEL_ROWS = 8192
+# A read costs the same fork and start, plus one more copy of the rows, and
+# np.loadtxt takes about 30 ms per MB of text. In a 100 MB process (2-vCPU
+# shared VM, numpy 2.4), a 12-column data file took 0.6-0.8 times as long on
+# two processes as on one from 1.7 MB on, and as long at 0.2-0.4 MB, while
+# the second vCPU was free; while it was busy, up to 1.3 times as long. A
+# 3000-row data file (0.65 MB) stays on one process.
+_PARALLEL_BYTES = 2 << 20
 
 
 def write_float_rows(
@@ -353,39 +363,138 @@ def _write_in_two(
     """Write the rows with a forked worker formatting those from the middle block on.
 
     The worker streams its text into an unlinked temporary file, a block at
-    a time, and leaves only through os._exit, so it never flushes a file
-    object it shares with this process. Once this process has written the
-    first half, it reaps the worker and copies the file after it. The worker
-    is reaped on every path; one that fails makes the write an OSError. If
-    no worker can be forked, this process writes every row.
+    a time. Once this process has written the first half, it copies that
+    file after it.
     """
     mid = round(n / (2 * _WRITE_BLOCK_ROWS)) * _WRITE_BLOCK_ROWS
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
-        try:
-            pid = os.fork()
-        except OSError:  # no process or memory to spare: format every row here
-            _write_blocks(fh, columns, prefix, end, 0, n)
-            return
-        if pid == 0:
-            status = 1
-            try:
-                _write_blocks(tail, columns, prefix, end, mid, n)
-                tail.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        finished = False
-        try:
-            _write_blocks(fh, columns, prefix, end, 0, mid)
-            finished = True
-        finally:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0:
-            raise OSError(f"the row-formatting worker failed with exit code {code}")
+        _beside_worker(
+            "row-formatting",
+            lambda: _write_blocks(fh, columns, prefix, end, 0, mid),
+            lambda: _write_blocks(tail, columns, prefix, end, mid, n),
+            tail,
+        )
         tail.seek(0)
         shutil.copyfileobj(tail, fh)
+
+
+def _beside_worker(what: str, own: Callable[[], T], work: Callable[[], None], out: IO) -> T:
+    """own()'s result, computed while a forked worker runs work(), which writes to out.
+
+    out is the worker's only way to hand anything back, such as an unlinked
+    temporary file, and is flushed once work() returns. The worker leaves
+    only through os._exit, so it never flushes another file object it
+    shares with this process. The worker is reaped on every path, and
+    killed first if own raises; one that fails is an OSError naming
+    ``what``. If no worker can be forked, this process runs own() and then
+    work() itself.
+    """
+    try:
+        pid = os.fork()
+    except OSError:  # no process or memory to spare: do both here
+        result = own()
+        work()
+        out.flush()
+        return result
+    if pid == 0:
+        status = 1
+        try:
+            work()
+            out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    finished = False
+    try:
+        result = own()
+        finished = True
+    finally:
+        if not finished:
+            os.kill(pid, signal.SIGKILL)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise OSError(f"the {what} worker failed with exit code {code}")
+    return result
+
+
+def parse_in_two(fd: int, parse: Callable[[TextIO], np.ndarray]) -> np.ndarray | None:
+    """parse's rows of a text file's lines after the first, parsed on two processes.
+
+    fd is the open file, read as open(path, encoding="utf-8") reads it, with
+    os.pread, so no reader's place in it moves. parse gets a run of lines as
+    a text stream and returns a 1-D array of one dtype; a run may hold no
+    rows. The lines are split after the first newline from the middle byte
+    on: a forked worker parses those after it, this process those before.
+    The worker's rows come back through an unlinked temporary file, read
+    straight into the joined array, which holds the rows of both runs in
+    file order.
+
+    None means the caller parses the lines in one run: the file is below
+    _PARALLEL_BYTES, _can_fork says no, no newline lies within 64 KiB of
+    the middle, no run holds a row, or a part failed (a ValueError from
+    parse, a worker that failed). The caller's one run then raises what it
+    would have.
+    """
+    size = os.fstat(fd).st_size
+    if size < _PARALLEL_BYTES or not _can_fork():
+        return None
+    mid = size // 2
+    newline = os.pread(fd, 1 << 16, mid).find(b"\n")
+    if newline < 0:
+        return None
+    split = mid + newline + 1
+
+    def head() -> np.ndarray:
+        with _text_range(fd, 0, split) as lines:
+            lines.readline()
+            return parse(lines)
+
+    def tail() -> None:
+        with _text_range(fd, split, size) as lines:
+            out.write(parse(lines).data)
+
+    try:
+        with tempfile.TemporaryFile() as out:
+            first = _beside_worker("row-parsing", head, tail, out)
+            nbytes = os.fstat(out.fileno()).st_size
+            n_tail, rest = divmod(nbytes, first.dtype.itemsize)
+            if rest or len(first) + n_tail == 0:
+                return None
+            rows = np.empty(len(first) + n_tail, first.dtype)
+            rows[: len(first)] = first
+            out.seek(0)
+            if out.readinto(rows[len(first):].view(np.uint8)) != nbytes:
+                return None
+    except (ValueError, OSError):
+        return None
+    return rows
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes start to stop of the open file fd, read with os.pread."""
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
+        super().__init__()
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._stop - self._pos), self._pos)
+        buf[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _text_range(fd: int, start: int, stop: int) -> TextIO:
+    """Bytes start to stop of fd decoded as open(path, encoding="utf-8") would.
+
+    start and stop must be line starts, as the universal-newline decoder
+    then ends every line where it ends it when decoding the whole file.
+    """
+    raw = _ByteRange(fd, start, stop)
+    return io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8")
 
 
 def numbered_lines(path: str) -> list[tuple[int, str]]:

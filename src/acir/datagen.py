@@ -21,12 +21,21 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .core import DataSplit, EnvDataset, _frozen, check_envs, check_seed, write_float_rows
+from .core import (
+    DataSplit,
+    EnvDataset,
+    _frozen,
+    check_envs,
+    check_seed,
+    parse_in_two,
+    write_float_rows,
+)
 
 __all__ = [
     "SemConfig",
@@ -245,12 +254,14 @@ def _read_numeric(
     """Parse a CSV whose header passes ``check_header`` and whose body is all numbers.
 
     check_header gets the stripped header cells and raises CsvParseError on a
-    bad header; their count is the row width. The body is parsed by a single
-    np.loadtxt call into a structured array: field ``vals`` is the float
-    matrix of the value columns and, with ``env_column``, field ``env`` is the
-    int64 first column. Every value is finite. A file that loadtxt rejects,
-    or that holds a non-finite value, is read again row by row only to name
-    the offending line.
+    bad header; their count is the row width. np.loadtxt parses the body into
+    a structured array: field ``vals`` is the float matrix of the value
+    columns and, with ``env_column``, field ``env`` is the int64 first column.
+    A large body is parsed in two halves on two processes (parse_in_two);
+    if that declines or fails, a single loadtxt call parses the whole body,
+    so the rows and every error are the same either way. Every value is
+    finite. A file that loadtxt rejects, or that holds a non-finite value,
+    is read again row by row only to name the offending line.
     """
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -268,12 +279,14 @@ def _read_numeric(
                 raise CsvParseError(f"{path}: no data rows")
             if line != "\n":
                 break
-        fh.seek(body_start)
-        try:
-            table = _parse_rows(fh, width, env_column)
-        except ValueError as exc:
-            _name_bad_line(path, fh, width, env_column)
-            raise CsvParseError(f"{path}: {exc}") from None
+        table = parse_in_two(fh.fileno(), lambda lines: _parse_run(lines, width, env_column))
+        if table is None:
+            fh.seek(body_start)
+            try:
+                table = _parse_rows(fh, width, env_column)
+            except ValueError as exc:
+                _name_bad_line(path, fh, width, env_column)
+                raise CsvParseError(f"{path}: {exc}") from None
         if not np.isfinite(table["vals"]).all():
             _name_bad_line(path, fh, width, env_column)
             raise CsvParseError(f"{path}: non-finite value")
@@ -288,6 +301,17 @@ def _parse_rows(lines: TextIO | list[str], width: int, env_column: bool) -> np.n
     fields = [("env", np.int64)] if env_column else []
     fields.append(("vals", np.float64, (width - len(fields),)))
     return np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
+
+
+def _parse_run(lines: TextIO, width: int, env_column: bool) -> np.ndarray:
+    """_parse_rows of one of parse_in_two's runs of lines, which may hold no rows.
+
+    loadtxt warns when it finds no rows. A run without rows is part of a
+    file that has them, so that warning would be wrong here.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return _parse_rows(lines, width, env_column)
 
 
 def _name_bad_line(path: str, fh: TextIO, width: int, env_column: bool) -> None:

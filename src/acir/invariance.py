@@ -180,6 +180,8 @@ class InvarianceReport:
             raise ValueError(f"m_hat must be ({m}, {m}), got {mat.shape}")
         if delta.shape != (m,):
             raise ValueError(f"delta must have length {m}, got {delta.shape}")
+        if not (np.isfinite(mat).all() and np.isfinite(self.inv) and np.isfinite(delta).all()):
+            raise ValueError("m_hat, inv and delta entries must be finite")
         if self.inv < 0 or delta.min() < 0:
             raise ValueError("inv and delta entries must be nonnegative")
         object.__setattr__(self, "m_hat", mat)

@@ -1,0 +1,12 @@
+"""Pin OpenBLAS to one thread before numpy is imported.
+
+Some tests fork a worker (the two-process CSV writer and reader). Forking
+next to a live BLAS thread can deadlock the child, and core._can_fork
+refuses it, so the suite runs with one BLAS thread, as the benchmark does.
+The variable is read once, when numpy loads OpenBLAS, which no test module
+or plugin has done when this file is imported.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -412,6 +412,12 @@ def test_the_worker_needs_a_second_cpu_and_no_second_thread(
             assert not helper.is_alive()
 
 
+def test_the_suite_runs_on_one_os_thread():
+    # conftest.py pins OpenBLAS before numpy's import, so the tests that fork
+    # a worker do so from a process the gate would let fork
+    assert core._thread_count() == 1
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_a_thread_that_threading_does_not_count_closes_the_gate(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

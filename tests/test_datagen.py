@@ -1,3 +1,4 @@
+import os
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from acir import core, datagen
 from acir.core import EnvDataset
 from acir.datagen import (
     DEFAULT_ENV_PARAMS,
@@ -433,3 +435,209 @@ def test_zero_noise_writes_no_negative_zero():
     x1 = data.features[:, : cfg.dim_x1]
     assert not x1.any() and not data.targets.any()
     assert not np.signbit(x1).any() and not np.signbit(data.targets).any()
+
+
+# ---------------------------------------------------------------------------
+# Reading on one process or two: the same rows, the same errors
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_reads(monkeypatch):
+    """Run a read on one process, then with the fork gate forced open and no
+    size threshold; return both results and, per read of the second run,
+    whether parse_in_two joined the rows (False: it declined or failed)."""
+    parse_in_two = datagen.parse_in_two
+    joined = []
+
+    def recorded(*args):
+        rows = parse_in_two(*args)
+        joined.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(datagen, "parse_in_two", recorded)
+
+    def run(read):
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(core, "_can_fork", lambda: False)
+            serial = read()
+        assert not any(joined)
+        joined.clear()
+        monkeypatch.setattr(core, "_PARALLEL_BYTES", 0)
+        monkeypatch.setattr(core, "_can_fork", lambda: True)
+        return serial, read(), joined
+
+    return run
+
+
+def csv_bytes(envs):
+    return [(env.env_id, env.features.tobytes(), env.targets.tobytes()) for env in envs]
+
+
+def read_csv_bytes(path):
+    return lambda: csv_bytes(load_csv(str(path)))
+
+
+def split_of(data):
+    """Where parse_in_two splits a file: after the first newline from the middle byte on."""
+    return data.index(b"\n", len(data) // 2) + 1
+
+
+def data_rows(n, ids=(5, 2, 9, 2)):
+    """n rows of interleaved env ids and edge values, each row its own."""
+    values = [1e16, -2e-05, 5e-324, 0.1, -0.0, 1.7976931348623157e308, 3.0]
+    return [f"{ids[i % len(ids)]},{values[i % 7]!r},{i},{values[(i + 3) % 7]!r}"
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final-newline", "no-final-newline"])
+def test_two_process_read_is_the_one_process_read(two_reads, tmp_path, newline, final_newline):
+    path = tmp_path / "data.csv"
+    lines = ["env,y,x1,x2"] + data_rows(41)
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+    serial, parallel, joined = two_reads(read_csv_bytes(path))
+    assert parallel == serial and joined == [True]
+    assert [env_id for env_id, _, _ in serial] == [5, 2, 9]
+    # rows of one environment from both halves, in file order
+    assert load_csv(str(path))[1].features[:, 0].tolist() == list(range(1, 41, 2))
+    assert_no_child_left()
+
+
+def with_blank_line(newline, where):
+    """A data file with a blank line ``where`` lines from the first line after
+    the split (-1: the line before it). A blank line just before the split
+    needs the middle byte to be its newline, so row counts are tried until
+    one puts it there."""
+    for n in range(40, 400):
+        lines = ["env,y,x1,x2"] + data_rows(n)
+        plain = (newline.join(lines) + newline).encode()
+        first_tail = plain[:split_of(plain)].count(newline.encode())
+        for i in range(first_tail - 2, first_tail + 3):
+            data = (newline.join(lines[:i] + [""] + lines[i:]) + newline).encode()
+            if data[:split_of(data)].count(newline.encode()) + where == i:
+                return data
+    raise AssertionError(f"no blank line {where} from the split")
+
+
+@pytest.mark.parametrize("where", [-1, 0, 1], ids=["before", "at", "after"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_blank_line_beside_the_split_changes_nothing(two_reads, tmp_path, newline, where):
+    path = tmp_path / "data.csv"
+    path.write_bytes(with_blank_line(newline, where))
+    serial, parallel, joined = two_reads(read_csv_bytes(path))
+    assert parallel == serial and joined == [True]
+
+
+@pytest.mark.parametrize("half", ["head", "tail"])
+def test_a_half_of_only_blank_lines_is_read_without_warning(two_reads, tmp_path, half):
+    # loadtxt warns on a run without rows, and the suite makes warnings errors
+    rows, blanks = "".join(f"{row}\n" for row in data_rows(30)), "\n" * 2000
+    path = tmp_path / "data.csv"
+    path.write_text("env,y,x1,x2\n" + (blanks + rows if half == "head" else rows + blanks))
+    data = path.read_bytes()
+    head, tail = data[:split_of(data)].split(b"\n", 1)[1], data[split_of(data):]
+    assert (head if half == "head" else tail).strip(b"\n") == b""
+    serial, parallel, joined = two_reads(read_csv_bytes(path))
+    assert parallel == serial and joined == [True]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_two_process_points_are_the_one_process_points(two_reads, tmp_path, newline):
+    path = tmp_path / "points.csv"
+    lines = ["x1,x2,x3"] + [row.split(",", 1)[1] for row in data_rows(33)]
+    path.write_bytes(newline.join(lines).encode())
+    serial, parallel, joined = two_reads(lambda: load_points(str(path), 3).tobytes())
+    assert parallel == serial and joined == [True]
+    assert len(serial) == 33 * 3 * 8
+
+
+@pytest.mark.parametrize("half", ["head", "tail"])
+@pytest.mark.parametrize("bad_row", ["0,1.0", "0,abc,1.0,2.0", "0,nan,1.0,2.0", "0,1_0,1.0,2.0"],
+                         ids=["width", "non-numeric", "non-finite", "grammar"])
+def test_a_bad_line_in_either_half_gives_the_one_process_error(two_reads, tmp_path, half, bad_row):
+    lines = ["env,y,x1,x2"] + data_rows(40)
+    lines.insert(5 if half == "head" else 36, bad_row)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    def error():
+        with pytest.raises(CsvParseError) as info:
+            load_csv(str(path))
+        return str(info.value)
+
+    serial, parallel, joined = two_reads(error)
+    assert parallel == serial
+    assert serial.startswith(f"{path}: line {6 if half == 'head' else 37}: ")
+    # rows that fail to parse fall back to one process; a non-finite one parses
+    assert joined == [bad_row == "0,nan,1.0,2.0"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_a_failed_worker_is_reaped_and_the_read_falls_back(two_reads, tmp_path, monkeypatch, failure):
+    path = tmp_path / "data.csv"
+    path.write_text("env,y,x1,x2\n" + "".join(f"{row}\n" for row in data_rows(40)))
+    parent, parse_run = os.getpid(), datagen._parse_run
+
+    def failing_in_the_worker(*args):
+        if os.getpid() != parent:
+            if failure == "exits":
+                os._exit(3)
+            raise RuntimeError("worker failure")
+        return parse_run(*args)
+
+    monkeypatch.setattr(datagen, "_parse_run", failing_in_the_worker)
+    serial, parallel, joined = two_reads(read_csv_bytes(path))
+    assert parallel == serial and joined == [False]
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_this_processs_half_reaps_the_worker(two_reads, tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("env,y,x1,x2\n" + "".join(f"{row}\n" for row in data_rows(40)))
+    parent, parse_run = os.getpid(), datagen._parse_run
+    interrupt = []
+
+    def interrupted_here(*args):
+        if interrupt and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_run(*args)
+
+    monkeypatch.setattr(datagen, "_parse_run", interrupted_here)
+
+    def read():
+        if interrupt:
+            with pytest.raises(KeyboardInterrupt):
+                load_csv(str(path))
+        interrupt.append(True)
+
+    two_reads(read)
+    assert interrupt == [True, True]
+    assert_no_child_left()
+
+
+def test_a_read_whose_fork_fails_parses_every_row_itself(two_reads, tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("env,y,x1,x2\n" + "".join(f"{row}\n" for row in data_rows(40)))
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial, parallel, joined = two_reads(read_csv_bytes(path))
+    assert parallel == serial and joined == [True]
+
+
+def test_a_file_below_the_threshold_is_read_on_one_process(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("env,y,x1,x2\n" + "".join(f"{row}\n" for row in data_rows(40)))
+    monkeypatch.setattr(core, "_can_fork", lambda: True)
+    monkeypatch.setattr(core, "_PARALLEL_BYTES", path.stat().st_size + 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the threshold"))
+    assert sum(env.n for env in load_csv(str(path))) == 40

@@ -251,6 +251,21 @@ def test_report_validation():
         InvarianceReport(env_ids=(0, 1), m_hat=np.zeros((2, 2)), inv=-1.0, delta=np.zeros(2))
 
 
+@pytest.mark.parametrize("m_hat, inv, delta", [
+    (np.zeros((2, 2)), np.nan, [0.0, 0.0]),
+    (np.zeros((2, 2)), np.inf, [0.0, 0.0]),
+    (np.zeros((2, 2)), 0.0, [np.nan, 0.0]),
+    (np.zeros((2, 2)), 0.0, [0.0, np.inf]),
+    (np.full((2, 2), np.inf), 0.0, [0.0, 0.0]),
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), 0.0, [0.0, 0.0]),
+    (np.array([[0.0, 0.0], [-np.inf, 0.0]]), 0.0, [0.0, 0.0]),
+], ids=["inv-nan", "inv-inf", "delta-nan", "delta-inf", "m_hat-all-inf", "m_hat-nan",
+        "m_hat-minus-inf"])
+def test_report_rejects_non_finite_entries(m_hat, inv, delta):
+    with pytest.raises(ValueError, match="must be finite"):
+        InvarianceReport(env_ids=(0, 1), m_hat=m_hat, inv=inv, delta=delta)
+
+
 def test_write_report_round_trips_values(tmp_path):
     rng = np.random.default_rng(12)
     envs = [
