@@ -2,6 +2,10 @@
 the writer for rows of floats in text files, the two-process parse of large
 text files, and the line-numbered token reader for the model and state files.
 
+_can_fork and _beside_worker are the one fork gate and the one forked-worker
+lifecycle: the writer and the parse here, and bench.run_experiment's
+replications, run half their work on a worker through them.
+
 Everything here is immutable after construction and free of hidden state, so
 all of it can be used from concurrent workers without coordination.
 """

@@ -2,11 +2,16 @@
 
 import csv
 import math
+import os
+import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acir.bench
+from acir import cli, core
 from acir.bench import (
     METHODS,
     BenchError,
@@ -20,7 +25,7 @@ from acir.bench import (
 )
 from acir.core import EnvDataset
 from acir.datagen import SETTINGS, SemConfig, generate_sem, save_csv
-from acir.models import FitConfig
+from acir.models import FitConfig, fit_irmv1
 
 FAST_FIT = FitConfig(penalty_weight=3.0, init_scale=1.0)
 
@@ -186,8 +191,8 @@ def test_sc_lengths_match_their_pooled_length_and_ac_lengths_do_not():
 def test_stage_functions_are_looked_up_on_the_module_at_call_time(monkeypatch):
     # The benchmark's tracer swaps these names on acir.bench; a runner that
     # bound them at import time would silently drop them from its breakdown.
-    import acir.bench
-
+    # One replication keeps every call in this process: calls made in a
+    # replication worker would not be seen here.
     calls = {}
 
     def counting(name, fn):
@@ -232,6 +237,167 @@ def test_pooled_sc_coverage_close_to_nominal():
     assert len(pooled) == 1
     print(f"pooled SC-IRM coverage {pooled[0].coverage:.3f}")
     assert 0.90 <= pooled[0].coverage <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Replications on one process or two: the same rows, the same errors
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_runs(monkeypatch):
+    """Run a call with the fork gate forced closed, then forced open from two
+    replications on; return both results and, per _beside_worker call of
+    the second run (the first makes none), the replication indices of the
+    rows the worker handed back (None: it handed back nothing)."""
+    beside_worker = core._beside_worker
+    handed = []
+
+    def recorded(what, own, work, out):
+        handed.append(None)
+        result = beside_worker(what, own, work, out)
+        out.seek(0)
+        handed[-1] = sorted({row.replication for row in pickle.load(out)})
+        return result
+
+    monkeypatch.setattr(core, "_beside_worker", recorded)
+    monkeypatch.setattr(acir.bench, "_PARALLEL_REPLICATIONS", 2)
+
+    def run(call):
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(core, "_can_fork", lambda: False)
+            serial = call()
+        assert handed == []
+        monkeypatch.setattr(core, "_can_fork", lambda: True)
+        return serial, call(), handed
+
+    return run
+
+
+def rows_and_files(config, out_dir):
+    """The rows, with their floats' bits, and the bytes of the three files it writes."""
+    rows = run_experiment(config)
+    paths = emit_outputs(rows, summarize(rows), str(out_dir))
+    bits = [(r.method, r.setting, r.replication, r.scope, r.coverage.hex(), r.avg_length.hex())
+            for r in rows]
+    return bits, [Path(path).read_bytes() for path in paths]
+
+
+@pytest.mark.parametrize("replications", [1, 2, 3, 5])
+@pytest.mark.parametrize("config", [
+    dict(setting="FOU"), dict(setting="PEU"), dict(setting="POU", resplit_only=True),
+], ids=["FOU", "PEU", "POU-resplit-only"])
+def test_two_process_rows_and_files_are_the_one_process_ones(
+    two_runs, tmp_path, replications, config
+):
+    cfg = small_config(replications=replications, **config)
+    serial, parallel, handed = two_runs(lambda: rows_and_files(cfg, tmp_path))
+    assert parallel == serial
+    assert len(serial[0]) == replications * 4 * 4
+    # one worker from two replications on, running the second half
+    assert handed == ([list(range(replications // 2, replications))] if replications > 1 else [])
+    assert_no_child_left()
+
+
+def test_two_process_csv_mode_is_the_one_process_csv_mode(two_runs, tmp_path):
+    path = str(tmp_path / "data.csv")
+    make_csv_fixture(path)
+    cfg = ExperimentConfig(setting=f"csv:{path}", test_envs=(3, 4), replications=5, fit=FAST_FIT)
+    serial, parallel, handed = two_runs(lambda: rows_and_files(cfg, tmp_path))
+    assert parallel == serial and handed == [[2, 3, 4]]
+    assert_no_child_left()
+
+
+def fitter_failing(monkeypatch, fails):
+    """Patch the IRM fitter on acir.bench to raise where fails(replication) holds."""
+    replication_data, current = acir.bench._replication_data, []
+
+    def tracked(config, sem, csv_envs, replication):
+        current.append(replication)
+        return replication_data(config, sem, csv_envs, replication)
+
+    def fit(train, config):
+        if fails(current[-1]):
+            raise RuntimeError("no fit here")
+        return fit_irmv1(train, config)
+
+    monkeypatch.setattr(acir.bench, "_replication_data", tracked)
+    monkeypatch.setattr(acir.bench, "fit_irmv1", fit)
+
+
+def bench_error(config):
+    def run():
+        with pytest.raises(BenchError) as info:
+            run_experiment(config)
+        return str(info.value)
+    return run
+
+
+def test_a_failure_in_the_workers_half_gives_the_one_process_error(two_runs, monkeypatch):
+    fitter_failing(monkeypatch, lambda replication: replication >= 2)
+    serial, parallel, handed = two_runs(bench_error(small_config(replications=5)))
+    assert parallel == serial == "(replication 2, stage fit): no fit here"
+    assert handed == [None]
+    assert_no_child_left()
+
+
+def test_a_failure_in_this_processs_half_reaps_the_worker(two_runs, monkeypatch):
+    fitter_failing(monkeypatch, lambda replication: replication in (1, 3))
+    serial, parallel, handed = two_runs(bench_error(small_config(replications=5)))
+    assert parallel == serial == "(replication 1, stage fit): no fit here"
+    assert handed == [None]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits", "no-fork"])
+def test_a_failed_or_missing_worker_still_gives_the_one_process_rows(
+    two_runs, tmp_path, monkeypatch, failure
+):
+    parent = os.getpid()
+    if failure == "no-fork":
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        def in_the_worker(replication):
+            if os.getpid() != parent and failure == "exits":
+                os._exit(3)
+            return os.getpid() != parent
+        fitter_failing(monkeypatch, in_the_worker)
+    cfg = small_config(replications=3)
+    serial, parallel, handed = two_runs(lambda: rows_and_files(cfg, tmp_path))
+    assert parallel == serial
+    # without a fork, this process runs the worker's half and hands it over itself
+    assert handed == ([[1, 2]] if failure == "no-fork" else [None])
+    assert_no_child_left()
+
+
+def test_a_two_process_bench_run_prints_each_path_once(two_runs, tmp_path, capfd, monkeypatch):
+    out = str(tmp_path / "out")
+    argv = ["bench", "run", "--setting", "FOU", "--reps", "3", "--n-train", "150",
+            "--n-cal", "150", "--n-test", "90", "--penalty-weight", "3.0",
+            "--init-scale", "1.0", "--out", out]
+    # Block-buffered, as on a pipe or a file, stdout still holds the first
+    # run's lines when the second forks: a worker that flushed its copy of
+    # the buffer would print them twice.
+    with open(1, "w", encoding="utf-8", closefd=False) as stdout:
+        with monkeypatch.context() as buffered:
+            buffered.setattr(sys, "stdout", stdout)
+            serial, parallel, handed = two_runs(lambda: cli.main(argv))
+    assert serial == parallel == 0 and handed == [[1, 2]]
+    printed = "".join(os.path.join(out, name) + "\n"
+                      for name in ("metrics.csv", "summary.csv", "boxplot_data.csv"))
+    assert capfd.readouterr() == (printed * 2, "")
+
+
+def test_a_run_below_the_threshold_stays_on_one_process(monkeypatch):
+    monkeypatch.setattr(core, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the threshold"))
+    run_experiment(small_config(replications=acir.bench._PARALLEL_REPLICATIONS - 1))
 
 
 # ---------------------------------------------------------------------------

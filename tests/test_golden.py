@@ -21,6 +21,8 @@ import os
 import numpy as np
 import pytest
 
+import acir.bench
+from acir import core
 from acir.cli import main
 from acir.conformal import load_state
 from acir.core import PredictionInterval
@@ -142,6 +144,23 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_seed(outputs, name):
     assert _sha256(outputs / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["CSV", "FEU", "FOU", "NINE", "PEU", "POU", "RESPLIT"])
+def test_bench_pins_hold_when_a_worker_runs_half_the_replications(tmp_path, monkeypatch, name):
+    # These runs hold 2 or 3 replications, below the default threshold.
+    monkeypatch.setattr(acir.bench, "_PARALLEL_REPLICATIONS", 2)
+    monkeypatch.setattr(core, "_can_fork", lambda: True)
+    monkeypatch.chdir(tmp_path)
+    argv = {"CSV": BENCH_CSV, "FEU": BENCH_FEU_TINY, "NINE": BENCH_NINE_ENVS,
+            "RESPLIT": BENCH_RESPLIT}.get(name, [name if arg == "PEU" else arg for arg in BENCH_PEU])
+    if name == "CSV":
+        assert main(["datagen", "sem", "--setting", "PEU", "--n", "1800", "--seed", "4",
+                     "--out", "d.csv"]) == 0
+    assert main(argv + ["--out", name]) == 0
+    pinned = [key for key in GOLDEN if key.startswith(f"{name}/")]
+    assert pinned and {key: _sha256(tmp_path / key) for key in pinned} == {
+        key: GOLDEN[key] for key in pinned}
 
 
 def test_tiny_calibration_run_reports_infinite_lengths(outputs):
