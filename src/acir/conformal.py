@@ -15,9 +15,12 @@ Both return one array-valued ``PredictionInterval`` for a batch of points;
 The calibration state is a compact, serializable artifact: sorted scores and
 two moment summaries per environment plus the model used to score. It is
 immutable, and interval construction only reads it, so a single state can
-serve concurrent prediction requests. The one write is the cache of the
-sorted pooled scores on the first SC query; threads racing to fill it
-compute the same read-only array.
+serve concurrent prediction requests. Its only writes are caches: the
+sorted pooled scores on the first SC query, the stacked moments on the
+first AC query, and the quantiles of the last alpha asked for, a one-slot
+memo replaced as one tuple. Threads racing to fill a cache compute the
+same read-only value; threads asking for different alphas each get their
+own alpha's quantiles, whichever memo is left.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .core import (
     _check_env_ids,
     _frozen,
     _readonly,
+    check_alpha,
     check_envs,
     numbered_lines,
     parse_tokens,
@@ -57,16 +61,33 @@ def moment_stats(representation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (n, k) batch two (n,) arrays. Needs k >= 2; a one-dimensional
     representation has no spread to measure.
     """
-    rep = np.atleast_1d(np.asarray(representation, dtype=float))
+    mean, std = _stacked_moments(np.atleast_1d(np.asarray(representation, dtype=float)))
+    return mean, std
+
+
+def _stacked_moments(rep: np.ndarray) -> np.ndarray:
+    """moment_stats as one (2, ...) array [mean; std]: the one moments body.
+
+    The AC weights take the moments of a batch as this stack, so one
+    broadcast subtraction measures both distances.
+    """
     d = rep.shape[-1]
     if d < 2:
         raise ValueError(f"representation must have >= 2 coordinates, got {d}")
+    out = np.empty((2, *rep.shape[:-1]))
     # np.mean and np.std, bit for bit: numpy's _mean/_var reduce, divide,
     # subtract, square and reduce in this order; one sum serves both.
-    mean = np.add.reduce(rep, axis=-1) / d
+    mean = np.divide(np.add.reduce(rep, axis=-1), d, out=out[0, ...])
     dev = rep - mean[..., None]
     np.square(dev, out=dev)
-    return mean, np.sqrt(np.add.reduce(dev, axis=-1) / d)
+    np.sqrt(np.add.reduce(dev, axis=-1) / d, out=out[1, ...])
+    return out
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # count_nonzero, not ndarray.all, whose Python-level wrapper costs more
+    # than the check on a few values
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 @dataclass(frozen=True)
@@ -78,11 +99,15 @@ class CalibrationState:
     calibrate and load_state hand over without copying them. The pooled
     scores are sorted once, on the first SC query, into ``pooled_sorted``.
     After that a conformal quantile is one index read into sorted scores:
-    env_quantiles reads one per environment, sc_intervals one from
-    ``pooled_sorted``, and nothing is sorted or re-validated per query but
-    alpha. A single acir_interval is those m reads plus the O(p*d)
-    computation of the point's d-dimensional representation and its m
-    weights, run as the batch code on one row. README gives its timings.
+    sc_intervals reads one from ``pooled_sorted``, and env_quantiles one
+    per environment, once per alpha: it keeps the last alpha's read-only
+    quantiles and whether all are finite. Nothing is sorted or
+    re-validated per query but alpha and the shape of the points, checked
+    once. A single acir_interval is the O(p*d) computation of the point's
+    d-dimensional representation, its moments and its m weights, run as
+    the batch code on one row: both moment distances in one broadcast
+    subtraction against the cached (2, m, 1) stack of mu and v. README
+    gives its timings.
 
     The moments have closed forms that the code does not use, since they
     agree only up to rounding: mu_x is the prediction f(x) divided by d,
@@ -98,7 +123,7 @@ class CalibrationState:
 
     def __post_init__(self) -> None:
         _check_env_ids(self.env_ids)
-        if not (len(self.scores) == len(self.env_ids) == len(self.mu) == len(self.v)):
+        if len(self.scores) != len(self.env_ids):
             raise ValueError("per-environment fields disagree on length")
         frozen = []
         for env_id, sc in zip(self.env_ids, self.scores):
@@ -113,10 +138,17 @@ class CalibrationState:
         object.__setattr__(self, "env_ids", tuple(int(e) for e in self.env_ids))
         object.__setattr__(self, "scores", tuple(frozen))
         mu, v = _readonly(self.mu), _readonly(self.v)
+        if mu.shape != (self.m,) or v.shape != (self.m,):
+            raise ValueError(
+                f"mu and v must have shape ({self.m},), one value per environment, "
+                f"got {mu.shape} and {v.shape}"
+            )
         if not (np.isfinite(mu).all() and np.isfinite(v).all() and v.min() >= 0):
             raise ValueError("moment summaries must be finite, spreads nonnegative")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
+        # nan equals no alpha, so the first query fills the memo
+        object.__setattr__(self, "_quantile_memo", (np.nan, None, False))
 
     @property
     def m(self) -> int:
@@ -135,17 +167,48 @@ class CalibrationState:
         return np.concatenate(self.scores)
 
     def env_quantiles(self, alpha: float) -> np.ndarray:
-        """Per-environment conformal quantiles at miscoverage alpha."""
-        return np.array([sorted_conformal_quantile(sc, alpha) for sc in self.scores])
+        """Per-environment conformal quantiles at miscoverage alpha, read-only.
+
+        The last alpha's quantiles are kept, with whether all of them are
+        finite, so repeated queries at one alpha read them once.
+        """
+        memo = self._quantile_memo
+        if memo[0] != alpha:  # nan never matches, so it reaches check_alpha
+            alpha = check_alpha(alpha)
+            q = _frozen(np.array([sorted_conformal_quantile(sc, alpha) for sc in self.scores]))
+            memo = (alpha, q, _all_finite(q))
+            object.__setattr__(self, "_quantile_memo", memo)
+        return memo[1]
 
     # -- similarity weighting -------------------------------------------------
 
+    @cached_property
+    def _moment_stack(self) -> np.ndarray:
+        """[mu; v] as a read-only (2, m, 1) stack, laid out like _stacked_moments."""
+        return _frozen(np.stack([self.mu, self.v])[:, :, None])
+
+    def _points(self, x: np.ndarray, one: bool) -> np.ndarray:
+        """x as an (n, p) float array: the one check of a query's points.
+
+        A single-point call (one=True) takes a point of shape (p,); a batch
+        takes (n, p) or one point (p,). Anything else is a ValueError that
+        names the expected shape.
+        """
+        x = np.asarray(x, dtype=float)
+        p = self.model.p
+        if x.shape == (p,):
+            return x[None, :]
+        if not one and x.ndim == 2 and x.shape[1] == p:
+            return x
+        want = f"({p},)" if one else f"(n, {p}) or ({p},)"
+        raise ValueError(f"expected points of shape {want}, got shape {x.shape}")
+
     def environment_weights(self, x: np.ndarray) -> np.ndarray:
-        """Similarity weights over environments, normalized to sum to one."""
-        return self._weights_matrix(np.asarray(x, dtype=float)[None, :])[0]
+        """Similarity weights over environments for the point x of shape (p,); they sum to one."""
+        return self._weights_matrix(self._points(x, one=True))[0]
 
     def _weights_matrix(self, x: np.ndarray) -> np.ndarray:
-        """(n, m) weight matrix for a batch of points.
+        """(n, m) weight matrix for an (n, p) batch of points.
 
         Point i's weight on environment e is proportional to the similarity
         exp(-|v_i - v_e|) * exp(-|mu_i - mu_e|) of their moments.
@@ -154,30 +217,31 @@ class CalibrationState:
         dividing by the similarity sum but cannot underflow to an all-zero
         row for far-away points.
         """
-        mu_x, v_x = moment_stats(self.model.represent(x))
         # The log-similarity -|v_i - v_e| - |mu_i - mu_e| is exactly -dist,
         # with dist the sum of the two distances, and -dist - max(-dist) is
         # exactly min(dist) - dist: IEEE rounding is symmetric under negation,
-        # which also makes |v_e - v_i| equal |v_i - v_e|. The elementwise
-        # steps run on the (m, n) transpose, where numpy's inner loop spans
-        # the n points rather than the m environments. The copy back to a
-        # C-ordered (n, m) matrix keeps the order in which the row sums here
-        # and the matrix product in _combine add.
-        dist = np.abs(np.subtract.outer(self.v, v_x))
-        dist += np.abs(np.subtract.outer(self.mu, mu_x))
-        tau = np.minimum.reduce(dist) - dist
-        np.exp(tau, out=tau)
-        tau = tau.T.copy()
-        tau /= np.add.reduce(tau, axis=1, keepdims=True)
-        return tau
+        # which also makes |mu_e - mu_i| equal |mu_i - mu_e|, and addition
+        # commutes. The elementwise steps run on (m, n) planes, where numpy's
+        # inner loop spans the n points rather than the m environments; exp
+        # writes through the transpose of the C-ordered (n, m) result, which
+        # keeps the order in which the row sums here and the matrix product
+        # in _combine add.
+        dist = self._moment_stack - _stacked_moments(x @ self.model.phi.T)[:, None, :]
+        np.abs(dist, out=dist)
+        tau = np.add(dist[0], dist[1], out=dist[0])
+        np.subtract(np.minimum.reduce(tau), tau, out=tau)
+        w = np.empty(tau.shape[::-1])
+        np.exp(tau, out=w.T)
+        w /= np.add.reduce(w, axis=1, keepdims=True)
+        return w
 
     # -- intervals ------------------------------------------------------------
 
     @staticmethod
-    def _combine(weights: np.ndarray, env_q: np.ndarray) -> np.ndarray:
-        finite = np.isfinite(env_q)
-        if np.count_nonzero(finite) == finite.size:
+    def _combine(weights: np.ndarray, env_q: np.ndarray, all_finite: bool) -> np.ndarray:
+        if all_finite:
             return weights @ env_q
+        finite = np.isfinite(env_q)
         out = np.full(weights.shape[0], np.inf)
         blocked = (weights[:, ~finite] > 0).any(axis=1)
         if not blocked.all():
@@ -186,29 +250,34 @@ class CalibrationState:
 
     def sc_intervals(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """Split-conformal intervals: the pooled calibration quantile around each prediction."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._points(x, one=False)
         half = sorted_conformal_quantile(self.pooled_sorted, alpha)
-        centers = self.model.predict(x)
+        centers = x @ self.model.weights
         return PredictionInterval(_frozen(centers), _frozen(np.full(centers.shape, half)))
 
     def sc_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """sc_intervals for the single point x of shape (p,)."""
-        return self.sc_intervals(np.asarray(x, dtype=float)[None, :], alpha)[0]
+        return self.sc_intervals(self._points(x, one=True), alpha)[0]
 
     def acir_intervals(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """Adaptive intervals with similarity-weighted per-environment quantiles."""
-        return self._acir(np.atleast_2d(np.asarray(x, dtype=float)), alpha)
+        return self._acir(self._points(x, one=False), alpha)
 
     def acir_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """acir_intervals for the single point x of shape (p,)."""
-        return self._acir(np.asarray(x, dtype=float)[None, :], alpha)[0]
+        return self._acir(self._points(x, one=True), alpha)[0]
 
     def _acir(self, x: np.ndarray, alpha: float) -> PredictionInterval:
-        # The one AC body. acir_interval calls it directly rather than through
-        # acir_intervals, so a call profile keeps single-point queries apart.
-        halves = self._combine(self._weights_matrix(x), self.env_quantiles(alpha))
+        # The one AC body, on points _points has checked. acir_interval calls
+        # it directly rather than through acir_intervals, so a call profile
+        # keeps single-point queries apart.
+        env_q = self.env_quantiles(alpha)
+        _, memo_q, all_finite = self._quantile_memo
+        if memo_q is not env_q:  # another thread's alpha replaced the memo
+            all_finite = _all_finite(env_q)
+        halves = self._combine(self._weights_matrix(x), env_q, all_finite)
         # Both arrays are new and owned here: handed over, not copied.
-        return PredictionInterval(_frozen(self.model.predict(x)), _frozen(halves))
+        return PredictionInterval(_frozen(x @ self.model.weights), _frozen(halves))
 
 
 def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:

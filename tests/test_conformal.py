@@ -1,5 +1,8 @@
 """Calibration-state construction, similarity weighting, and both intervals."""
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -207,6 +210,23 @@ def test_state_rejects_length_mismatch():
         )
 
 
+@pytest.mark.parametrize("mu, v", [
+    (np.zeros((2, 2)), np.ones((2, 2))),
+    (np.zeros(2), np.ones((2, 1))),
+    (np.zeros(3), np.ones(3)),
+    (np.float64(0.0), np.ones(2)),
+])
+def test_state_rejects_moment_arrays_of_the_wrong_shape(mu, v):
+    with pytest.raises(ValueError, match=r"mu and v must have shape \(2,\)"):
+        CalibrationState(
+            model=EYE_MODEL,
+            env_ids=(0, 1),
+            scores=(np.array([1.0]), np.array([2.0])),
+            mu=mu,
+            v=v,
+        )
+
+
 # ---------------------------------------------------------------------------
 # similarity weights
 
@@ -227,29 +247,52 @@ def test_weights_hand_computed_equal_split():
 
 def _oracle_weights(state, x):
     """The weight matrix as first written: every step on the (n, m) layout."""
-    mu_x, v_x = moment_stats(state.model.represent(x))
+    rep = state.model.represent(x)
+    mu_x, v_x = np.mean(rep, axis=1), np.std(rep, axis=1)
     log_sim = -np.abs(v_x[:, None] - state.v) - np.abs(mu_x[:, None] - state.mu)
     tau = np.exp(log_sim - log_sim.max(axis=1, keepdims=True))
     return tau / tau.sum(axis=1, keepdims=True)
 
 
-# m up to 12 crosses numpy's 8-element pairwise block in the row sums.
+def _oracle_halves(weights, env_q):
+    """Half-widths as first written: an environment with an infinite quantile
+    and positive weight makes the interval infinite."""
+    finite = np.isfinite(env_q)
+    if finite.all():
+        return weights @ env_q
+    out = np.full(weights.shape[0], np.inf)
+    blocked = (weights[:, ~finite] > 0).any(axis=1)
+    if not blocked.all():
+        out[~blocked] = weights[np.ix_(~blocked, finite)] @ env_q[finite]
+    return out
+
+
+def _oracle_acir(state, x, alpha):
+    env_q = np.array([conformal_quantile(sc, alpha) for sc in state.scores])
+    return state.model.predict(x), _oracle_halves(_oracle_weights(state, x), env_q)
+
+
+# m up to 12 crosses numpy's 8-element pairwise block in the row sums; up to
+# 40 scores per environment at alpha down to 0.05 makes some quantiles
+# infinite, and a large spread can underflow the weights that would block.
 @settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(1, 12),
-    n=st.sampled_from([1, 2, 7, 40]),
+    n=st.sampled_from([1, 2, 7, 40, 667]),
     spread=st.integers(-3, 3),
+    alpha=st.sampled_from([0.05, 0.2, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=9, n=1, spread=0, seed=0)
-@example(m=3, n=40, spread=3, seed=1)
-def test_weights_equal_the_row_layout_formula_bit_for_bit(m, n, spread, seed):
+@example(m=9, n=1, spread=0, alpha=0.5, seed=0)
+@example(m=3, n=40, spread=3, alpha=0.05, seed=1)
+@example(m=4, n=667, spread=3, alpha=0.2, seed=2)
+def test_weights_equal_the_row_layout_formula_bit_for_bit(m, n, spread, alpha, seed):
     rng = np.random.default_rng(seed)
     model = LinearIRMModel(phi=rng.normal(size=(4, 5)), penalty_weight=0.0)
     state = CalibrationState(
         model=model,
         env_ids=tuple(range(m)),
-        scores=tuple(np.sort(np.abs(rng.normal(size=5))) for _ in range(m)),
+        scores=tuple(np.sort(np.abs(rng.normal(size=rng.integers(1, 41)))) for _ in range(m)),
         mu=rng.normal(size=m) * 10.0**spread,
         v=np.abs(rng.normal(size=m)) * 10.0**spread,
     )
@@ -257,6 +300,14 @@ def test_weights_equal_the_row_layout_formula_bit_for_bit(m, n, spread, seed):
     w = state._weights_matrix(x)
     assert w.flags.c_contiguous
     assert w.tobytes() == _oracle_weights(state, x).tobytes()
+    got = state.acir_intervals(x, alpha)
+    center, half = _oracle_acir(state, x, alpha)
+    assert got.center.tobytes() == center.tobytes()
+    assert got.half_width.tobytes() == half.tobytes()
+    for i in (0, n - 1):
+        one, row = state.acir_interval(x[i], alpha), state.acir_intervals(x[i][None], alpha)[0]
+        assert one.center.tobytes() == row.center.tobytes()
+        assert one.half_width.tobytes() == row.half_width.tobytes()
 
 
 def test_weights_sum_to_one_and_positive():
@@ -393,6 +444,91 @@ def test_env_quantiles_match_brute_force():
     )
 
 
+def test_env_quantiles_keep_the_last_alpha_and_equal_brute_force():
+    # at n = 41 scores per environment, alpha = 0.01 asks for rank 42 > n
+    model, envs, state = make_state(seed=25, n=41)
+    for alpha in (0.05, 0.1, 0.05, 0.01, 0.05):
+        want = [conformal_quantile(sc, alpha) for sc in state.scores]
+        warm = state.env_quantiles(alpha)
+        cold = calibrate(model, envs).env_quantiles(alpha)
+        np.testing.assert_array_equal(warm, want)
+        assert warm.tobytes() == cold.tobytes()
+        assert state.env_quantiles(alpha) is warm
+    assert np.isinf(state.env_quantiles(0.01)).all()
+
+
+def test_env_quantiles_are_read_only():
+    _, _, state = make_state(seed=26)
+    q = state.env_quantiles(ALPHA)
+    with pytest.raises(ValueError, match="read-only"):
+        q[0] = 0.0
+    np.testing.assert_array_equal(
+        state.env_quantiles(ALPHA), [conformal_quantile(sc, ALPHA) for sc in state.scores])
+
+
+def _state_with_a_far_small_env(seed):
+    """env 0 has 7 scores, too few at alpha = 0.05 but not at 0.5, and sits
+    1e3 away in mu; the 20 points near the others give it weight
+    exp(-1e3) = 0, the 20 shifted next to it weigh it fully."""
+    rng = np.random.default_rng(seed)
+    model = LinearIRMModel(phi=rng.normal(size=(3, 4)), penalty_weight=0.0)
+    state = CalibrationState(
+        model=model,
+        env_ids=(0, 1, 2),
+        scores=tuple(np.sort(np.abs(rng.normal(size=k))) for k in (7, 50, 60)),
+        mu=np.array([1e3, 0.0, 0.5]),
+        v=np.array([1.0, 1.0, 2.0]),
+    )
+    near = rng.normal(size=(20, 4))
+    far = near + 1e3 * np.linalg.pinv(model.phi) @ np.ones(3)
+    return state, np.vstack([near, far])
+
+
+def test_infinite_quantiles_block_exactly_the_points_that_weigh_them():
+    state, x = _state_with_a_far_small_env(27)
+    for _ in range(2):  # memo cold, then warm
+        got = state.acir_intervals(x, ALPHA)
+        center, half = _oracle_acir(state, x, ALPHA)
+        assert np.isfinite(half[:20]).all() and np.isinf(half[20:]).all()
+        assert got.center.tobytes() == center.tobytes()
+        assert got.half_width.tobytes() == half.tobytes()
+        for i in (0, 20):  # against a 1-row oracle: BLAS may round a 40-row product otherwise
+            one = state.acir_interval(x[i], ALPHA).half_width
+            assert one.tobytes() == _oracle_acir(state, x[i][None], ALPHA)[1].tobytes()
+
+
+def test_threads_asking_for_different_alphas_get_their_own_answers(monkeypatch):
+    # At 0.5 every quantile is finite, at 0.05 env 0's is not: a thread that
+    # took the other alpha's all-finite flag would multiply 0 by inf.
+    state, x = _state_with_a_far_small_env(28)
+    fresh, _ = _state_with_a_far_small_env(28)
+    x = x[:20]
+    alphas = (0.05, 0.5)
+    serial = {a: [fresh.acir_interval(pt, a).half_width.tobytes() for pt in x] for a in alphas}
+    serial_q = {a: fresh.env_quantiles(a).tobytes() for a in alphas}
+    lookup = CalibrationState.env_quantiles
+
+    def yielding_lookup(self, alpha):
+        # yield the GIL after the lookup, as a timing wrapper may, so the
+        # other thread can replace the memo in the middle of a query
+        q = lookup(self, alpha)
+        time.sleep(0)
+        return q
+
+    def ask(alpha):
+        for k in range(500):
+            i = k % len(x)
+            if state.acir_interval(x[i], alpha).half_width.tobytes() != serial[alpha][i]:
+                return False
+            if state.env_quantiles(alpha).tobytes() != serial_q[alpha]:
+                return False
+        return True
+
+    monkeypatch.setattr(CalibrationState, "env_quantiles", yielding_lookup)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(ask, alphas)) == [True, True]
+
+
 def test_quantiles_read_from_the_state_equal_quantiles_of_the_raw_scores():
     model, envs, state = make_state(seed=18, n=37)
     raw = [np.abs(env.targets - model.predict(env.features)) for env in envs]
@@ -419,6 +555,34 @@ def test_every_interval_entry_point_rejects_a_bad_alpha(alpha):
     ):
         with pytest.raises(ValueError, match="alpha must be in"):
             call()
+
+
+ENTRY_POINTS = {
+    "environment_weights": (True, lambda state, x: state.environment_weights(x)),
+    "sc_interval": (True, lambda state, x: state.sc_interval(x, ALPHA)),
+    "acir_interval": (True, lambda state, x: state.acir_interval(x, ALPHA)),
+    "sc_intervals": (False, lambda state, x: state.sc_intervals(x, ALPHA)),
+    "acir_intervals": (False, lambda state, x: state.acir_intervals(x, ALPHA)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 4), (), (5,), (2, 5), (2, 2, 4), (1, 1, 4)])
+def test_every_query_entry_point_checks_the_shape_of_its_points(entry, shape):
+    # a single-point call takes (p,), a batch (n, p) or (p,); p = 4 here
+    _, _, state = make_state(seed=23)
+    one, call = ENTRY_POINTS[entry]
+    x = np.arange(np.prod(shape, dtype=int), dtype=float).reshape(shape)
+    if shape == (4,) or (not one and len(shape) == 2 and shape[1] == 4):
+        got = call(state, x)
+        if entry == "environment_weights":
+            assert got.shape == (state.m,)
+        else:
+            assert got.center.shape == (() if one else (x.size // 4,))
+        return
+    want = r"\(4,\)" if one else r"\(n, 4\) or \(4,\)"
+    with pytest.raises(ValueError, match=rf"expected points of shape {want}, got shape"):
+        call(state, x)
 
 
 def test_pooled_sorted_scores_are_read_only_and_sorted():
