@@ -7,9 +7,9 @@ around ERM and IRM fits), plus aggregation and plot-ready exports.
 
 Replications are independent: each one's data, split and fit depend only on
 the config and its index. From _PARALLEL_REPLICATIONS replications on, when
-core._can_fork allows, a forked worker runs the second half of them while
-this process runs the first, and the rows, hence every output file, are
-those of one process.
+core._can_fork allows, they run through core._in_two, the one fork primitive:
+a forked worker runs the second half of them while this process runs the
+first, and the rows, hence every output file, are those of one process.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -119,6 +118,9 @@ class ExperimentConfig:
         chosen = {method.upper() for method in self.methods}
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in chosen))
         object.__setattr__(self, "test_envs", tuple(int(e) for e in self.test_envs))
+        repeated = sorted({e for e in self.test_envs if self.test_envs.count(e) > 1})
+        if repeated:
+            raise ValueError(f"test_envs names environments {repeated} more than once")
         if self.is_csv:
             if not self.test_envs:
                 raise ValueError("CSV mode requires test_envs to name held-out environments")
@@ -261,8 +263,10 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 
     Failures in any stage are re-raised as BenchError annotated with the
     replication index and stage name. From _PARALLEL_REPLICATIONS on, when
-    core._can_fork allows, a forked worker runs the second half of the
-    replications (see _replicate_in_two), with the same rows and errors.
+    core._can_fork allows, core._in_two's worker runs the second half of the
+    replications (from n // 2 on). A failed or missing worker's half runs
+    here, and an error in this process's half stops the worker, so the rows
+    and any error are the one-process ones: the lowest failing replication's.
     """
     sem = None
     csv_envs = None
@@ -298,41 +302,20 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                     rows.extend(_score_method(method, state, test, config, rep))
         return rows
 
-    n = config.replications
+    n, half = config.replications, config.replications // 2
     if n >= _PARALLEL_REPLICATIONS and core._can_fork():
-        rows = _replicate_in_two(replicate, n)
+        # The worker pickles its rows, whose floats keep every bit.
+        rows = core._in_two(
+            lambda: replicate(range(half)),
+            lambda out: pickle.dump(
+                replicate(range(half, n)), out.buffer, pickle.HIGHEST_PROTOCOL
+            ),
+            lambda head, out: head + pickle.load(out.buffer),
+        )
     else:
         rows = replicate(range(n))
     rows.sort(key=lambda r: (r.method, r.setting, r.replication, r.scope))
     return rows
-
-
-def _replicate_in_two(
-    replicate: Callable[[range], list[MetricsRow]], n: int
-) -> list[MetricsRow]:
-    """replicate's rows of replications 0 to n, a forked worker running n // 2 on.
-
-    The worker pickles its rows, whose floats keep every bit, to an unlinked
-    temporary file. If it fails in any way, this process runs its
-    replications again, so a stage error names the replication and stage it
-    names on one process. An error in this process's half kills the worker
-    and is raised; either way it is the lowest failing replication's.
-    """
-    half = n // 2
-    head: list[MetricsRow] = []
-    with tempfile.TemporaryFile() as out:
-        try:
-            core._beside_worker(
-                "replication",
-                lambda: head.extend(replicate(range(half))),
-                lambda: pickle.dump(replicate(range(half, n)), out, pickle.HIGHEST_PROTOCOL),
-                out,
-            )
-            out.seek(0)
-            tail = pickle.load(out)
-        except OSError:  # the worker failed: its half runs here, as on one process
-            tail = replicate(range(half, n))
-    return head + tail
 
 
 def summarize(rows: list[MetricsRow]) -> list[SummaryRow]:

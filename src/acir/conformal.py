@@ -354,11 +354,15 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
         if declared_m is None:
             declared_m = m
         elif m != declared_m:
-            raise ValueError(f"{path}: inconsistent environment count {m} vs {declared_m}")
+            raise ValueError(
+                f"{path}: line {lineno}: inconsistent environment count {m} vs {declared_m}"
+            )
         if n_cal < 1:
             raise ValueError(f"{path}: line {lineno}: env {env_id}: n_cal must be >= 1")
         if pos + 1 + n_cal > len(lines):
-            raise ValueError(f"{path}: env {env_id}: fewer than {n_cal} score lines")
+            raise ValueError(
+                f"{path}: line {lineno}: env {env_id}: fewer than {n_cal} score lines"
+            )
         block = lines[pos + 1 : pos + 1 + n_cal]
         env_ids.append(env_id)
         scores.append(_parse_scores(path, block))
@@ -367,7 +371,8 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
         pos += 1 + n_cal
     if declared_m is not None and declared_m != len(env_ids):
         raise ValueError(
-            f"{path}: header declares {declared_m} environments, found {len(env_ids)}"
+            f"{path}: line {lines[0][0]}: header declares {declared_m} environments, "
+            f"found {len(env_ids)}"
         )
     try:
         return CalibrationState(

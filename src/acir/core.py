@@ -2,9 +2,11 @@
 the writer for rows of floats in text files, the two-process parse of large
 text files, and the line-numbered token reader for the model and state files.
 
-_can_fork and _beside_worker are the one fork gate and the one forked-worker
-lifecycle: the writer and the parse here, and bench.run_experiment's
-replications, run half their work on a worker through them.
+_can_fork is the one fork gate and _in_two the one fork primitive: one
+forked-worker lifecycle and one fallback (a missing or failed worker's half
+runs in this process). The writer and the parse here, and
+bench.run_experiment's replications, hand their second half to a worker
+through it, so each gives the one-process bytes, rows and errors.
 
 Everything here is immutable after construction and free of hidden state, so
 all of it can be used from concurrent workers without coordination.
@@ -21,11 +23,12 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 __all__ = [
     "EnvDataset",
@@ -318,12 +321,18 @@ def write_float_rows(
     fast as one whole-file string, without holding the file in memory.
 
     From _PARALLEL_ROWS rows on, when _can_fork allows, a forked worker
-    formats the second half of the rows while this process formats the
-    first, and the bytes are the same as from one process.
+    streams the second half of the rows (from n // 2 on) into _in_two's
+    temporary file while this process writes the first, and this process
+    then copies that file after its own rows. Each row is formatted on its
+    own, so the bytes are the same as from one process.
     """
     n = len(columns[0])
     if n >= _PARALLEL_ROWS and _can_fork():
-        _write_in_two(fh, columns, prefix, end, n)
+        _in_two(
+            lambda: _write_blocks(fh, columns, prefix, end, 0, n // 2),
+            lambda out: _write_blocks(out, columns, prefix, end, n // 2, n),
+            lambda _, out: shutil.copyfileobj(out, fh),
+        )
     else:
         _write_blocks(fh, columns, prefix, end, 0, n)
 
@@ -361,64 +370,51 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
-def _write_in_two(
-    fh: TextIO, columns: Sequence[np.ndarray], prefix: str, end: str, n: int
-) -> None:
-    """Write the rows with a forked worker formatting those from the middle block on.
+def _in_two(
+    own: Callable[[], T], work: Callable[[TextIO], None], join: Callable[[T, TextIO], R]
+) -> R:
+    """join(own(), out), where out holds what work(out) wrote, read from its start.
 
-    The worker streams its text into an unlinked temporary file, a block at
-    a time. Once this process has written the first half, it copies that
-    file after it.
+    This process runs own() while one forked worker runs work(out). out is
+    an unlinked temporary file opened as text (UTF-8, no newline
+    translation), and bytes go to out.buffer; it is the worker's only way to
+    hand anything back. The worker leaves only through os._exit, so it never
+    flushes another file object it shares with this process. It is reaped
+    on every path, and killed first if own raises.
+
+    If no worker can be forked, or it fails in any way (raises, exits
+    nonzero, is killed), this process runs work(out) itself after own(), so
+    the result, and any error, is the one-process one.
     """
-    mid = round(n / (2 * _WRITE_BLOCK_ROWS)) * _WRITE_BLOCK_ROWS
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
-        _beside_worker(
-            "row-formatting",
-            lambda: _write_blocks(fh, columns, prefix, end, 0, mid),
-            lambda: _write_blocks(tail, columns, prefix, end, mid, n),
-            tail,
-        )
-        tail.seek(0)
-        shutil.copyfileobj(tail, fh)
-
-
-def _beside_worker(what: str, own: Callable[[], T], work: Callable[[], None], out: IO) -> T:
-    """own()'s result, computed while a forked worker runs work(), which writes to out.
-
-    out is the worker's only way to hand anything back, such as an unlinked
-    temporary file, and is flushed once work() returns. The worker leaves
-    only through os._exit, so it never flushes another file object it
-    shares with this process. The worker is reaped on every path, and
-    killed first if own raises; one that fails is an OSError naming
-    ``what``. If no worker can be forked, this process runs own() and then
-    work() itself.
-    """
-    try:
-        pid = os.fork()
-    except OSError:  # no process or memory to spare: do both here
-        result = own()
-        work()
-        out.flush()
-        return result
-    if pid == 0:
-        status = 1
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as out:
         try:
-            work()
-            out.flush()
-            status = 0
+            pid = os.fork()
+        except OSError:  # no process or memory to spare: no worker
+            pid = -1
+        if pid == 0:
+            status = 1
+            try:
+                work(out)
+                out.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        failed = pid < 0
+        try:
+            result = own()
+        except BaseException:
+            if not failed:
+                os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            os._exit(status)
-    finished = False
-    try:
-        result = own()
-        finished = True
-    finally:
-        if not finished:
-            os.kill(pid, signal.SIGKILL)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise OSError(f"the {what} worker failed with exit code {code}")
-    return result
+            if not failed:
+                failed = os.waitpid(pid, 0)[1] != 0
+        if failed:
+            out.seek(0)
+            out.truncate()
+            work(out)
+        out.seek(0)
+        return join(result, out)
 
 
 def parse_in_two(fd: int, parse: Callable[[TextIO], np.ndarray]) -> np.ndarray | None:
@@ -428,16 +424,14 @@ def parse_in_two(fd: int, parse: Callable[[TextIO], np.ndarray]) -> np.ndarray |
     os.pread, so no reader's place in it moves. parse gets a run of lines as
     a text stream and returns a 1-D array of one dtype; a run may hold no
     rows. The lines are split after the first newline from the middle byte
-    on: a forked worker parses those after it, this process those before.
-    The worker's rows come back through an unlinked temporary file, read
-    straight into the joined array, which holds the rows of both runs in
-    file order.
+    on: _in_two's worker parses those after it, this process those before.
+    The worker's rows come back through the temporary file, read straight
+    into the joined array, which holds the rows of both runs in file order.
 
     None means the caller parses the lines in one run: the file is below
     _PARALLEL_BYTES, _can_fork says no, no newline lies within 64 KiB of
-    the middle, no run holds a row, or a part failed (a ValueError from
-    parse, a worker that failed). The caller's one run then raises what it
-    would have.
+    the middle, no run holds a row, or parse raised a ValueError on either
+    run. The caller's one run then raises what it would have.
     """
     size = os.fstat(fd).st_size
     if size < _PARALLEL_BYTES or not _can_fork():
@@ -453,25 +447,22 @@ def parse_in_two(fd: int, parse: Callable[[TextIO], np.ndarray]) -> np.ndarray |
             lines.readline()
             return parse(lines)
 
-    def tail() -> None:
+    def tail(out: TextIO) -> None:
         with _text_range(fd, split, size) as lines:
-            out.write(parse(lines).data)
+            out.buffer.write(parse(lines).data)
+
+    def join(first: np.ndarray, out: TextIO) -> np.ndarray | None:
+        nbytes = os.fstat(out.fileno()).st_size
+        rows = np.empty(len(first) + nbytes // first.dtype.itemsize, first.dtype)
+        rows[: len(first)] = first
+        if len(rows) == 0 or out.buffer.readinto(rows[len(first):].view(np.uint8)) != nbytes:
+            return None
+        return rows
 
     try:
-        with tempfile.TemporaryFile() as out:
-            first = _beside_worker("row-parsing", head, tail, out)
-            nbytes = os.fstat(out.fileno()).st_size
-            n_tail, rest = divmod(nbytes, first.dtype.itemsize)
-            if rest or len(first) + n_tail == 0:
-                return None
-            rows = np.empty(len(first) + n_tail, first.dtype)
-            rows[: len(first)] = first
-            out.seek(0)
-            if out.readinto(rows[len(first):].view(np.uint8)) != nbytes:
-                return None
-    except (ValueError, OSError):
+        return _in_two(head, tail, join)
+    except ValueError:
         return None
-    return rows
 
 
 class _ByteRange(io.RawIOBase):

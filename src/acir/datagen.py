@@ -258,10 +258,11 @@ def _read_numeric(
     a structured array: field ``vals`` is the float matrix of the value
     columns and, with ``env_column``, field ``env`` is the int64 first column.
     A large body is parsed in two halves on two processes (parse_in_two);
-    if that declines or fails, a single loadtxt call parses the whole body,
-    so the rows and every error are the same either way. Every value is
-    finite. A file that loadtxt rejects, or that holds a non-finite value,
-    is read again row by row only to name the offending line.
+    if that declines or a half holds a bad row, a single loadtxt call parses
+    the whole body, so the rows and every error are the same either way.
+    Every value is finite. A file that loadtxt rejects, or that holds a
+    non-finite value, is read again row by row only to name the offending
+    line.
     """
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()

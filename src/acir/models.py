@@ -420,9 +420,16 @@ def load_model(path: str) -> LinearIRMModel:
     d, p = parse_tokens(path, lineno, head[:2], int)
     (lam,) = parse_tokens(path, lineno, head[2:])
     rows = [parse_tokens(path, no, text.split()) for no, text in lines[1:]]
-    if len(rows) != d or any(len(r) != p for r in rows):
+    for (no, _), row in zip(lines[1:], rows):
+        if len(row) != p:
+            raise ValueError(
+                f"{path}: line {no}: declared shape ({d}, {p}) does not match "
+                f"a row of {len(row)} values"
+            )
+    if len(rows) != d:
         raise ValueError(
-            f"{path}: declared shape ({d}, {p}) does not match the {len(rows)} rows given"
+            f"{path}: line {lineno}: declared shape ({d}, {p}) does not match "
+            f"the {len(rows)} rows given"
         )
     try:
         return LinearIRMModel(phi=_frozen(np.array(rows, dtype=float)), penalty_weight=lam)

@@ -26,6 +26,7 @@ from acir.bench import (
 from acir.core import EnvDataset
 from acir.datagen import SETTINGS, SemConfig, generate_sem, save_csv
 from acir.models import FitConfig, fit_irmv1
+from conftest import assert_no_child_left
 
 FAST_FIT = FitConfig(penalty_weight=3.0, init_scale=1.0)
 
@@ -102,6 +103,12 @@ def test_config_csv_mode_requires_test_envs():
     assert cfg.is_csv
     assert cfg.csv_path == "/tmp/data.csv"
     assert not small_config().is_csv
+
+
+def test_config_rejects_a_test_env_named_twice():
+    message = r"^test_envs names environments \[1, 3\] more than once$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(setting="csv:data.csv", test_envs=(3, 1, 2, 1, 3))
 
 
 def test_metrics_row_validation():
@@ -243,28 +250,42 @@ def test_pooled_sc_coverage_close_to_nominal():
 # Replications on one process or two: the same rows, the same errors
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def two_runs(monkeypatch):
     """Run a call with the fork gate forced closed, then forced open from two
-    replications on; return both results and, per _beside_worker call of
-    the second run (the first makes none), the replication indices of the
-    rows the worker handed back (None: it handed back nothing)."""
-    beside_worker = core._beside_worker
-    handed = []
+    replications on; return both results and, per core._in_two call of the
+    second run (the first makes none), the replication indices of the rows
+    the worker handed back, or that this process handed over itself when no
+    worker could be forked (None: the worker failed and this process ran
+    its replications again, or the call raised)."""
+    in_two, fork, parent = core._in_two, os.fork, os.getpid()
+    handed, forked = [], []
 
-    def recorded(what, own, work, out):
+    def noted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def recorded(own, work, join):
         handed.append(None)
-        result = beside_worker(what, own, work, out)
-        out.seek(0)
-        handed[-1] = sorted({row.replication for row in pickle.load(out)})
-        return result
+        forked.clear()
+        ran_again = []
 
-    monkeypatch.setattr(core, "_beside_worker", recorded)
+        def noted_work(out):
+            ran_again.append(os.getpid() == parent and bool(forked))
+            work(out)
+
+        def noted_join(head, out):
+            if not any(ran_again):
+                handed[-1] = sorted({row.replication for row in pickle.load(out.buffer)})
+                out.seek(0)
+            return join(head, out)
+
+        return in_two(own, noted_work, noted_join)
+
+    monkeypatch.setattr(os, "fork", noted_fork)
+    monkeypatch.setattr(core, "_in_two", recorded)
     monkeypatch.setattr(acir.bench, "_PARALLEL_REPLICATIONS", 2)
 
     def run(call):

@@ -79,6 +79,8 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
      "init_scale must be positive and finite"),
     (["bench", "run", "--setting", "csv:{d}/missing.csv", "--tolerance", "inf",
       "--out", "{d}"], "learning_rate and tolerance must be positive and finite"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "1,1",
+      "--out", "{d}"], "test_envs names environments [1] more than once"),
 ])
 def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, argv, message):
     assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1

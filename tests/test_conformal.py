@@ -648,6 +648,12 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
     ("0 1 2 nan 1.0\n1.0\n2.0\n", "line 1: non-finite value 'nan'"),
     ("0 1 2 0.0 1.0\n1.0\nnan\n", "line 3: non-finite value 'nan'"),
     ("0 1 2 0.0 1.0\n1.0\ninf\n", "line 3: non-finite value 'inf'"),
+    ("0 2 1 0.0 1.0\n1.0\n\n1 3 1 0.0 1.0\n1.0\n",
+     "line 4: inconsistent environment count 3 vs 2"),
+    ("0 2 1 0.0 1.0\n1.0\n1 2 3 0.0 1.0\n1.0\n2.0\n",
+     "line 3: env 1: fewer than 3 score lines"),
+    ("\n0 3 1 0.0 1.0\n1.0\n1 3 1 0.0 1.0\n1.0\n",
+     "line 2: header declares 3 environments, found 2"),
 ])
 def test_load_state_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     path = tmp_path / "state.txt"

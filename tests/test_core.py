@@ -3,6 +3,7 @@ import io
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from acir.conformal import CalibrationState, calibrate, save_state
 from acir.datagen import save_csv
 from acir.invariance import DensityModel, fit_density, inv_statistic
 from acir.models import FitConfig, LinearIRMModel, fit_irmv1, irm_objective, save_model
+from conftest import assert_no_child_left
 
 
 def brute_force_quantile(scores, alpha):
@@ -288,15 +290,20 @@ def small_blocks(monkeypatch):
 @pytest.fixture
 def two_ways(small_blocks, monkeypatch):
     """Run a write on one process, then as write_float_rows chooses; return
-    both outputs and the row counts of the writes that forked a worker."""
-    write_in_two = core._write_in_two
+    both outputs and, per write that went through core._in_two, the row
+    count of the worker's half."""
+    in_two = core._in_two
     forks = []
 
-    def counted(*args):
-        forks.append(args[-1])
-        write_in_two(*args)
+    def counted(own, work, join):
+        def counted_join(head, out):
+            forks.append(out.read().count("\n"))
+            out.seek(0)
+            return join(head, out)
 
-    monkeypatch.setattr(core, "_write_in_two", counted)
+        return in_two(own, work, counted_join)
+
+    monkeypatch.setattr(core, "_in_two", counted)
 
     def run(write):
         with monkeypatch.context() as serial_only:
@@ -306,11 +313,6 @@ def two_ways(small_blocks, monkeypatch):
         return serial, write(), forks
 
     return run
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
@@ -330,7 +332,8 @@ def test_save_csv_bytes_do_not_depend_on_the_worker(two_ways, tmp_path, n):
     lines = serial.split(b"\r\n")
     assert len(lines) == 2 * n + 2 and lines[-1] == b"" and b"\n" not in b"".join(lines)
     assert lines[1] == b"7,1e+16,-2e-05,5e-324"
-    assert forks == ([n, n] if n >= THRESHOLD else [])
+    # the worker writes each environment's rows from n // 2 on
+    assert forks == ([n - n // 2] * 2 if n >= THRESHOLD else [])
     assert_no_child_left()
 
 
@@ -348,7 +351,7 @@ def test_save_state_bytes_do_not_depend_on_the_worker(two_ways, tmp_path, n):
     serial, parallel, forks = two_ways(write)
     assert parallel == serial
     assert len(serial.splitlines()) == 2 * n + 2
-    assert forks == ([n, n] if n >= THRESHOLD else [])
+    assert forks == ([n - n // 2] * 2 if n >= THRESHOLD else [])
     assert_no_child_left()
 
 
@@ -377,7 +380,7 @@ def test_predict_output_does_not_depend_on_the_worker(two_ways, tmp_path, capsys
     lines = serial.splitlines()
     assert lines[0] == "center,lower,upper" and len(lines) == n + 1
     assert lines[1].startswith("1e+16,")
-    assert forks == ([n] if n >= THRESHOLD else [])
+    assert forks == ([n - n // 2] if n >= THRESHOLD else [])
     assert_no_child_left()
 
 
@@ -392,7 +395,7 @@ def test_the_worker_needs_a_second_cpu_and_no_second_thread(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     monkeypatch.setattr(core, "_PARALLEL_ROWS", 2)
     forks = []
-    monkeypatch.setattr(core, "_write_in_two", lambda *args: forks.append(args[-1]))
+    monkeypatch.setattr(core, "_in_two", lambda own, work, join: forks.append(True))
     release = threading.Event()
     helper = threading.Thread(target=release.wait)
     if second_thread:
@@ -404,7 +407,7 @@ def test_the_worker_needs_a_second_cpu_and_no_second_thread(
     try:
         assert core._can_fork() is expected
         core.write_float_rows(io.StringIO(), [np.arange(3.0)])
-        assert forks == ([3] if expected else [])
+        assert forks == ([True] if expected else [])
     finally:
         release.set()
         if second_thread:
@@ -441,17 +444,24 @@ def test_a_thread_that_threading_does_not_count_closes_the_gate(monkeypatch):
         assert finished.acquire(timeout=10)
 
 
-def test_a_failing_worker_fails_the_write_and_is_reaped(small_blocks, monkeypatch):
+def test_a_failing_worker_is_reaped_and_the_write_formats_its_rows_itself(
+    small_blocks, monkeypatch
+):
+    columns = [edge_column(20), edge_column(20, 1)]
+    serial = io.StringIO()
+    core._write_blocks(serial, columns, "", "\n", 0, 20)
     parent, write_blocks = os.getpid(), core._write_blocks
 
-    def failing_in_the_worker(*args):
+    def failing_in_the_worker(fh, columns, prefix, end, start, stop):
         if os.getpid() != parent:
+            write_blocks(fh, columns, prefix, end, start, start + 1)  # a partial half
             raise RuntimeError("worker failure")
-        write_blocks(*args)
+        write_blocks(fh, columns, prefix, end, start, stop)
 
     monkeypatch.setattr(core, "_write_blocks", failing_in_the_worker)
-    with pytest.raises(OSError, match="row-formatting worker failed with exit code 1"):
-        core.write_float_rows(io.StringIO(), [np.arange(20.0)])
+    out = io.StringIO()
+    core.write_float_rows(out, columns)
+    assert out.getvalue() == serial.getvalue()
     assert_no_child_left()
 
 
@@ -472,15 +482,61 @@ def test_a_failure_in_the_parents_half_reaps_the_worker(small_blocks, error):
     assert_no_child_left()
 
 
+def no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
 def test_a_write_whose_fork_fails_formats_every_row_itself(small_blocks, monkeypatch):
     columns = [edge_column(20), edge_column(20, 1)]
     serial = io.StringIO()
     core._write_blocks(serial, columns, "", "\n", 0, 20)
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
     monkeypatch.setattr(os, "fork", no_fork)
     out = io.StringIO()
     core.write_float_rows(out, columns)
     assert out.getvalue() == serial.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# _in_two: one worker lifecycle and one fallback for every two-process path
+
+
+@pytest.mark.parametrize("failure", [
+    None, "worker-raises", "worker-exits", "no-fork", "own-raises", "own-interrupted",
+])
+def test_in_two_gives_the_one_process_result_or_error_and_leaves_no_child(
+    monkeypatch, failure
+):
+    parent = os.getpid()
+
+    def own():
+        if failure == "own-raises":
+            raise RuntimeError("own failure")
+        if failure == "own-interrupted":
+            raise KeyboardInterrupt
+        return "head,"
+
+    def work(out):
+        if os.getpid() != parent and failure is not None:
+            if failure.startswith("own"):
+                time.sleep(60)  # only the kill ends this worker in time
+            out.write("half a tail")
+            out.flush()
+            if failure == "worker-exits":
+                os._exit(3)
+            raise RuntimeError("worker failure")
+        out.write("tail")
+
+    def join(head, out):
+        return head + out.read()
+
+    if failure == "no-fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    start = time.monotonic()
+    if failure in ("own-raises", "own-interrupted"):
+        error = RuntimeError if failure == "own-raises" else KeyboardInterrupt
+        with pytest.raises(error):
+            core._in_two(own, work, join)
+    else:
+        assert core._in_two(own, work, join) == "head,tail"
+    assert time.monotonic() - start < 30
+    assert_no_child_left()

@@ -236,6 +236,13 @@ def test_model_round_trip(tmp_path):
     ("2 2 0.0\n1.0 2.0\n\n3.0 -inf\n", "line 4: non-finite value '-inf'"),
     ("1 2 0.0\n1.0 2.0\n", "representation dimension must be >= 2, got 1"),
     ("2 2 -1.0\n1.0 2.0\n3.0 4.0\n", "penalty_weight must be >= 0 and finite, got -1.0"),
+    ("2 2 0.0\n1.0 2.0\n\n3.0\n",
+     "line 4: declared shape (2, 2) does not match a row of 1 values"),
+    ("2 2 0.0\n1.0 2.0\n3.0 4.0 5.0\n6.0\n",
+     "line 3: declared shape (2, 2) does not match a row of 3 values"),
+    ("\n2 2 0.0\n1.0 2.0\n", "line 2: declared shape (2, 2) does not match the 1 rows given"),
+    ("2 2 0.0\n1.0 2.0\n3.0 4.0\n5.0 6.0\n",
+     "line 1: declared shape (2, 2) does not match the 3 rows given"),
 ])
 def test_load_model_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     path = tmp_path / "model.txt"
