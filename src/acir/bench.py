@@ -6,10 +6,10 @@ metrics for the four method variants (split-conformal and adaptive intervals
 around ERM and IRM fits), plus aggregation and plot-ready exports.
 
 Replications are independent: each one's data, split and fit depend only on
-the config and its index. From _PARALLEL_REPLICATIONS replications on, when
-core._can_fork allows, they run through core._in_two, the one fork primitive:
-a forked worker runs the second half of them while this process runs the
-first, and the rows, hence every output file, are those of one process.
+the config and its index. They run through core._in_two, the one fork
+primitive: from _PARALLEL_REPLICATIONS replications on, where it may fork, a
+worker runs the second half of them while this process runs the first, and
+the rows, hence every output file, are those of one process.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     PredictionInterval,
     _frozen,
     average_length,
+    _integer,
     check_alpha,
     check_seed,
     check_train_fraction,
@@ -98,7 +99,9 @@ class ExperimentConfig:
                 f"setting must be one of {SETTINGS} or 'csv:<path>', got {self.setting!r}"
             )
         check_alpha(self.alpha)
-        check_seed(self.seed)
+        for name in ("n_train_total", "n_cal_total", "n_test_total", "replications"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         check_train_fraction(self.csv_train_fraction)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
@@ -117,7 +120,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least one method; choose from {METHODS}")
         chosen = {method.upper() for method in self.methods}
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in chosen))
-        object.__setattr__(self, "test_envs", tuple(int(e) for e in self.test_envs))
+        test_envs = tuple(_integer("test_envs", e) for e in self.test_envs)
+        object.__setattr__(self, "test_envs", test_envs)
         repeated = sorted({e for e in self.test_envs if self.test_envs.count(e) > 1})
         if repeated:
             raise ValueError(f"test_envs names environments {repeated} more than once")
@@ -262,11 +266,11 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     """Run every replication and return all metric rows, deterministically.
 
     Failures in any stage are re-raised as BenchError annotated with the
-    replication index and stage name. From _PARALLEL_REPLICATIONS on, when
-    core._can_fork allows, core._in_two's worker runs the second half of the
-    replications (from n // 2 on). A failed or missing worker's half runs
-    here, and an error in this process's half stops the worker, so the rows
-    and any error are the one-process ones: the lowest failing replication's.
+    replication index and stage name. From _PARALLEL_REPLICATIONS on,
+    core._in_two may run the second half (from n // 2 on) in a forked
+    worker; else, or if the worker fails, it runs here after the first. An
+    error in this process's half stops the worker, so the rows and any
+    error are the one-process ones: the lowest failing replication's.
     """
     sem = None
     csv_envs = None
@@ -303,17 +307,13 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
         return rows
 
     n, half = config.replications, config.replications // 2
-    if n >= _PARALLEL_REPLICATIONS and core._can_fork():
-        # The worker pickles its rows, whose floats keep every bit.
-        rows = core._in_two(
-            lambda: replicate(range(half)),
-            lambda out: pickle.dump(
-                replicate(range(half, n)), out.buffer, pickle.HIGHEST_PROTOCOL
-            ),
-            lambda head, out: head + pickle.load(out.buffer),
-        )
-    else:
-        rows = replicate(range(n))
+    # The second half's rows are pickled, whose floats keep every bit.
+    rows = core._in_two(
+        n >= _PARALLEL_REPLICATIONS,
+        lambda: replicate(range(half)),
+        lambda out: pickle.dump(replicate(range(half, n)), out.buffer, pickle.HIGHEST_PROTOCOL),
+        lambda head, out: head + pickle.load(out.buffer),
+    )
     rows.sort(key=lambda r: (r.method, r.setting, r.replication, r.scope))
     return rows
 

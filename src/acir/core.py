@@ -2,11 +2,11 @@
 the writer for rows of floats in text files, the two-process parse of large
 text files, and the line-numbered token reader for the model and state files.
 
-_can_fork is the one fork gate and _in_two the one fork primitive: one
-forked-worker lifecycle and one fallback (a missing or failed worker's half
-runs in this process). The writer and the parse here, and
-bench.run_experiment's replications, hand their second half to a worker
-through it, so each gives the one-process bytes, rows and errors.
+_in_two is the one fork primitive: one gate (_can_fork, asked nowhere
+else), one forked-worker lifecycle and one fallback, which is also the
+one-process path. The writer and the parse here, and bench.run_experiment's
+replications, pass it their size test and their two halves, so each gives
+the one-process bytes, rows and errors.
 
 Everything here is immutable after construction and free of hidden state, so
 all of it can be used from concurrent workers without coordination.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 import shutil
 import signal
@@ -216,11 +217,21 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _integer(name: str, value: int) -> int:
+    """value as an int, taken through operator.index, so numpy integers pass;
+    a ValueError naming ``name`` for anything else, an integral float too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed: int) -> int:
-    """seed as an int; a ValueError unless it is >= 0, as numpy's generators need."""
+    """seed as an int; a ValueError unless it is an integer >= 0, as numpy's generators need."""
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seeds must be >= 0, got {seed}")
-    return int(seed)
+    return seed
 
 
 def check_train_fraction(fraction: float) -> float:
@@ -320,21 +331,19 @@ def write_float_rows(
     same float. Lines are built and written a block of rows at a time: as
     fast as one whole-file string, without holding the file in memory.
 
-    From _PARALLEL_ROWS rows on, when _can_fork allows, a forked worker
-    streams the second half of the rows (from n // 2 on) into _in_two's
-    temporary file while this process writes the first, and this process
-    then copies that file after its own rows. Each row is formatted on its
-    own, so the bytes are the same as from one process.
+    From _PARALLEL_ROWS rows on, _in_two may fork a worker that streams the
+    second half of the rows (from n // 2 on) while this process writes the
+    first; either way that half is copied from _in_two's temporary file
+    after the first. Each row is formatted on its own, so the bytes are the
+    same as from one process.
     """
     n = len(columns[0])
-    if n >= _PARALLEL_ROWS and _can_fork():
-        _in_two(
-            lambda: _write_blocks(fh, columns, prefix, end, 0, n // 2),
-            lambda out: _write_blocks(out, columns, prefix, end, n // 2, n),
-            lambda _, out: shutil.copyfileobj(out, fh),
-        )
-    else:
-        _write_blocks(fh, columns, prefix, end, 0, n)
+    _in_two(
+        n >= _PARALLEL_ROWS,
+        lambda: _write_blocks(fh, columns, prefix, end, 0, n // 2),
+        lambda out: _write_blocks(out, columns, prefix, end, n // 2, n),
+        lambda _, out: shutil.copyfileobj(out, fh),
+    )
 
 
 def _write_blocks(
@@ -371,24 +380,27 @@ def _thread_count() -> int:
 
 
 def _in_two(
-    own: Callable[[], T], work: Callable[[TextIO], None], join: Callable[[T, TextIO], R]
+    fork: bool,
+    own: Callable[[], T],
+    work: Callable[[TextIO], None],
+    join: Callable[[T, TextIO], R],
 ) -> R:
     """join(own(), out), where out holds what work(out) wrote, read from its start.
 
-    This process runs own() while one forked worker runs work(out). out is
-    an unlinked temporary file opened as text (UTF-8, no newline
-    translation), and bytes go to out.buffer; it is the worker's only way to
-    hand anything back. The worker leaves only through os._exit, so it never
-    flushes another file object it shares with this process. It is reaped
-    on every path, and killed first if own raises.
-
-    If no worker can be forked, or it fails in any way (raises, exits
-    nonzero, is killed), this process runs work(out) itself after own(), so
-    the result, and any error, is the one-process one.
+    out is an unlinked temporary file opened as text (UTF-8, no newline
+    translation); bytes go to out.buffer. fork is the caller's size test.
+    If it holds and _can_fork allows, one forked worker runs work(out) while
+    this process runs own(). The worker hands back only through out and
+    leaves only through os._exit, so it never flushes another file object it
+    shares with this process. It is reaped on every path, and killed first
+    if own raises. Otherwise, or if the fork or the worker fails in any way
+    (raises, exits nonzero, is killed), this process runs work(out) itself
+    after own(): the one fallback and the one-process path, so the result,
+    and any error, is the one-process one.
     """
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as out:
         try:
-            pid = os.fork()
+            pid = os.fork() if fork and _can_fork() else -1
         except OSError:  # no process or memory to spare: no worker
             pid = -1
         if pid == 0:
@@ -410,59 +422,50 @@ def _in_two(
             if not failed:
                 failed = os.waitpid(pid, 0)[1] != 0
         if failed:
-            out.seek(0)
-            out.truncate()
+            if pid > 0:  # drop what the failed worker left
+                out.seek(0)
+                out.truncate()
             work(out)
         out.seek(0)
         return join(result, out)
 
 
-def parse_in_two(fd: int, parse: Callable[[TextIO], np.ndarray]) -> np.ndarray | None:
-    """parse's rows of a text file's lines after the first, parsed on two processes.
+def parse_in_two(fd: int, start: int, parse: Callable[[TextIO], np.ndarray]) -> np.ndarray:
+    """parse's rows of a text file's lines from byte start on, in file order.
 
     fd is the open file, read as open(path, encoding="utf-8") reads it, with
-    os.pread, so no reader's place in it moves. parse gets a run of lines as
-    a text stream and returns a 1-D array of one dtype; a run may hold no
-    rows. The lines are split after the first newline from the middle byte
-    on: _in_two's worker parses those after it, this process those before.
-    The worker's rows come back through the temporary file, read straight
-    into the joined array, which holds the rows of both runs in file order.
-
-    None means the caller parses the lines in one run: the file is below
-    _PARALLEL_BYTES, _can_fork says no, no newline lies within 64 KiB of
-    the middle, no run holds a row, or parse raised a ValueError on either
-    run. The caller's one run then raises what it would have.
+    os.pread, so no reader's place in it moves; start is where a line that
+    holds a row begins. parse gets a run of lines as a text stream and
+    returns a 1-D array of one dtype; a run may hold no rows. From
+    _PARALLEL_BYTES on, the lines are split after the first newline from the
+    middle byte on (within 64 KiB), and _in_two's worker may parse those
+    after it; their rows come back through its temporary file, read straight
+    into the joined array. A bad line raises parse's ValueError: the first
+    run's if it holds one, else the second's. Short rows raise OSError.
     """
     size = os.fstat(fd).st_size
-    if size < _PARALLEL_BYTES or not _can_fork():
-        return None
-    mid = size // 2
-    newline = os.pread(fd, 1 << 16, mid).find(b"\n")
-    if newline < 0:
-        return None
-    split = mid + newline + 1
+    mid = max(start, size // 2)
+    newline = os.pread(fd, 1 << 16, mid).find(b"\n") if size >= _PARALLEL_BYTES else -1
+    split = size if newline < 0 else mid + newline + 1
 
     def head() -> np.ndarray:
-        with _text_range(fd, 0, split) as lines:
-            lines.readline()
+        with _text_range(fd, start, split) as lines:
             return parse(lines)
 
     def tail(out: TextIO) -> None:
-        with _text_range(fd, split, size) as lines:
-            out.buffer.write(parse(lines).data)
+        if split < size:
+            with _text_range(fd, split, size) as lines:
+                out.buffer.write(parse(lines).data)
 
-    def join(first: np.ndarray, out: TextIO) -> np.ndarray | None:
+    def join(first: np.ndarray, out: TextIO) -> np.ndarray:
         nbytes = os.fstat(out.fileno()).st_size
         rows = np.empty(len(first) + nbytes // first.dtype.itemsize, first.dtype)
         rows[: len(first)] = first
-        if len(rows) == 0 or out.buffer.readinto(rows[len(first):].view(np.uint8)) != nbytes:
-            return None
+        if out.buffer.readinto(rows[len(first):].view(np.uint8)) != nbytes:
+            raise OSError(f"the second run's {nbytes} bytes of rows came back short")
         return rows
 
-    try:
-        return _in_two(head, tail, join)
-    except ValueError:
-        return None
+    return _in_two(split < size, head, tail, join)
 
 
 class _ByteRange(io.RawIOBase):

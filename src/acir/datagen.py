@@ -31,6 +31,7 @@ from .core import (
     DataSplit,
     EnvDataset,
     _frozen,
+    _integer,
     check_envs,
     check_seed,
     parse_in_two,
@@ -97,10 +98,13 @@ class SemConfig:
 
     def __post_init__(self) -> None:
         _parse_setting(self.setting)
+        for name in ("dim_x1", "dim_x2"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.dim_x1 < 1 or self.dim_x2 < 1:
             raise ValueError("dims must be >= 1")
         object.__setattr__(self, "env_params", check_env_params(self.env_params))
-        rng = np.random.default_rng(check_seed(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        rng = np.random.default_rng(self.seed)
         w_1y = rng.standard_normal(self.dim_x1)
         w_y2 = rng.standard_normal(self.dim_x2)
         w_h1 = rng.standard_normal((self.dim_x1, self.dim_x1))
@@ -257,37 +261,35 @@ def _read_numeric(
     bad header; their count is the row width. np.loadtxt parses the body into
     a structured array: field ``vals`` is the float matrix of the value
     columns and, with ``env_column``, field ``env`` is the int64 first column.
-    A large body is parsed in two halves on two processes (parse_in_two);
-    if that declines or a half holds a bad row, a single loadtxt call parses
-    the whole body, so the rows and every error are the same either way.
+    parse_in_two parses it from the first data row on, a large body in two
+    halves on two processes, with the rows and errors of one loadtxt call.
     Every value is finite. A file that loadtxt rejects, or that holds a
     non-finite value, is read again row by row only to name the offending
     line.
     """
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
+    with open(path, encoding="utf-8", newline="") as fh:
+        line = fh.readline()
+        if not line:
             raise CsvParseError(f"{path}: empty file")
-        header = [c.strip() for c in next(csv.reader([header_line]), [])]
+        header = [c.strip() for c in next(csv.reader([line]), [])]
         check_header(header)
         width = len(header)
-        # Find the first data row, so that loadtxt never meets an empty body
-        # (which it answers with a warning, not an error).
-        while True:
-            body_start = fh.tell()
-            line = fh.readline()
-            if not line:
-                raise CsvParseError(f"{path}: no data rows")
-            if line != "\n":
+        # start: the first data row's byte offset. Lines are read untranslated,
+        # so the UTF-8 length of each is its length in the file.
+        start = len(line.encode())
+        for line in fh:
+            if line.rstrip("\r\n"):
                 break
-        table = parse_in_two(fh.fileno(), lambda lines: _parse_run(lines, width, env_column))
-        if table is None:
-            fh.seek(body_start)
-            try:
-                table = _parse_rows(fh, width, env_column)
-            except ValueError as exc:
-                _name_bad_line(path, fh, width, env_column)
-                raise CsvParseError(f"{path}: {exc}") from None
+            start += len(line.encode())
+        else:
+            raise CsvParseError(f"{path}: no data rows")
+        try:
+            table = parse_in_two(
+                fh.fileno(), start, lambda lines: _parse_rows(lines, width, env_column)
+            )
+        except ValueError as exc:
+            _name_bad_line(path, fh, width, env_column)
+            raise CsvParseError(f"{path}: {exc}") from None
         if not np.isfinite(table["vals"]).all():
             _name_bad_line(path, fh, width, env_column)
             raise CsvParseError(f"{path}: non-finite value")
@@ -297,27 +299,20 @@ def _read_numeric(
 def _parse_rows(lines: TextIO | list[str], width: int, env_column: bool) -> np.ndarray:
     """Parse lines with np.loadtxt into _read_numeric's structured array.
 
-    The structured dtype makes loadtxt check every row's width.
+    The structured dtype makes loadtxt check every row's width. A run of
+    parse_in_two's may hold no rows, and loadtxt's warning then would be wrong.
     """
     fields = [("env", np.int64)] if env_column else []
     fields.append(("vals", np.float64, (width - len(fields),)))
-    return np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
-
-
-def _parse_run(lines: TextIO, width: int, env_column: bool) -> np.ndarray:
-    """_parse_rows of one of parse_in_two's runs of lines, which may hold no rows.
-
-    loadtxt warns when it finds no rows. A run without rows is part of a
-    file that has them, so that warning would be wrong here.
-    """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return _parse_rows(lines, width, env_column)
+        return np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
 
 
 def _name_bad_line(path: str, fh: TextIO, width: int, env_column: bool) -> None:
     """Raise CsvParseError for the first data line that breaks a row rule.
 
+    fh is the file opened with newline="", so each line keeps its own end.
     The rules: ``width`` comma-separated cells, an integer first cell when
     ``env_column``, numeric and finite value cells, and every cell in the
     number grammar of the fast parser, which rejects forms Python's int()
@@ -327,9 +322,10 @@ def _name_bad_line(path: str, fh: TextIO, width: int, env_column: bool) -> None:
     fh.seek(0)
     fh.readline()
     for lineno, line in enumerate(fh, start=2):
-        if line == "\n":
+        text = line.rstrip("\r\n")
+        if not text:
             continue
-        cells = line.rstrip("\n").split(",")
+        cells = text.split(",")
         where = f"{path}: line {lineno}"
         if len(cells) != width:
             raise CsvParseError(f"{where}: expected {width} columns, got {len(cells)}")
@@ -345,7 +341,7 @@ def _name_bad_line(path: str, fh: TextIO, width: int, env_column: bool) -> None:
         if not all(map(math.isfinite, values)):
             raise CsvParseError(f"{where}: non-finite cell in {cells!r}")
         try:
-            _parse_rows([line], width, env_column)
+            _parse_rows([text], width, env_column)
         except ValueError:
             raise CsvParseError(f"{where}: cell outside the number grammar in {cells!r}") from None
 

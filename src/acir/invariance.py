@@ -61,6 +61,8 @@ class DensityModel:
         variances = _readonly(np.atleast_2d(self.variances))
         if means.shape != variances.shape or means.shape[0] != len(self.env_ids):
             raise ValueError("means/variances must be (m, p) matching env_ids")
+        if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+            raise ValueError("means and variances must be finite")
         if variances.min() <= 0:
             raise ValueError("variances must be strictly positive")
         object.__setattr__(self, "env_ids", tuple(int(e) for e in self.env_ids))

@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     EnvDataset,
     _frozen,
+    _integer,
     _readonly,
     check_envs,
     check_seed,
@@ -138,6 +139,10 @@ class FitConfig:
     repr_dim: int | None = None
 
     def __post_init__(self) -> None:
+        optional = () if self.repr_dim is None else ("repr_dim",)
+        for name in ("max_iters", "warmup_iters", *optional):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         # the comparisons are written so that NaN fails them
         if not (0.0 < self.learning_rate < math.inf and 0.0 < self.tolerance < math.inf):
             raise ValueError("learning_rate and tolerance must be positive and finite")
@@ -148,7 +153,6 @@ class FitConfig:
             raise ValueError("init_scale must be positive and finite")
         if self.repr_dim is not None and self.repr_dim < 2:
             raise ValueError("repr_dim must be >= 2")
-        check_seed(self.seed)
 
 
 def irm_objective(
@@ -418,6 +422,8 @@ def load_model(path: str) -> LinearIRMModel:
             f"{path}: line {lineno}: header must be 'd p penalty_weight', got {text!r}"
         )
     d, p = parse_tokens(path, lineno, head[:2], int)
+    if d < 2 or p < 1:
+        raise ValueError(f"{path}: line {lineno}: declared shape ({d}, {p}) needs d >= 2, p >= 1")
     (lam,) = parse_tokens(path, lineno, head[2:])
     rows = [parse_tokens(path, no, text.split()) for no, text in lines[1:]]
     for (no, _), row in zip(lines[1:], rows):

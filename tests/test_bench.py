@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -51,6 +52,30 @@ def small_config(**overrides):
 def test_config_rejects_unknown_setting():
     with pytest.raises(ValueError, match="setting"):
         ExperimentConfig(setting="NOPE")
+
+
+INTEGER_FIELDS = [
+    (ExperimentConfig, dict(setting="FOU"), field)
+    for field in ("n_train_total", "n_cal_total", "n_test_total", "replications", "seed")
+] + [
+    (FitConfig, {}, field) for field in ("max_iters", "warmup_iters", "repr_dim", "seed")
+] + [
+    (SemConfig, dict(setting="FOU"), field) for field in ("dim_x1", "dim_x2", "seed")
+] + [(ExperimentConfig, dict(setting="csv:data.csv"), "test_envs")]
+
+
+@pytest.mark.parametrize("config, base, field", INTEGER_FIELDS,
+                         ids=[f"{c.__name__}.{f}" for c, _, f in INTEGER_FIELDS])
+def test_integer_fields_take_numpy_integers_and_reject_the_rest(config, base, field):
+    def make(value):
+        return config(**base, **{field: (value,) if field == "test_envs" else value})
+
+    value = getattr(make(np.int64(3)), field)
+    value = value[0] if field == "test_envs" else value
+    assert value == 3 and type(value) is int
+    for bad in (2.5, 3.0, "3", np.float64(3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+            make(bad)
 
 
 def test_config_rejects_bad_alpha_and_replications():
@@ -251,50 +276,20 @@ def test_pooled_sc_coverage_close_to_nominal():
 
 
 @pytest.fixture
-def two_runs(monkeypatch):
-    """Run a call with the fork gate forced closed, then forced open from two
-    replications on; return both results and, per core._in_two call of the
-    second run (the first makes none), the replication indices of the rows
-    the worker handed back, or that this process handed over itself when no
-    worker could be forked (None: the worker failed and this process ran
-    its replications again, or the call raised)."""
-    in_two, fork, parent = core._in_two, os.fork, os.getpid()
-    handed, forked = [], []
-
-    def noted_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def recorded(own, work, join):
-        handed.append(None)
-        forked.clear()
-        ran_again = []
-
-        def noted_work(out):
-            ran_again.append(os.getpid() == parent and bool(forked))
-            work(out)
-
-        def noted_join(head, out):
-            if not any(ran_again):
-                handed[-1] = sorted({row.replication for row in pickle.load(out.buffer)})
-                out.seek(0)
-            return join(head, out)
-
-        return in_two(own, noted_work, noted_join)
-
-    monkeypatch.setattr(os, "fork", noted_fork)
-    monkeypatch.setattr(core, "_in_two", recorded)
+def two_runs(monkeypatch, forks):
+    """Run a call with the fork gate shut, then open from two replications
+    on; return both results and, per forked worker, the replication indices
+    of the rows it handed back (None: it failed, or was killed first)."""
     monkeypatch.setattr(acir.bench, "_PARALLEL_REPLICATIONS", 2)
 
     def run(call):
-        with monkeypatch.context() as serial_only:
-            serial_only.setattr(core, "_can_fork", lambda: False)
-            serial = call()
-        assert handed == []
+        serial = forks.gate_shut(call)
         monkeypatch.setattr(core, "_can_fork", lambda: True)
-        return serial, call(), handed
+        return serial, call(), [
+            None if worker.handed is None
+            else sorted({row.replication for row in pickle.loads(worker.handed)})
+            for worker in forks
+        ]
 
     return run
 
@@ -392,8 +387,8 @@ def test_a_failed_or_missing_worker_still_gives_the_one_process_rows(
     cfg = small_config(replications=3)
     serial, parallel, handed = two_runs(lambda: rows_and_files(cfg, tmp_path))
     assert parallel == serial
-    # without a fork, this process runs the worker's half and hands it over itself
-    assert handed == ([[1, 2]] if failure == "no-fork" else [None])
+    # without a fork, no worker hands anything back
+    assert handed == ([] if failure == "no-fork" else [None])
     assert_no_child_left()
 
 

@@ -288,29 +288,13 @@ def small_blocks(monkeypatch):
 
 
 @pytest.fixture
-def two_ways(small_blocks, monkeypatch):
-    """Run a write on one process, then as write_float_rows chooses; return
-    both outputs and, per write that went through core._in_two, the row
-    count of the worker's half."""
-    in_two = core._in_two
-    forks = []
-
-    def counted(own, work, join):
-        def counted_join(head, out):
-            forks.append(out.read().count("\n"))
-            out.seek(0)
-            return join(head, out)
-
-        return in_two(own, work, counted_join)
-
-    monkeypatch.setattr(core, "_in_two", counted)
+def two_ways(small_blocks, forks):
+    """Run a write with the fork gate shut, then open; return both outputs
+    and, per forked worker, the row count of the half it handed back."""
 
     def run(write):
-        with monkeypatch.context() as serial_only:
-            serial_only.setattr(core, "_PARALLEL_ROWS", 10**9)
-            serial = write()
-        assert forks == []
-        return serial, write(), forks
+        serial = forks.gate_shut(write)
+        return serial, write(), [worker.handed.count(b"\n") for worker in forks]
 
     return run
 
@@ -390,12 +374,10 @@ def test_predict_output_does_not_depend_on_the_worker(two_ways, tmp_path, capsys
     ({0, 1}, True, False),
 ], ids=["two-cpus", "one-cpu", "second-thread"])
 def test_the_worker_needs_a_second_cpu_and_no_second_thread(
-    monkeypatch, cpus, second_thread, expected
+    monkeypatch, forks, cpus, second_thread, expected
 ):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     monkeypatch.setattr(core, "_PARALLEL_ROWS", 2)
-    forks = []
-    monkeypatch.setattr(core, "_in_two", lambda own, work, join: forks.append(True))
     release = threading.Event()
     helper = threading.Thread(target=release.wait)
     if second_thread:
@@ -406,8 +388,10 @@ def test_the_worker_needs_a_second_cpu_and_no_second_thread(
         monkeypatch.setattr(core, "_thread_count", lambda: 1)
     try:
         assert core._can_fork() is expected
-        core.write_float_rows(io.StringIO(), [np.arange(3.0)])
-        assert forks == ([True] if expected else [])
+        out = io.StringIO()
+        core.write_float_rows(out, [np.arange(3.0)])
+        assert out.getvalue() == "0.0\n1.0\n2.0\n"
+        assert [worker.status for worker in forks] == ([0] if expected else [])
     finally:
         release.set()
         if second_thread:
@@ -501,12 +485,13 @@ def test_a_write_whose_fork_fails_formats_every_row_itself(small_blocks, monkeyp
 
 
 @pytest.mark.parametrize("failure", [
-    None, "worker-raises", "worker-exits", "no-fork", "own-raises", "own-interrupted",
+    None, "small", "worker-raises", "worker-exits", "no-fork", "own-raises", "own-interrupted",
 ])
 def test_in_two_gives_the_one_process_result_or_error_and_leaves_no_child(
     monkeypatch, failure
 ):
     parent = os.getpid()
+    monkeypatch.setattr(core, "_can_fork", lambda: True)
 
     def own():
         if failure == "own-raises":
@@ -531,12 +516,15 @@ def test_in_two_gives_the_one_process_result_or_error_and_leaves_no_child(
 
     if failure == "no-fork":
         monkeypatch.setattr(os, "fork", no_fork)
+    if failure == "small":  # the caller's size test says no: no fork is tried
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a small job"))
+    fork = failure != "small"
     start = time.monotonic()
     if failure in ("own-raises", "own-interrupted"):
         error = RuntimeError if failure == "own-raises" else KeyboardInterrupt
         with pytest.raises(error):
-            core._in_two(own, work, join)
+            core._in_two(fork, own, work, join)
     else:
-        assert core._in_two(own, work, join) == "head,tail"
+        assert core._in_two(fork, own, work, join) == "head,tail"
     assert time.monotonic() - start < 30
     assert_no_child_left()

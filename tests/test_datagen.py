@@ -381,6 +381,54 @@ def test_load_points_reads_a_matrix_and_names_bad_lines(tmp_path):
         load_points(str(path), 2)
 
 
+# Cells at the edges of the row rules: int64 overflow, forms Python's int()
+# and float() take but loadtxt does not, quotes, blanks and non-finite values.
+EDGE_CELLS = [str(2**63), "99999999999999999999", "1_0", "\u0661", "\uff11", '"1"', "", " ",
+              "nan", "-inf"]
+
+
+@st.composite
+def bodies(draw):
+    """A row width, whether an env column leads, and a body of rows of that
+    width that hold an edge cell now and then, a trailing comma, blank and
+    whitespace-only lines, and LF, CRLF or CR line ends."""
+    width, env_column = draw(st.sampled_from([(1, False), (2, False), (2, True), (3, True)]))
+    cell = st.sampled_from(["0", "-1.5e3", "7"] * 4 + EDGE_CELLS)
+    row = st.builds(lambda cells, comma: ",".join(cells) + comma,
+                    st.lists(cell, min_size=width, max_size=width),
+                    st.sampled_from(["", "", "", ","]))
+    line = st.one_of(row, row, row, st.sampled_from(["", "   ", "\t"]))
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])),
+                          min_size=1, max_size=6))
+    return width, env_column, "".join(text + end for text, end in lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(bodies())
+def test_a_body_that_fails_its_checks_has_a_line_that_is_named(body):
+    # _read_numeric names the bad line with _name_bad_line whenever loadtxt
+    # rejects a body (a whole one or either run of parse_in_two's, which is
+    # itself a body), or a value is not finite. If _name_bad_line then
+    # returned, loadtxt's message, with its run-relative row number, would
+    # surface instead.
+    width, env_column, text = body
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "body.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("header\n" + text)
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            try:
+                table = datagen._parse_rows(fh, width, env_column)
+                named = not np.isfinite(table["vals"]).all()
+            except ValueError:
+                named = True
+        if named:
+            with open(path, encoding="utf-8", newline="") as fh:
+                with pytest.raises(CsvParseError, match=r": line \d+: "):
+                    datagen._name_bad_line(path, fh, width, env_column)
+
+
 def _oracle_generate_sem(config, env_param, n, stream_seed):
     """generate_sem as first written: one rng.normal call per block, then hstack."""
     e = float(env_param)
@@ -443,29 +491,16 @@ def test_zero_noise_writes_no_negative_zero():
 
 
 @pytest.fixture
-def two_reads(monkeypatch):
-    """Run a read on one process, then with the fork gate forced open and no
-    size threshold; return both results and, per read of the second run,
-    whether parse_in_two joined the rows (False: it declined or failed)."""
-    parse_in_two = datagen.parse_in_two
-    joined = []
-
-    def recorded(*args):
-        rows = parse_in_two(*args)
-        joined.append(rows is not None)
-        return rows
-
-    monkeypatch.setattr(datagen, "parse_in_two", recorded)
+def two_reads(monkeypatch, forks):
+    """Run a read with the fork gate shut, then open and with no size
+    threshold; return both results and, per forked worker, whether it
+    handed rows back (False: it failed, or was killed first)."""
 
     def run(read):
-        with monkeypatch.context() as serial_only:
-            serial_only.setattr(core, "_can_fork", lambda: False)
-            serial = read()
-        assert not any(joined)
-        joined.clear()
+        serial = forks.gate_shut(read)
         monkeypatch.setattr(core, "_PARALLEL_BYTES", 0)
         monkeypatch.setattr(core, "_can_fork", lambda: True)
-        return serial, read(), joined
+        return serial, read(), [worker.handed is not None for worker in forks]
 
     return run
 
@@ -570,8 +605,12 @@ def test_a_bad_line_in_either_half_gives_the_one_process_error(two_reads, tmp_pa
     serial, parallel, joined = two_reads(error)
     assert parallel == serial
     assert serial.startswith(f"{path}: line {6 if half == 'head' else 37}: ")
-    # rows that fail to parse fall back to one process; a non-finite one parses
-    assert joined == [bad_row == "0,nan,1.0,2.0"]
+    # Every read forks once. A worker whose half holds a row that fails to
+    # parse hands nothing back; one beside such a head may be killed before
+    # it does. A non-finite row parses.
+    assert len(joined) == 1
+    if half == "tail" or bad_row == "0,nan,1.0,2.0":
+        assert joined == [bad_row == "0,nan,1.0,2.0"]
     assert_no_child_left()
 
 
@@ -579,34 +618,34 @@ def test_a_bad_line_in_either_half_gives_the_one_process_error(two_reads, tmp_pa
 def test_a_failed_worker_is_reaped_and_the_read_falls_back(two_reads, tmp_path, monkeypatch, failure):
     path = tmp_path / "data.csv"
     path.write_text("env,y,x1,x2\n" + "".join(f"{row}\n" for row in data_rows(40)))
-    parent, parse_run = os.getpid(), datagen._parse_run
+    parent, parse_rows = os.getpid(), datagen._parse_rows
 
     def failing_in_the_worker(*args):
         if os.getpid() != parent:
             if failure == "exits":
                 os._exit(3)
             raise RuntimeError("worker failure")
-        return parse_run(*args)
+        return parse_rows(*args)
 
-    monkeypatch.setattr(datagen, "_parse_run", failing_in_the_worker)
+    monkeypatch.setattr(datagen, "_parse_rows", failing_in_the_worker)
     serial, parallel, joined = two_reads(read_csv_bytes(path))
-    # this process parses the failed worker's half itself and joins the rows
-    assert parallel == serial and joined == [True]
+    # the worker hands nothing back: this process parses its half itself
+    assert parallel == serial and joined == [False]
     assert_no_child_left()
 
 
 def test_an_interrupt_in_this_processs_half_reaps_the_worker(two_reads, tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_text("env,y,x1,x2\n" + "".join(f"{row}\n" for row in data_rows(40)))
-    parent, parse_run = os.getpid(), datagen._parse_run
+    parent, parse_rows = os.getpid(), datagen._parse_rows
     interrupt = []
 
     def interrupted_here(*args):
         if interrupt and os.getpid() == parent:
             raise KeyboardInterrupt
-        return parse_run(*args)
+        return parse_rows(*args)
 
-    monkeypatch.setattr(datagen, "_parse_run", interrupted_here)
+    monkeypatch.setattr(datagen, "_parse_rows", interrupted_here)
 
     def read():
         if interrupt:
@@ -628,7 +667,7 @@ def test_a_read_whose_fork_fails_parses_every_row_itself(two_reads, tmp_path, mo
 
     monkeypatch.setattr(os, "fork", no_fork)
     serial, parallel, joined = two_reads(read_csv_bytes(path))
-    assert parallel == serial and joined == [True]
+    assert parallel == serial and joined == []
 
 
 def test_a_file_below_the_threshold_is_read_on_one_process(tmp_path, monkeypatch):

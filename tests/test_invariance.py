@@ -91,6 +91,15 @@ def test_density_model_rejects_nonpositive_variance():
         DensityModel(env_ids=(0,), means=np.zeros((1, 2)), variances=np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("field", ["means", "variances"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_density_model_rejects_a_non_finite_fit(field, value):
+    fit = {"means": np.zeros((2, 2)), "variances": np.ones((2, 2))}
+    fit[field][1, 0] = value
+    with pytest.raises(ValueError, match="^means and variances must be finite$"):
+        DensityModel(env_ids=(0, 1), **fit)
+
+
 # ---------------------------------------------------------------------------
 # likelihood ratios
 

@@ -234,7 +234,11 @@ def test_model_round_trip(tmp_path):
     ("2 2 nan\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite value 'nan'"),
     ("2 2 inf\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite value 'inf'"),
     ("2 2 0.0\n1.0 2.0\n\n3.0 -inf\n", "line 4: non-finite value '-inf'"),
-    ("1 2 0.0\n1.0 2.0\n", "representation dimension must be >= 2, got 1"),
+    ("1 2 0.0\n1.0 2.0\n", "line 1: declared shape (1, 2) needs d >= 2, p >= 1"),
+    ("\n0 3 0.0\n", "line 2: declared shape (0, 3) needs d >= 2, p >= 1"),
+    ("-1 3 0.0\n", "line 1: declared shape (-1, 3) needs d >= 2, p >= 1"),
+    ("2 0 0.0\n", "line 1: declared shape (2, 0) needs d >= 2, p >= 1"),
+    ("2 -4 0.0\n1.0\n2.0\n", "line 1: declared shape (2, -4) needs d >= 2, p >= 1"),
     ("2 2 -1.0\n1.0 2.0\n3.0 4.0\n", "penalty_weight must be >= 0 and finite, got -1.0"),
     ("2 2 0.0\n1.0 2.0\n\n3.0\n",
      "line 4: declared shape (2, 2) does not match a row of 1 values"),

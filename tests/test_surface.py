@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -40,3 +41,6 @@ def test_only_the_fork_primitive_forks():
     primitive = inspect.getsource(core._in_two)
     for call in ("os.fork(", "os.waitpid(", "tempfile.TemporaryFile("):
         assert sources.count(call) == primitive.count(call) == 1, call
+    # and it alone asks the fork gate: its callers pass only their size test
+    gate = re.compile(r"(?<!def )\b_can_fork\(\)")
+    assert len(gate.findall(sources)) == len(gate.findall(primitive)) == 1
