@@ -125,9 +125,13 @@ class ExperimentConfig:
         repeated = sorted({e for e in self.test_envs if self.test_envs.count(e) > 1})
         if repeated:
             raise ValueError(f"test_envs names environments {repeated} more than once")
-        if self.is_csv:
-            if not self.test_envs:
-                raise ValueError("CSV mode requires test_envs to name held-out environments")
+        if self.is_csv and not self.test_envs:
+            raise ValueError("CSV mode requires test_envs to name held-out environments")
+        if self.test_envs and not self.is_csv:
+            raise ValueError(
+                f"test_envs applies only in CSV mode, got {self.test_envs} "
+                f"with setting {self.setting!r}"
+            )
 
     @property
     def is_csv(self) -> bool:

@@ -90,6 +90,26 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def _env_scores(env_id: int, scores: np.ndarray) -> np.ndarray:
+    """One environment's scores, read-only, unless they are empty, negative,
+    non-finite or unsorted: the one score rule of a state and of its file."""
+    sc = _readonly(scores)
+    if sc.size < 1:
+        raise ValueError(f"env {env_id}: empty score vector")
+    if not np.isfinite(sc).all() or sc.min() < 0:
+        raise ValueError(f"env {env_id}: scores must be finite and nonnegative")
+    if np.any(np.diff(sc) < 0):
+        raise ValueError(f"env {env_id}: scores must be sorted ascending")
+    return sc
+
+
+def _check_moments(mu, v) -> None:
+    """Raise unless the moment summaries (arrays or one environment's floats)
+    are finite and the spreads nonnegative."""
+    if not (np.isfinite(mu).all() and np.isfinite(v).all() and np.min(v) >= 0):
+        raise ValueError("moment summaries must be finite, spreads nonnegative")
+
+
 @dataclass(frozen=True)
 class CalibrationState:
     """Sorted conformity scores and representation moments per environment.
@@ -125,26 +145,16 @@ class CalibrationState:
         _check_env_ids(self.env_ids)
         if len(self.scores) != len(self.env_ids):
             raise ValueError("per-environment fields disagree on length")
-        frozen = []
-        for env_id, sc in zip(self.env_ids, self.scores):
-            sc = _readonly(sc)
-            if sc.size < 1:
-                raise ValueError(f"env {env_id}: empty score vector")
-            if not np.isfinite(sc).all() or sc.min() < 0:
-                raise ValueError(f"env {env_id}: scores must be finite and nonnegative")
-            if np.any(np.diff(sc) < 0):
-                raise ValueError(f"env {env_id}: scores must be sorted ascending")
-            frozen.append(sc)
+        frozen = tuple(_env_scores(env_id, sc) for env_id, sc in zip(self.env_ids, self.scores))
         object.__setattr__(self, "env_ids", tuple(int(e) for e in self.env_ids))
-        object.__setattr__(self, "scores", tuple(frozen))
+        object.__setattr__(self, "scores", frozen)
         mu, v = _readonly(self.mu), _readonly(self.v)
         if mu.shape != (self.m,) or v.shape != (self.m,):
             raise ValueError(
                 f"mu and v must have shape ({self.m},), one value per environment, "
                 f"got {mu.shape} and {v.shape}"
             )
-        if not (np.isfinite(mu).all() and np.isfinite(v).all() and v.min() >= 0):
-            raise ValueError("moment summaries must be finite, spreads nonnegative")
+        _check_moments(mu, v)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
         # nan equals no alpha, so the first query fills the memo
@@ -336,10 +346,16 @@ def _parse_scores(path: str, block: list[tuple[int, str]]) -> np.ndarray:
 
 
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
-    """Read a state written by save_state; every value is re-validated."""
+    """Read a state written by save_state; every value is re-validated.
+
+    Each section is checked as it is read, with the state's own rules, and
+    a section that breaks one is named by its header line.
+    """
     env_ids, scores, mus, vs = [], [], [], []
     declared_m = None
     lines = numbered_lines(path)
+    if not lines:
+        raise ValueError(f"{path}: need at least one environment")
     pos = 0
     while pos < len(lines):
         lineno, text = lines[pos]
@@ -363,24 +379,22 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
             raise ValueError(
                 f"{path}: line {lineno}: env {env_id}: fewer than {n_cal} score lines"
             )
-        block = lines[pos + 1 : pos + 1 + n_cal]
+        block = _parse_scores(path, lines[pos + 1 : pos + 1 + n_cal])
+        try:
+            _check_env_ids((*env_ids, env_id))
+            _check_moments(mu, v)
+            scores.append(_env_scores(env_id, block))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         env_ids.append(env_id)
-        scores.append(_parse_scores(path, block))
         mus.append(mu)
         vs.append(v)
         pos += 1 + n_cal
-    if declared_m is not None and declared_m != len(env_ids):
+    if declared_m != len(env_ids):
         raise ValueError(
             f"{path}: line {lines[0][0]}: header declares {declared_m} environments, "
             f"found {len(env_ids)}"
         )
-    try:
-        return CalibrationState(
-            model=model,
-            env_ids=tuple(env_ids),
-            scores=tuple(scores),
-            mu=np.array(mus),
-            v=np.array(vs),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return CalibrationState(
+        model=model, env_ids=tuple(env_ids), scores=tuple(scores), mu=np.array(mus), v=np.array(vs)
+    )

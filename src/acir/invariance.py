@@ -4,16 +4,16 @@ The idea: a representation is invariant when the expectation of the
 prediction, re-weighted to look as if the data had been drawn from a
 *baseline* environment, does not depend on which *source* environment the
 samples actually came from. We estimate that expectation for every
-(baseline, source) pair and report, per baseline, how much the estimates
-vary across sources. Averaging those per-baseline variances gives a single
-scalar: larger means less invariant.
+(baseline, source) pair, the m_hat table, predicting each source once. The
+report derives from the table, per baseline, how much the estimates vary
+across sources; averaging those variances gives a single scalar, inv:
+larger means less invariant.
 
 Density ratios between environments are estimated with independent
 diagonal-Gaussian fits per environment, which keeps the estimator closed
 form and cheap in moderate dimension. Ratios are evaluated in log space and
 clamped to [1e-6, 1e6] so a single far-tail point cannot dominate the mean.
-The ratio estimator is
-pluggable for callers who have something better than the Gaussian fit.
+The ratio estimator is pluggable for callers who have something better.
 
 What the statistic measures: with exact density ratios,
 m_hat[b, s] = E_s[f(X) p_b(X)/p_s(X)] = E_b[f(X)] for every source s, so
@@ -29,7 +29,7 @@ paper's estimand cannot be confirmed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,56 +137,38 @@ def likelihood_ratio(
     return np.clip(ratio, lo, hi)
 
 
-def m_hat(
-    model: LinearIRMModel,
-    density: DensityModel,
-    baseline_env: int,
-    data: EnvDataset,
-    ratio_fn=None,
-) -> float:
-    """Reweighted mean prediction: source samples viewed through the baseline.
-
-    Averages prediction(x_i) * rho(x_i) over the source environment's samples,
-    normalized by the sample count, where rho re-weights toward the baseline
-    environment. ratio_fn(x, baseline_env, source_env) -> per-row ratios
-    replaces the default Gaussian estimator when given.
-    """
-    if ratio_fn is None:
-        ratio_fn = lambda x, b, s: likelihood_ratio(density, x, b, s)  # noqa: E731
-    rho = np.asarray(ratio_fn(data.features, baseline_env, data.env_id), dtype=float)
-    if rho.shape != (data.n,):
-        raise ValueError(f"ratio_fn returned shape {rho.shape}, expected ({data.n},)")
-    preds = model.predict(data.features)
-    return float(np.mean(preds * rho))
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
-    """m_hat matrix (baseline x source), the scalar summary, and shift offsets.
+    """m_hat matrix (baseline x source) and the two summaries derived from it.
 
     inv is the mean over baselines of the population variance of each
     baseline's row — the variance includes the own-source (diagonal) entry.
     delta[e] is |mean of row e excluding the diagonal - diagonal entry|.
-    It is reported, not applied: no interval is widened by it.
+    It is reported, not applied: no interval is widened by it. Both are
+    computed here from m_hat, so a report cannot disagree with its matrix.
     """
 
     env_ids: tuple[int, ...]
     m_hat: np.ndarray
-    inv: float
-    delta: np.ndarray
+    inv: float = field(init=False)
+    delta: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         m = len(self.env_ids)
-        mat, delta = _readonly(self.m_hat), _readonly(self.delta)
+        if m < 2:
+            raise ValueError(f"need >= 2 environments to compare, got {m}")
+        mat = _readonly(self.m_hat)
         if mat.shape != (m, m):
             raise ValueError(f"m_hat must be ({m}, {m}), got {mat.shape}")
-        if delta.shape != (m,):
-            raise ValueError(f"delta must have length {m}, got {delta.shape}")
-        if not (np.isfinite(mat).all() and np.isfinite(self.inv) and np.isfinite(delta).all()):
+        # a finite matrix can still overflow its row variance: caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = float(np.mean(np.var(mat, axis=1)))
+            off_diag = mat.sum(axis=1) - np.diag(mat)
+            delta = _frozen(np.abs(off_diag / (m - 1) - np.diag(mat)))
+        if not (np.isfinite(mat).all() and np.isfinite(inv) and np.isfinite(delta).all()):
             raise ValueError("m_hat, inv and delta entries must be finite")
-        if self.inv < 0 or delta.min() < 0:
-            raise ValueError("inv and delta entries must be nonnegative")
         object.__setattr__(self, "m_hat", mat)
+        object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "delta", delta)
 
 
@@ -196,20 +178,26 @@ def inv_statistic(
     envs: list[EnvDataset],
     ratio_fn=None,
 ) -> InvarianceReport:
-    """Assess invariance of the model's predictions across environments."""
+    """Assess invariance of the model's predictions across environments.
+
+    Cell [b, s] averages prediction(x_i) * rho(x_i) over source s's samples,
+    normalized by the sample count, where rho re-weights toward baseline b.
+    Each source is predicted once. ratio_fn(x, baseline_env, source_env) ->
+    per-row ratios replaces the default Gaussian estimator when given.
+    """
     check_envs(envs)
-    if len(envs) < 2:
-        raise ValueError(f"need >= 2 environments to compare, got {len(envs)}")
+    if ratio_fn is None:
+        ratio_fn = lambda x, b, s: likelihood_ratio(density, x, b, s)  # noqa: E731
     env_ids = tuple(env.env_id for env in envs)
-    m = len(envs)
-    mat = np.empty((m, m))
-    for i, baseline in enumerate(env_ids):
-        for j, source in enumerate(envs):
-            mat[i, j] = m_hat(model, density, baseline, source, ratio_fn=ratio_fn)
-    inv = float(np.mean(np.var(mat, axis=1)))
-    off_diag = mat.sum(axis=1) - np.diag(mat)
-    delta = np.abs(off_diag / (m - 1) - np.diag(mat))
-    return InvarianceReport(env_ids=env_ids, m_hat=_frozen(mat), inv=inv, delta=_frozen(delta))
+    mat = np.empty((len(envs), len(envs)))
+    for j, source in enumerate(envs):
+        preds = model.predict(source.features)
+        for i, baseline in enumerate(env_ids):
+            rho = np.asarray(ratio_fn(source.features, baseline, source.env_id), dtype=float)
+            if rho.shape != (source.n,):
+                raise ValueError(f"ratio_fn returned shape {rho.shape}, expected ({source.n},)")
+            mat[i, j] = float(np.mean(preds * rho))
+    return InvarianceReport(env_ids=env_ids, m_hat=_frozen(mat))
 
 
 def write_report(report: InvarianceReport, path: str) -> None:

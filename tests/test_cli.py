@@ -14,6 +14,7 @@ import acir
 from acir import cli
 from acir.cli import build_parser, main
 from acir.datagen import load_csv
+from acir.models import FitConfig, fit_irmv1, save_model
 
 FAST = ["--penalty-weight", "3", "--init-scale", "1.0"]
 
@@ -81,6 +82,8 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
       "--out", "{d}"], "learning_rate and tolerance must be positive and finite"),
     (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "1,1",
       "--out", "{d}"], "test_envs names environments [1] more than once"),
+    (["bench", "run", "--setting", "FOU", "--test-envs", "1", "--out", "{d}"],
+     "test_envs applies only in CSV mode, got (1,) with setting 'FOU'"),
 ])
 def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, argv, message):
     assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1
@@ -510,15 +513,53 @@ def test_every_flag_can_be_a_config_key(tmp_path, monkeypatch, words, action, fl
         assert got == explicit
 
 
+def test_fit_without_calibration_out_fits_every_row_and_writes_only_the_model(
+    workspace, capsys
+):
+    tmp_path, data = workspace
+    model = tmp_path / "model.txt"
+    assert run_cli("fit", "--data", data, "--out", str(model), *FAST) == 0
+    assert capsys.readouterr().out == f"{model}\n"
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "model.txt"]
+    expected = tmp_path / "expected.txt"
+    save_model(fit_irmv1(load_csv(data), FitConfig(penalty_weight=3.0, init_scale=1.0)),
+               str(expected))
+    assert model.read_bytes() == expected.read_bytes()
+
+
+def _src_env(**overrides):
+    """os.environ with src first on PYTHONPATH, then overrides; a None value unsets."""
+    src = str(Path(acir.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update(overrides)
+    return {k: v for k, v in env.items() if v is not None}
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="the fork gate needs two CPUs in the affinity mask")
+def test_the_command_pins_one_blas_thread_so_its_fork_gate_opens():
+    # the library pins nothing; the command's entry module pins before numpy loads
+    code = ("import os, acir.__main__; from acir import core; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], core._can_fork())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(OPENBLAS_NUM_THREADS=None), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 True\n", "")
+
+
+def test_importing_the_library_sets_no_blas_pin():
+    code = "import os, acir.cli, acir.bench; print('OPENBLAS_NUM_THREADS' in os.environ)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(OPENBLAS_NUM_THREADS=None), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_python_m_acir_reads_config(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("setting = POU\nn = 30\nseed = 5\n")
     out = tmp_path / "d.csv"
-    src = str(Path(acir.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "acir", "datagen", "sem", "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{out}\n", "")
     expected = tmp_path / "e.csv"

@@ -654,6 +654,16 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
      "line 3: env 1: fewer than 3 score lines"),
     ("\n0 3 1 0.0 1.0\n1.0\n1 3 1 0.0 1.0\n1.0\n",
      "line 2: header declares 3 environments, found 2"),
+    # the state's own rules, checked per section and named by its header line
+    ("0 2 1 0.0 1.0\n1.0\n\n0 2 1 0.0 1.0\n2.0\n",
+     "line 4: duplicate environment ids in (0, 0)"),
+    ("0 1 2 0.0 1.0\n2.0\n1.0\n", "line 1: env 0: scores must be sorted ascending"),
+    ("0 2 1 0.0 1.0\n1.0\n1 2 2 0.0 1.0\n3.0\n2.0\n",
+     "line 3: env 1: scores must be sorted ascending"),
+    ("0 1 2 0.0 1.0\n-1.0\n1.0\n", "line 1: env 0: scores must be finite and nonnegative"),
+    ("0 1 1 0.0 -1.0\n1.0\n", "line 1: moment summaries must be finite, spreads nonnegative"),
+    ("", "need at least one environment"),
+    ("\n \n", "need at least one environment"),
 ])
 def test_load_state_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     path = tmp_path / "state.txt"

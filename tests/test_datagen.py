@@ -1,6 +1,8 @@
+import math
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from acir import core, datagen
+from acir.bench import ExperimentConfig
 from acir.core import EnvDataset
 from acir.datagen import (
     DEFAULT_ENV_PARAMS,
@@ -187,6 +190,24 @@ def test_split_partitions_the_rows():
         assert sp.train.n + sp.calibration.n == n
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: env_sizes(7.5, 3), "total must be an integer, got 7.5"),
+    (lambda: env_sizes(9, 3.0), "m must be an integer, got 3.0"),
+    (lambda: generate_sem(SemConfig(setting="FOU"), 0.2, 2.5, 0), "n must be an integer, got 2.5"),
+    (lambda: split_dataset(EnvDataset(0, np.ones((4, 1)), np.zeros(4)), float("nan"), 0),
+     "train fraction must be in (0, 1), got nan"),
+    (lambda: split_dataset(EnvDataset(0, np.ones((4, 1)), np.zeros(4)), 1.5, 0),
+     "train fraction must be in (0, 1), got 1.5"),
+    (lambda: ExperimentConfig("FOU", test_envs=(1,)),
+     "test_envs applies only in CSV mode, got (1,) with setting 'FOU'"),
+], ids=["env_sizes-total", "env_sizes-m", "generate_sem-n", "split-nan", "split-above-one",
+        "synthetic-test_envs"])
+def test_a_value_that_failed_late_or_was_ignored_is_refused_by_name(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_split_rejects_empty_parts():
     data = EnvDataset(0, np.ones((3, 1)), np.zeros(3))
     with pytest.raises(ValueError):
@@ -214,6 +235,21 @@ def test_save_csv_rejects_two_environments_with_one_id(tmp_path):
     with pytest.raises(ValueError, match=r"duplicate environment ids in \[0, 0\]"):
         save_csv([env, env], str(path))
     assert not path.exists()
+
+
+def test_load_csv_hands_over_each_array_without_a_second_copy(tmp_path, monkeypatch):
+    cfg = SemConfig(setting="POU", seed=5)
+    path = str(tmp_path / "d.csv")
+    save_csv([generate_sem(cfg, e, 25, stream_seed=9) for e in cfg.env_params], path)
+    copies = []
+    readonly = core._readonly
+    monkeypatch.setattr(core, "_readonly", lambda a: copies.append(a) or readonly(a))
+    envs = load_csv(path)
+    arrays = [a for env in envs for a in (env.features, env.targets)]
+    assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
+    assert all(any(a is c for c in copies) for a in arrays)  # kept as handed over
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_csv_groups_rows_by_env(tmp_path):
@@ -427,6 +463,77 @@ def test_a_body_that_fails_its_checks_has_a_line_that_is_named(body):
             with open(path, encoding="utf-8", newline="") as fh:
                 with pytest.raises(CsvParseError, match=r": line \d+: "):
                     datagen._name_bad_line(path, fh, width, env_column)
+
+
+def _reference_name_bad_line(path, fh, width, env_column):
+    """_name_bad_line as first written, every rule on one line at a time: the reference."""
+    fh.seek(0)
+    fh.readline()
+    for lineno, line in enumerate(fh, start=2):
+        text = line.rstrip("\r\n")
+        if not text:
+            continue
+        cells = text.split(",")
+        where = f"{path}: line {lineno}"
+        if len(cells) != width:
+            raise CsvParseError(f"{where}: expected {width} columns, got {len(cells)}")
+        if env_column:
+            try:
+                int(cells[0])
+            except ValueError:
+                raise CsvParseError(f"{where}: env {cells[0]!r} is not an integer") from None
+        try:
+            values = [float(c) for c in (cells[1:] if env_column else cells)]
+        except ValueError:
+            raise CsvParseError(f"{where}: non-numeric cell in {cells!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise CsvParseError(f"{where}: non-finite cell in {cells!r}")
+        try:
+            datagen._parse_rows([text], width, env_column)
+        except ValueError:
+            raise CsvParseError(f"{where}: cell outside the number grammar in {cells!r}") from None
+
+
+def _named(scan, path, width, env_column):
+    """The message of the CsvParseError scan raises on the file at path, or None."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            scan(path, fh, width, env_column)
+        except CsvParseError as exc:
+            return str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(bodies(), st.sampled_from([1, 2, 3, datagen._RULE_BLOCK_LINES]))
+def test_the_block_scan_names_the_line_and_message_of_the_line_by_line_scan(body, block):
+    width, env_column, text = body
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "body.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("header\n" + text)
+        expected = _named(_reference_name_bad_line, path, width, env_column)
+        with mock.patch.object(datagen, "_RULE_BLOCK_LINES", block):
+            assert _named(datagen._name_bad_line, path, width, env_column) == expected
+
+
+@pytest.mark.parametrize("first, second", [
+    (0, 1), (1023, 1024), (1025, 1030), (2500, 2999)
+])
+@pytest.mark.parametrize("bad_rows", [
+    ("0,1_0,2.0", "0,abc,2.0"), ("0,1.0,inf", "0,1_0,2.0"), ("x,1.0,2.0", "0,1.0")
+], ids=["grammar-then-numeric", "non-finite-then-grammar", "env-then-width"])
+def test_the_first_of_two_bad_lines_is_named_across_blocks(tmp_path, first, second, bad_rows):
+    rows = ["0,1.5,-2e3"] * 3000
+    rows[first], rows[second] = bad_rows
+    path = tmp_path / "d.csv"
+    path.write_text("env,y,x1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    expected = _named(_reference_name_bad_line, str(path), 3, True)
+    assert f": line {first + 2}: " in expected
+    assert _named(datagen._name_bad_line, str(path), 3, True) == expected
+    with pytest.raises(CsvParseError) as info:
+        load_csv(str(path))
+    assert str(info.value) == expected
 
 
 def _oracle_generate_sem(config, env_param, n, stream_seed):

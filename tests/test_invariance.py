@@ -12,7 +12,6 @@ from acir.invariance import (
     fit_density,
     inv_statistic,
     likelihood_ratio,
-    m_hat,
     write_report,
 )
 from acir.models import LinearIRMModel
@@ -75,15 +74,26 @@ def test_density_model_neither_freezes_nor_aliases_the_callers_arrays():
 
 
 def test_invariance_report_neither_freezes_nor_aliases_the_callers_arrays():
-    mat, base, _ = _owned_and_view([[1.0, 2.0], [3.0, 4.0]])
-    delta = base[1]
-    report = InvarianceReport(env_ids=(0, 1), m_hat=mat, inv=0.5, delta=delta)
-    assert mat.flags.writeable and delta.flags.writeable
+    mat, base, view = _owned_and_view([[1.0, 2.0], [3.0, 4.0]])
+    owned = InvarianceReport(env_ids=(0, 1), m_hat=mat)
+    viewed = InvarianceReport(env_ids=(0, 1), m_hat=view)
+    assert mat.flags.writeable and base.flags.writeable
     mat[0, 0] = 9.0
-    base[1, 0] = -1.0
-    assert report.m_hat.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert report.delta.tolist() == [3.0, 4.0]
-    assert not (report.m_hat.flags.writeable or report.delta.flags.writeable)
+    base[0, 0] = -1.0
+    assert owned.m_hat.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert viewed.m_hat.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+    for report in (owned, viewed):
+        assert not (report.m_hat.flags.writeable or report.delta.flags.writeable)
+
+
+def test_invariance_report_derives_inv_and_delta_from_its_matrix():
+    report = InvarianceReport(env_ids=(0, 1), m_hat=[[1.0, 2.0], [3.0, 4.0]])
+    assert report.inv == 0.25  # both rows have population variance 1/4
+    assert report.delta.tolist() == [1.0, 1.0]
+    with pytest.raises(TypeError):
+        InvarianceReport(env_ids=(0, 1), m_hat=np.zeros((2, 2)), inv=0.5, delta=np.zeros(2))
+    with pytest.raises(AttributeError):
+        report.inv = 0.5
 
 
 def test_density_model_rejects_nonpositive_variance():
@@ -146,27 +156,64 @@ def test_likelihood_ratio_reciprocity_when_unclamped():
 
 
 # ---------------------------------------------------------------------------
-# m_hat and the statistic
+# the m_hat cells and the statistic
 
 
-def test_m_hat_with_unit_ratios_is_mean_prediction():
+def test_cells_with_unit_ratios_are_the_sources_mean_predictions():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(100, 2))
-    data = EnvDataset(1, x, np.zeros(100))
+    envs = [EnvDataset(e, rng.normal(size=(100, 2)), np.zeros(100)) for e in (0, 1)]
     # identical fitted Gaussians for both environments: every ratio is one
     dens = unit_gaussians([0.0, 0.0], [0.0, 0.0])
     model = two_row_model([2.0, -1.0])
-    got = m_hat(model, dens, baseline_env=0, data=data)
-    assert abs(got - float(np.mean(model.predict(x)))) < 1e-12
+    mat = inv_statistic(model, dens, envs).m_hat
+    for j, env in enumerate(envs):
+        for i in range(2):
+            assert abs(mat[i, j] - float(np.mean(model.predict(env.features)))) < 1e-12
 
 
-def test_m_hat_rejects_bad_ratio_shape():
+def test_each_cell_weighs_its_sources_predictions_by_the_ratio_fn():
+    rng = np.random.default_rng(13)
+    envs = [EnvDataset(e, rng.normal(size=(40, 2)), np.zeros(40)) for e in (3, 7)]
+    dens = unit_gaussians([0.0, 0.0], [0.0, 0.0])
+    model = two_row_model([1.0, 0.5])
+    calls = []
+
+    def ratio_fn(x, b, s):
+        calls.append((b, s))
+        return np.full(x.shape[0], 10.0 * b + s)
+
+    mat = inv_statistic(model, dens, envs, ratio_fn=ratio_fn).m_hat
+    assert sorted(calls) == [(3, 3), (3, 7), (7, 3), (7, 7)]
+    for i, b in enumerate((3, 7)):
+        for j, env in enumerate(envs):
+            expected = float(np.mean(model.predict(env.features) * (10.0 * b + env.env_id)))
+            assert mat[i, j] == expected
+
+
+def test_inv_statistic_predicts_each_source_once():
+    rng = np.random.default_rng(14)
+    envs = [EnvDataset(e, rng.normal(size=(20, 2)), np.zeros(20)) for e in range(3)]
+    model = two_row_model([1.0, -1.0])
+    seen = []
+
+    class Counting(LinearIRMModel):
+        def predict(self, x):
+            seen.append(x.shape[0])
+            return super().predict(x)
+
+    counting = Counting(phi=model.phi, penalty_weight=0.0)
+    report = inv_statistic(counting, fit_density(envs), envs)
+    assert seen == [20, 20, 20]
+    assert report.m_hat.tolist() == inv_statistic(model, fit_density(envs), envs).m_hat.tolist()
+
+
+def test_inv_statistic_rejects_bad_ratio_shape():
     rng = np.random.default_rng(6)
-    data = EnvDataset(1, rng.normal(size=(10, 2)), np.zeros(10))
+    envs = [EnvDataset(e, rng.normal(size=(10, 2)), np.zeros(10)) for e in (0, 1)]
     dens = unit_gaussians([0.0, 0.0], [0.0, 0.0])
     model = two_row_model([1.0, 0.0])
-    with pytest.raises(ValueError, match="shape"):
-        m_hat(model, dens, 0, data, ratio_fn=lambda x, b, s: np.ones(3))
+    with pytest.raises(ValueError, match=r"^ratio_fn returned shape \(3,\), expected \(10,\)$"):
+        inv_statistic(model, dens, envs, ratio_fn=lambda x, b, s: np.ones(3))
 
 
 def test_identical_environments_give_zero_inv_and_delta():
@@ -254,25 +301,24 @@ def test_spurious_weights_score_less_invariant_than_causal_weights():
 
 
 def test_report_validation():
-    with pytest.raises(ValueError, match="m_hat"):
-        InvarianceReport(env_ids=(0, 1), m_hat=np.zeros((3, 3)), inv=0.0, delta=np.zeros(2))
-    with pytest.raises(ValueError, match="nonnegative"):
-        InvarianceReport(env_ids=(0, 1), m_hat=np.zeros((2, 2)), inv=-1.0, delta=np.zeros(2))
+    with pytest.raises(ValueError, match=r"^m_hat must be \(2, 2\), got \(3, 3\)$"):
+        InvarianceReport(env_ids=(0, 1), m_hat=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^need >= 2 environments to compare, got 1$"):
+        InvarianceReport(env_ids=(0,), m_hat=np.zeros((1, 1)))
 
 
-@pytest.mark.parametrize("m_hat, inv, delta", [
-    (np.zeros((2, 2)), np.nan, [0.0, 0.0]),
-    (np.zeros((2, 2)), np.inf, [0.0, 0.0]),
-    (np.zeros((2, 2)), 0.0, [np.nan, 0.0]),
-    (np.zeros((2, 2)), 0.0, [0.0, np.inf]),
-    (np.full((2, 2), np.inf), 0.0, [0.0, 0.0]),
-    (np.array([[0.0, np.nan], [0.0, 0.0]]), 0.0, [0.0, 0.0]),
-    (np.array([[0.0, 0.0], [-np.inf, 0.0]]), 0.0, [0.0, 0.0]),
-], ids=["inv-nan", "inv-inf", "delta-nan", "delta-inf", "m_hat-all-inf", "m_hat-nan",
-        "m_hat-minus-inf"])
-def test_report_rejects_non_finite_entries(m_hat, inv, delta):
-    with pytest.raises(ValueError, match="must be finite"):
-        InvarianceReport(env_ids=(0, 1), m_hat=m_hat, inv=inv, delta=delta)
+@pytest.mark.parametrize("m_hat", [
+    np.full((2, 2), np.inf),
+    np.array([[0.0, np.nan], [0.0, 0.0]]),
+    np.array([[0.0, 0.0], [-np.inf, 0.0]]),
+    # finite cells whose row variance overflows while delta stays 0
+    np.array([[0.0, 1.5e308, -1.5e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    # finite cells whose delta overflows
+    np.array([[-1e308, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+], ids=["m_hat-all-inf", "m_hat-nan", "m_hat-minus-inf", "inv-overflow", "delta-overflow"])
+def test_report_rejects_non_finite_entries(m_hat):
+    with pytest.raises(ValueError, match="^m_hat, inv and delta entries must be finite$"):
+        InvarianceReport(env_ids=tuple(range(len(m_hat))), m_hat=m_hat)
 
 
 def test_write_report_round_trips_values(tmp_path):
