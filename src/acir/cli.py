@@ -183,8 +183,9 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     fit_p.add_argument("--calibration-out", default=None,
                        help="also split, calibrate, and write this state file")
     fit_p.add_argument("--train-fraction", type=_checked(float, check_train_fraction),
-                       default=0.5)
-    fit_p.add_argument("--split-seed", type=_seed, default=0)
+                       default=None, help="with --calibration-out (default 0.5)")
+    fit_p.add_argument("--split-seed", type=_seed, default=None,
+                       help="with --calibration-out (default 0)")
     _add_fit_flags(fit_p)
 
     assess_p = leaf(sub, "assess", summary="invariance report for a fitted model")
@@ -244,7 +245,20 @@ def _splice_config(argv: list[str], leaves: dict[tuple[str, ...], _Parser]) -> l
     return argv[:n] + tokens + argv[n:]
 
 
+def _refuse_flags(args: argparse.Namespace, flags: dict[str, str], mode: str) -> None:
+    """A usage error naming the first of ``flags`` (flag: its dest) that was
+    given, as a flag or a config key: ``mode`` does not use it."""
+    for flag, dest in flags.items():
+        if getattr(args, dest) is not None:
+            raise _UsageError(f"{flag} does not apply {mode}")
+
+
 def _cmd_bench_run(args: argparse.Namespace) -> int:
+    if args.setting.startswith("csv:"):
+        _refuse_flags(args, {
+            "--n-train": "n_train_total", "--n-cal": "n_cal_total", "--n-test": "n_test_total",
+            "--env-params": "env_params", "--resplit-only": "resplit_only",
+        }, f"in CSV mode, got setting {args.setting!r}")
     with _usage_errors():
         config = _from_flags(ExperimentConfig, args, fit=_fit_config(args))
     rows = run_experiment(config)
@@ -268,11 +282,16 @@ def _cmd_datagen_sem(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    if args.calibration_out is None:
+        _refuse_flags(args, {"--train-fraction": "train_fraction", "--split-seed": "split_seed"},
+                      "without --calibration-out")
     with _usage_errors():
         config = _fit_config(args)
     envs = load_csv(args.data)
     if args.calibration_out is not None:
-        splits = [split_dataset(env, args.train_fraction, seed=args.split_seed) for env in envs]
+        fraction = 0.5 if args.train_fraction is None else args.train_fraction
+        seed = 0 if args.split_seed is None else args.split_seed
+        splits = [split_dataset(env, fraction, seed=seed) for env in envs]
         train = [sp.train for sp in splits]
         cal = [sp.calibration for sp in splits]
     else:

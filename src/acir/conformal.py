@@ -142,11 +142,10 @@ class CalibrationState:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_env_ids(self.env_ids)
+        object.__setattr__(self, "env_ids", _check_env_ids(self.env_ids))
         if len(self.scores) != len(self.env_ids):
             raise ValueError("per-environment fields disagree on length")
         frozen = tuple(_env_scores(env_id, sc) for env_id, sc in zip(self.env_ids, self.scores))
-        object.__setattr__(self, "env_ids", tuple(int(e) for e in self.env_ids))
         object.__setattr__(self, "scores", frozen)
         mu, v = _readonly(self.mu), _readonly(self.v)
         if mu.shape != (self.m,) or v.shape != (self.m,):

@@ -84,7 +84,7 @@ class EnvDataset:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "env_id", int(self.env_id))
+        object.__setattr__(self, "env_id", _integer("env_id", self.env_id))
         features = _readonly(np.atleast_2d(self.features))
         targets = _readonly(np.atleast_1d(self.targets))
         if features.ndim != 2:
@@ -119,12 +119,15 @@ class EnvDataset:
         return _frozen(x.T @ x / n), _frozen(x.T @ y / n), float(y @ y) / n
 
 
-def _check_env_ids(env_ids: Sequence[int]) -> None:
-    """Raise unless the environment ids are nonempty and distinct."""
+def _check_env_ids(env_ids: Sequence[int]) -> tuple[int, ...]:
+    """The environment ids as a tuple of ints, each taken through _integer;
+    a ValueError unless they are nonempty and distinct as ints."""
     if len(env_ids) == 0:
         raise ValueError("need at least one environment")
-    if len(set(env_ids)) != len(env_ids):
+    ids = tuple(_integer("env_id", e) for e in env_ids)
+    if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate environment ids in {env_ids}")
+    return ids
 
 
 def check_envs(envs: Sequence[EnvDataset]) -> int:
@@ -434,9 +437,9 @@ def parse_in_two(fd: int, start: int, parse: Callable[[TextIO], np.ndarray]) -> 
     """parse's rows of a text file's lines from byte start on, in file order.
 
     fd is the open file, read as open(path, encoding="utf-8") reads it, with
-    os.pread, so no reader's place in it moves; start is where a line that
-    holds a row begins. parse gets a run of lines as a text stream and
-    returns a 1-D array of one dtype; a run may hold no rows. From
+    os.pread, so no reader's place in it moves; start is where a line
+    begins, a blank one too. parse gets a run of lines as a text stream
+    and returns a 1-D array of one dtype; a run may hold no rows. From
     _PARALLEL_BYTES on, the lines are split after the first newline from the
     middle byte on (within 64 KiB), and _in_two's worker may parse those
     after it; their rows come back through its temporary file, read straight

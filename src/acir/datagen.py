@@ -53,10 +53,9 @@ __all__ = [
 
 SETTINGS = ("FOU", "FEU", "POU", "PEU")
 DEFAULT_ENV_PARAMS = (0.2, 2.0, 5.0)
-# Lines _name_bad_line checks at once. On a 12-column file, a np.loadtxt
-# call cost about 16 us and each line in it 4 us; so blocks of 1024 lines
-# pay little for their calls, and the line-by-line pass over the one block
-# that breaks a rule takes about 25 ms.
+# Lines _name_bad_line checks at once: on a 12-column file a np.loadtxt call
+# costs about 15 us and each line in it 3 us, so the blocks' calls cost little
+# and the line-by-line pass over the one block that breaks the rule 18-25 ms.
 _RULE_BLOCK_LINES = 1024
 
 
@@ -256,24 +255,25 @@ def split_dataset(data: EnvDataset, train_fraction: float, seed: int) -> DataSpl
     return DataSplit(train=part(perm[:n_train]), calibration=part(perm[n_train:]))
 
 
-def _expected_header(p: int) -> list[str]:
-    return ["env", "y"] + [f"x{j}" for j in range(1, p + 1)]
+def _feature_names(p: int) -> list[str]:
+    """The feature column names of a data or points file: x1..xp."""
+    return [f"x{j}" for j in range(1, p + 1)]
 
 
 def _read_numeric(
     path: str, check_header: Callable[[list[str]], None], env_column: bool
 ) -> np.ndarray:
-    """Parse a CSV whose header passes ``check_header`` and whose body is all numbers.
+    """Parse a CSV whose header passes ``check_header`` and whose body keeps the row rule.
 
     check_header gets the stripped header cells and raises CsvParseError on a
     bad header; their count is the row width. np.loadtxt parses the body into
     a structured array: field ``vals`` is the float matrix of the value
     columns and, with ``env_column``, field ``env`` is the int64 first column.
-    parse_in_two parses it from the first data row on, a large body in two
-    halves on two processes, with the rows and errors of one loadtxt call.
-    Every value is finite. A file that loadtxt rejects, or that holds a
-    non-finite value, is read again in blocks only to name the offending
-    line.
+    parse_in_two parses it from the line after the header on, a large body
+    in two halves on two processes, with the rows and errors of one loadtxt
+    call; loadtxt skips blank lines. That parse and finite values are the row
+    rule (_keeps_rule): a file that breaks it is read again with the same
+    rule only to name the offending line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -282,22 +282,17 @@ def _read_numeric(
         header = [c.strip() for c in next(csv.reader([line]), [])]
         check_header(header)
         width = len(header)
-        # start: the first data row's byte offset. Lines are read untranslated,
-        # so the UTF-8 length of each is its length in the file.
-        start = len(line.encode())
-        for line in fh:
-            if line.rstrip("\r\n"):
-                break
-            start += len(line.encode())
-        else:
-            raise CsvParseError(f"{path}: no data rows")
         try:
+            # The header is read untranslated, so its UTF-8 length is its length in the file.
             table = parse_in_two(
-                fh.fileno(), start, lambda lines: _parse_rows(lines, width, env_column)
+                fh.fileno(), len(line.encode()),
+                lambda lines: _parse_rows(lines, width, env_column),
             )
         except ValueError as exc:
             _name_bad_line(path, fh, width, env_column)
             raise CsvParseError(f"{path}: {exc}") from None
+        if not len(table):
+            raise CsvParseError(f"{path}: no data rows")
         if not np.isfinite(table["vals"]).all():
             _name_bad_line(path, fh, width, env_column)
             raise CsvParseError(f"{path}: non-finite value")
@@ -307,8 +302,9 @@ def _read_numeric(
 def _parse_rows(lines: TextIO | list[str], width: int, env_column: bool) -> np.ndarray:
     """Parse lines with np.loadtxt into _read_numeric's structured array.
 
-    The structured dtype makes loadtxt check every row's width. A run of
-    parse_in_two's may hold no rows, and loadtxt's warning then would be wrong.
+    The structured dtype makes loadtxt check every row's width; blank lines
+    hold no row. A run of parse_in_two's, or a block of _name_bad_line's, may
+    hold no rows, and loadtxt's warning then would be wrong.
     """
     fields = [("env", np.int64)] if env_column else []
     fields.append(("vals", np.float64, (width - len(fields),)))
@@ -317,67 +313,55 @@ def _parse_rows(lines: TextIO | list[str], width: int, env_column: bool) -> np.n
         return np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
 
 
+def _keeps_rule(lines: list[str], width: int, env_column: bool) -> bool:
+    """Whether lines without their ends keep the row rule of a data file:
+    _parse_rows takes them and every value they hold is finite."""
+    try:
+        return bool(np.isfinite(_parse_rows(lines, width, env_column)["vals"]).all())
+    except ValueError:
+        return False
+
+
 def _name_bad_line(path: str, fh: TextIO, width: int, env_column: bool) -> None:
-    """Raise CsvParseError for the first data line that breaks a row rule.
+    """Raise CsvParseError for the first data line that breaks the row rule.
 
     fh is the file opened with newline="", so each line keeps its own end.
-    The rules: ``width`` comma-separated cells, an integer first cell when
-    ``env_column``, numeric and finite value cells, and every cell in the
-    number grammar of the fast parser, which rejects forms Python's int()
-    and float() accept (``1_0``, non-ASCII digits, env ids beyond int64).
-    Blank lines are skipped. Returns only if every line keeps the rules.
-    The lines are checked in blocks (see _name_bad_line_in).
+    The lines are checked with _keeps_rule a block of _RULE_BLOCK_LINES at a
+    time; in the first block that breaks it, each non-blank line on its own,
+    and the first line that breaks it is named with _line_fault's message.
+    So a line that loadtxt parses to finite values is never named. Returns
+    only if every line keeps the rule.
     """
     fh.seek(0)
     fh.readline()
     first = 2
     while lines := [line.rstrip("\r\n") for line in itertools.islice(fh, _RULE_BLOCK_LINES)]:
-        _name_bad_line_in(path, first, lines, width, env_column)
+        if not _keeps_rule(lines, width, env_column):
+            for lineno, text in enumerate(lines, start=first):
+                if text and not _keeps_rule([text], width, env_column):
+                    fault = _line_fault(text.split(","), width, env_column)
+                    raise CsvParseError(f"{path}: line {lineno}: {fault}")
         first += len(lines)
 
 
-def _name_bad_line_in(
-    path: str, first: int, lines: list[str], width: int, env_column: bool
-) -> None:
-    """_name_bad_line on a block of lines without their ends, numbered from first.
-
-    Each rule is checked on all the block's cells at once; only a block that
-    breaks one is checked again line by line, to name the line.
-    """
-    texts = [text for text in lines if text]
-    if all(text.count(",") == width - 1 for text in texts):
-        cells = ",".join(texts).split(",")
+def _line_fault(cells: list[str], width: int, env_column: bool) -> str:
+    """Why a line's cells break the row rule: the first of the column count, a
+    non-integer env, a non-numeric or non-finite cell; else a form loadtxt
+    rejects but int() and float() take (``1_0``, non-ASCII digits, int64 overflow)."""
+    if len(cells) != width:
+        return f"expected {width} columns, got {len(cells)}"
+    if env_column:
         try:
-            if env_column:
-                list(map(int, cells[::width]))
-                del cells[::width]
-            if all(map(math.isfinite, map(float, cells))):
-                _parse_rows(texts, width, env_column)
-                return
+            int(cells[0])
         except ValueError:
-            pass
-    for lineno, text in enumerate(lines, start=first):
-        if not text:
-            continue
-        cells = text.split(",")
-        where = f"{path}: line {lineno}"
-        if len(cells) != width:
-            raise CsvParseError(f"{where}: expected {width} columns, got {len(cells)}")
-        if env_column:
-            try:
-                int(cells[0])
-            except ValueError:
-                raise CsvParseError(f"{where}: env {cells[0]!r} is not an integer") from None
-        try:
-            values = [float(c) for c in (cells[1:] if env_column else cells)]
-        except ValueError:
-            raise CsvParseError(f"{where}: non-numeric cell in {cells!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise CsvParseError(f"{where}: non-finite cell in {cells!r}")
-        try:
-            _parse_rows([text], width, env_column)
-        except ValueError:
-            raise CsvParseError(f"{where}: cell outside the number grammar in {cells!r}") from None
+            return f"env {cells[0]!r} is not an integer"
+    try:
+        values = [float(c) for c in (cells[1:] if env_column else cells)]
+    except ValueError:
+        return f"non-numeric cell in {cells!r}"
+    if not all(map(math.isfinite, values)):
+        return f"non-finite cell in {cells!r}"
+    return f"cell outside the number grammar in {cells!r}"
 
 
 def load_csv(path: str) -> list[EnvDataset]:
@@ -396,7 +380,7 @@ def load_csv(path: str) -> list[EnvDataset]:
                 f"{path}: line 1: header must be env,y,x1,...,xp, got {header}"
             )
         p = len(header) - 2
-        if header != _expected_header(p):
+        if header[2:] != _feature_names(p):
             raise CsvParseError(
                 f"{path}: line 1: feature columns must be x1..x{p}, got {header[2:]}"
             )
@@ -420,7 +404,7 @@ def load_points(path: str, p: int) -> np.ndarray:
 
     The cells follow load_csv's grammar; every value is finite.
     """
-    expected = [f"x{j}" for j in range(1, p + 1)]
+    expected = _feature_names(p)
 
     def check_header(header: list[str]) -> None:
         if header != expected:
@@ -437,6 +421,6 @@ def save_csv(envs: list[EnvDataset], path: str) -> None:
     """
     p = check_envs(envs)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_expected_header(p)) + "\r\n")
+        fh.write(",".join(["env", "y", *_feature_names(p)]) + "\r\n")
         for env in envs:
             write_float_rows(fh, [env.targets, env.features], f"{env.env_id},", "\r\n")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EnvDataset, _frozen, _readonly, check_envs
+from .core import EnvDataset, _check_env_ids, _frozen, _readonly, check_envs
 from .models import LinearIRMModel
 
 __all__ = [
@@ -57,6 +57,7 @@ class DensityModel:
     variances: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "env_ids", _check_env_ids(self.env_ids))
         means = _readonly(np.atleast_2d(self.means))
         variances = _readonly(np.atleast_2d(self.variances))
         if means.shape != variances.shape or means.shape[0] != len(self.env_ids):
@@ -65,7 +66,6 @@ class DensityModel:
             raise ValueError("means and variances must be finite")
         if variances.min() <= 0:
             raise ValueError("variances must be strictly positive")
-        object.__setattr__(self, "env_ids", tuple(int(e) for e in self.env_ids))
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
 
@@ -157,6 +157,7 @@ class InvarianceReport:
         m = len(self.env_ids)
         if m < 2:
             raise ValueError(f"need >= 2 environments to compare, got {m}")
+        object.__setattr__(self, "env_ids", _check_env_ids(self.env_ids))
         mat = _readonly(self.m_hat)
         if mat.shape != (m, m):
             raise ValueError(f"m_hat must be ({m}, {m}), got {mat.shape}")

@@ -84,6 +84,15 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
       "--out", "{d}"], "test_envs names environments [1] more than once"),
     (["bench", "run", "--setting", "FOU", "--test-envs", "1", "--out", "{d}"],
      "test_envs applies only in CSV mode, got (1,) with setting 'FOU'"),
+    # a flag that its mode would ignore
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--train-fraction", "0.3"],
+     "--train-fraction does not apply without --calibration-out"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--split-seed", "0"],
+     "--split-seed does not apply without --calibration-out"),
+    *((["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", flag, value,
+        "--out", "{d}"], f"{flag} does not apply in CSV mode, got setting 'csv:")
+      for flag, value in [("--n-train", "100"), ("--n-cal", "100"), ("--n-test", "100"),
+                          ("--env-params", "1,2"), ("--resplit-only", "false")]),
 ])
 def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, argv, message):
     assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1

@@ -23,7 +23,7 @@ from acir.core import (
 )
 from acir.conformal import CalibrationState, calibrate, save_state
 from acir.datagen import save_csv
-from acir.invariance import DensityModel, fit_density, inv_statistic
+from acir.invariance import DensityModel, InvarianceReport, fit_density, inv_statistic
 from acir.models import FitConfig, LinearIRMModel, fit_irmv1, irm_objective, save_model
 from conftest import assert_no_child_left
 
@@ -146,6 +146,36 @@ def test_check_envs():
 
 MODEL = LinearIRMModel(phi=np.ones((2, 2)))
 DENSITY = DensityModel(env_ids=(0, 1), means=np.zeros((2, 2)), variances=np.ones((2, 2)))
+
+
+# Each container built from two environment ids; EnvDataset takes one.
+ID_CONTAINERS = {
+    "EnvDataset": lambda ids: EnvDataset(ids[0], np.ones((1, 1)), np.zeros(1)),
+    "CalibrationState": lambda ids: CalibrationState(
+        model=MODEL, env_ids=ids, scores=(np.ones(1), np.ones(1)), mu=np.zeros(2), v=np.ones(2)
+    ),
+    "DensityModel": lambda ids: DensityModel(
+        env_ids=ids, means=np.zeros((2, 2)), variances=np.ones((2, 2))
+    ),
+    "InvarianceReport": lambda ids: InvarianceReport(env_ids=ids, m_hat=np.eye(2)),
+}
+
+
+def _ids_of(container):
+    return (container.env_id,) if isinstance(container, EnvDataset) else container.env_ids
+
+
+@pytest.mark.parametrize("make", ID_CONTAINERS.values(), ids=ID_CONTAINERS.keys())
+def test_every_container_takes_env_ids_as_distinct_integers(make):
+    ids = _ids_of(make((np.int64(3), np.int32(-1))))
+    assert ids[:1] == (3,) and all(type(e) is int for e in ids)
+    for bad in [(0.4, 0.6), (1.7, 2), ("3", 4), (0.5, "a")]:
+        with pytest.raises(ValueError, match="env_id must be an integer"):
+            make(bad)
+    if len(ids) == 2:
+        assert ids == (3, -1)
+        with pytest.raises(ValueError, match=r"^duplicate environment ids in \(0, 0\)$"):
+            make((0, 0))
 
 
 @pytest.mark.parametrize("take", [

@@ -536,6 +536,19 @@ def test_the_first_of_two_bad_lines_is_named_across_blocks(tmp_path, first, seco
     assert str(info.value) == expected
 
 
+def test_only_a_line_the_reader_rejects_is_named(tmp_path):
+    # loadtxt reads an ASCII separator (\x1c-\x1f) around a number as space,
+    # while Python's float() rejects it: the line loads, so it is never named.
+    path = tmp_path / "d.csv"
+    path.write_text("env,y,x1\n0,\x1c1,2\n", encoding="utf-8")
+    assert load_csv(str(path))[0].targets.tolist() == [1.0]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("0,abc,2\n")
+    with pytest.raises(CsvParseError) as info:
+        load_csv(str(path))
+    assert str(info.value) == f"{path}: line 3: non-numeric cell in ['0', 'abc', '2']"
+
+
 def _oracle_generate_sem(config, env_param, n, stream_seed):
     """generate_sem as first written: one rng.normal call per block, then hstack."""
     e = float(env_param)

@@ -1,8 +1,10 @@
 """The public surface: each library name has one import path, its defining module."""
 
+import ast
 import importlib
 import inspect
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -44,3 +46,19 @@ def test_only_the_fork_primitive_forks():
     # and it alone asks the fork gate: its callers pass only their size test
     gate = re.compile(r"(?<!def )\b_can_fork\(\)")
     assert len(gate.findall(sources)) == len(gate.findall(primitive)) == 1
+
+
+@pytest.mark.parametrize("path", sorted(Path(acir.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_the_library_imports_only_the_standard_library_and_numpy(path):
+    # scipy and the test tools may serve tests and studies, never the library
+    allowed = set(sys.stdlib_module_names) | {"numpy", "acir"}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
