@@ -66,6 +66,17 @@ class BenchError(RuntimeError):
     """Pipeline failure; message carries (replication, stage)."""
 
 
+# The fields only one mode uses, keyed by whether that mode is CSV mode, with
+# the default each takes there. ExperimentConfig refuses them in the other mode.
+_MODE_DEFAULTS: dict[bool, dict[str, object]] = {
+    False: {
+        "n_train_total": 2000, "n_cal_total": 2000, "n_test_total": 2000,
+        "env_params": DEFAULT_ENV_PARAMS, "resplit_only": False,
+    },
+    True: {"csv_train_fraction": 0.5},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a setting, a sampling protocol, and the methods to score.
@@ -74,43 +85,58 @@ class ExperimentConfig:
     an ingested file instead of the synthetic generator. In CSV mode the
     environments listed in test_envs are held out for evaluation and the
     remaining environments are re-split into train/calibration each
-    replication with csv_train_fraction; the sample-size and env_params
-    fields are ignored. resplit_only freezes the synthetic draw at
-    replication 0 and only re-randomizes the train/calibration split.
+    replication with csv_train_fraction. resplit_only freezes the synthetic
+    draw at replication 0 and only re-randomizes the train/calibration split.
+
+    Each mode refuses the fields of the other, naming the field: the
+    synthetic settings refuse test_envs and csv_train_fraction, and CSV mode
+    refuses n_train_total, n_cal_total, n_test_total, env_params and
+    resplit_only. A field left at None in the mode that uses it reads its
+    default from _MODE_DEFAULTS.
     """
 
     setting: str
     alpha: float = 0.05
-    n_train_total: int = 2000
-    n_cal_total: int = 2000
-    n_test_total: int = 2000
-    env_params: tuple[float, ...] = DEFAULT_ENV_PARAMS
+    n_train_total: int | None = None
+    n_cal_total: int | None = None
+    n_test_total: int | None = None
+    env_params: tuple[float, ...] | None = None
     replications: int = 20
     seed: int = 0
     methods: tuple[str, ...] = METHODS
     fit: FitConfig = field(default_factory=FitConfig)
-    resplit_only: bool = False
+    resplit_only: bool | None = None
     test_envs: tuple[int, ...] = ()
-    csv_train_fraction: float = 0.5
+    csv_train_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.setting in SETTINGS or self.setting.startswith("csv:")):
+        if not (self.setting in SETTINGS or self.is_csv):
             raise ValueError(
                 f"setting must be one of {SETTINGS} or 'csv:<path>', got {self.setting!r}"
             )
+        for name in _MODE_DEFAULTS[not self.is_csv]:
+            if getattr(self, name) is not None:
+                raise ValueError(
+                    f"{name} does not apply {'in' if self.is_csv else 'outside'} CSV mode, "
+                    f"got setting {self.setting!r}"
+                )
+        for name, default in _MODE_DEFAULTS[self.is_csv].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         check_alpha(self.alpha)
-        for name in ("n_train_total", "n_cal_total", "n_test_total", "replications"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        check_train_fraction(self.csv_train_fraction)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        object.__setattr__(self, "env_params", check_env_params(self.env_params))
-        m = len(self.env_params)
-        if not self.is_csv:
+        if self.is_csv:
+            check_train_fraction(self.csv_train_fraction)
+        else:
+            object.__setattr__(self, "env_params", check_env_params(self.env_params))
+            m = len(self.env_params)
             if m < 2:
                 raise ValueError("need at least 2 environments")
             for name in ("n_train_total", "n_cal_total", "n_test_total"):
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
                 if getattr(self, name) < m:
                     raise ValueError(f"{name} must be >= number of environments")
         for method in self.methods:

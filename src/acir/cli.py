@@ -13,6 +13,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -73,7 +74,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--warmup-iters", type=int, default=None)
     group.add_argument("--init-scale", type=float, default=None)
     group.add_argument("--repr-dim", type=int, default=None)
-    group.add_argument("--fit-seed", type=_seed, default=None)
+    group.add_argument("--fit-seed", type=int, default=None)
 
 
 def _from_flags(cls: type, args: argparse.Namespace, **named):
@@ -149,9 +150,9 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p = leaf(bench_sub, "bench", "run", summary="run replications and write metric files")
     run_p.add_argument("--setting", required=True,
                        help=f"one of {'/'.join(SETTINGS)} or csv:<path>")
-    run_p.add_argument("--alpha", type=_checked(float, check_alpha), default=None)
+    run_p.add_argument("--alpha", type=float, default=None)
     run_p.add_argument("--reps", dest="replications", type=int, default=None)
-    run_p.add_argument("--seed", type=_seed, default=None)
+    run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--methods", type=_comma_list(str.strip), default=None,
                        help=f"comma list from {','.join(METHODS)}")
     run_p.add_argument("--n-train", dest="n_train_total", type=int, default=None)
@@ -161,8 +162,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     run_p.add_argument("--resplit-only", type=_boolean, nargs="?", const=True, default=None)
     run_p.add_argument("--test-envs", type=_comma_list(int), default=None,
                        help="CSV mode: env ids held out for evaluation")
-    run_p.add_argument("--csv-train-fraction", type=_checked(float, check_train_fraction),
-                       default=None)
+    run_p.add_argument("--csv-train-fraction", type=float, default=None)
     run_p.add_argument("--out", default=".", help="output directory (default .)")
     _add_fit_flags(run_p)
 
@@ -204,6 +204,11 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     return parser, leaves
 
 
+# A config comment starts at a # that begins the line or follows whitespace,
+# so a value such as csv:run#2.csv keeps its #.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _splice_config(argv: list[str], leaves: dict[tuple[str, ...], _Parser]) -> list[str]:
     """argv with each ``key = value`` line of the --config file as a ``--key=value`` token.
 
@@ -230,7 +235,7 @@ def _splice_config(argv: list[str], leaves: dict[tuple[str, ...], _Parser]) -> l
     flags = leaves[words]._option_string_actions  # noqa: SLF001 - no public lookup
     tokens = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, eq, value = map(str.strip, line.partition("="))
@@ -254,11 +259,6 @@ def _refuse_flags(args: argparse.Namespace, flags: dict[str, str], mode: str) ->
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    if args.setting.startswith("csv:"):
-        _refuse_flags(args, {
-            "--n-train": "n_train_total", "--n-cal": "n_cal_total", "--n-test": "n_test_total",
-            "--env-params": "env_params", "--resplit-only": "resplit_only",
-        }, f"in CSV mode, got setting {args.setting!r}")
     with _usage_errors():
         config = _from_flags(ExperimentConfig, args, fit=_fit_config(args))
     rows = run_experiment(config)
@@ -285,6 +285,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.calibration_out is None:
         _refuse_flags(args, {"--train-fraction": "train_fraction", "--split-seed": "split_seed"},
                       "without --calibration-out")
+    if args.method == "erm":
+        _refuse_flags(args, {"--penalty-weight": "penalty_weight",
+                             "--warmup-iters": "warmup_iters"}, "with --method erm")
     with _usage_errors():
         config = _fit_config(args)
     envs = load_csv(args.data)

@@ -25,7 +25,7 @@ from acir.bench import (
     summarize,
 )
 from acir.core import EnvDataset
-from acir.datagen import SETTINGS, SemConfig, generate_sem, save_csv
+from acir.datagen import DEFAULT_ENV_PARAMS, SETTINGS, SemConfig, generate_sem, save_csv
 from acir.models import FitConfig, fit_irmv1
 from conftest import assert_no_child_left
 
@@ -134,6 +134,28 @@ def test_config_rejects_a_test_env_named_twice():
     message = r"^test_envs names environments \[1, 3\] more than once$"
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(setting="csv:data.csv", test_envs=(3, 1, 2, 1, 3))
+
+
+# (field, a value for it, its default) for every field that only one mode uses
+MODE_FIELDS = [
+    ("n_train_total", 100, 2000), ("n_cal_total", 100, 2000), ("n_test_total", 100, 2000),
+    ("env_params", (0.5, 1.0), DEFAULT_ENV_PARAMS), ("resplit_only", False, False),
+    ("csv_train_fraction", 0.3, 0.5),
+]
+
+
+@pytest.mark.parametrize("name, value, default", MODE_FIELDS, ids=[f[0] for f in MODE_FIELDS])
+def test_a_mode_specific_field_is_refused_in_the_other_mode_and_defaults_in_its_own(
+    name, value, default
+):
+    csv, synthetic = dict(setting="csv:data.csv", test_envs=(0,)), dict(setting="FOU")
+    own, other = (csv, synthetic) if name == "csv_train_fraction" else (synthetic, csv)
+    assert getattr(ExperimentConfig(**own), name) == default
+    assert getattr(ExperimentConfig(**other), name) is None
+    where = "in" if other is csv else "outside"
+    message = f"^{name} does not apply {where} CSV mode, got setting '{other['setting']}'$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**other, **{name: value})
 
 
 def test_metrics_row_validation():

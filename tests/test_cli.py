@@ -90,15 +90,47 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
     (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--split-seed", "0"],
      "--split-seed does not apply without --calibration-out"),
     *((["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", flag, value,
-        "--out", "{d}"], f"{flag} does not apply in CSV mode, got setting 'csv:")
-      for flag, value in [("--n-train", "100"), ("--n-cal", "100"), ("--n-test", "100"),
-                          ("--env-params", "1,2"), ("--resplit-only", "false")]),
+        "--out", "{d}"], f"{field} does not apply in CSV mode, got setting 'csv:")
+      for flag, field, value in [
+          ("--n-train", "n_train_total", "100"), ("--n-cal", "n_cal_total", "100"),
+          ("--n-test", "n_test_total", "100"), ("--env-params", "env_params", "1,2"),
+          ("--resplit-only", "resplit_only", "false")]),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--method", "erm",
+      "--penalty-weight", "500"], "--penalty-weight does not apply with --method erm"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--method", "erm",
+      "--warmup-iters", "7"], "--warmup-iters does not apply with --method erm"),
+    (["bench", "run", "--setting", "FOU", "--csv-train-fraction", "0.3", "--out", "{d}"],
+     "csv_train_fraction does not apply outside CSV mode, got setting 'FOU'"),
 ])
 def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, argv, message):
     assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1
     err = capsys.readouterr().err
     assert message in err and "No such file" not in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, key, value, message", [
+    (["bench", "run", "--setting", "FOU", "--out", "{d}"], "csv-train-fraction", "0.3",
+     "csv_train_fraction does not apply outside CSV mode, got setting 'FOU'"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--out", "{d}"],
+     "n-train", "100", "n_train_total does not apply in CSV mode"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--method", "erm"],
+     "penalty-weight", "500", "--penalty-weight does not apply with --method erm"),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--method", "erm"],
+     "warmup-iters", "7", "--warmup-iters does not apply with --method erm"),
+], ids=["bench-run-csv-train-fraction", "bench-run-n-train", "fit-penalty-weight",
+        "fit-warmup-iters"])
+def test_a_config_key_that_the_mode_would_ignore_is_a_usage_error(
+    tmp_path, capsys, argv, key, value, message
+):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    config = tmp_path / "ignored.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert run_cli(*(arg.format(d=run_dir) for arg in argv), "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err
+    assert os.listdir(run_dir) == []
 
 
 @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
@@ -128,19 +160,24 @@ def test_a_train_fraction_outside_the_unit_interval_is_a_usage_error(
     assert os.listdir(run_dir) == []
 
 
+# A seed that fills a config (ExperimentConfig.seed, FitConfig.seed) is
+# checked there alone, under the config's message; the others by argparse.
 @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("argv, key", [
-    (["datagen", "sem", "--setting", "FOU", "--n", "30", "--out", "{d}/d.csv"], "seed"),
-    (["datagen", "sem", "--setting", "FOU", "--n", "30", "--out", "{d}/d.csv"], "stream-seed"),
+@pytest.mark.parametrize("argv, key, by_config", [
+    (["datagen", "sem", "--setting", "FOU", "--n", "30", "--out", "{d}/d.csv"], "seed", False),
+    (["datagen", "sem", "--setting", "FOU", "--n", "30", "--out", "{d}/d.csv"], "stream-seed",
+     False),
     (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--out", "{d}"],
-     "seed"),
+     "seed", True),
     (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--out", "{d}"],
-     "fit-seed"),
-    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt"], "split-seed"),
-    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt"], "fit-seed"),
+     "fit-seed", True),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt"], "split-seed", False),
+    (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt"], "fit-seed", True),
 ], ids=["datagen-seed", "datagen-stream-seed", "bench-run-seed", "bench-run-fit-seed",
         "fit-split-seed", "fit-fit-seed"])
-def test_a_negative_seed_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv, key, as_config):
+def test_a_negative_seed_is_a_usage_error_naming_its_flag(
+    tmp_path, capsys, argv, key, by_config, as_config
+):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     argv = [arg.format(d=run_dir) for arg in argv]
@@ -152,7 +189,8 @@ def test_a_negative_seed_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv
         argv += [f"--{key}", "-1"]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert f"argument --{key}: seeds must be >= 0, got -1" in err
+    named = "error: " if by_config else f"error: argument --{key}: "
+    assert f"{named}seeds must be >= 0, got -1\n" in err
     assert os.listdir(run_dir) == []
 
 
@@ -381,6 +419,16 @@ def test_explicit_flag_overrides_config_value(tmp_path):
         "datagen", "sem", "--config", str(cfg), "--n", "60", "--out", out
     ) == 0
     assert [e.n for e in load_csv(out)] == [20, 20, 20]
+
+
+def test_config_comment_starts_only_at_a_line_start_or_after_whitespace(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    out = tmp_path / "run#2.csv"
+    cfg.write_text(f"# a comment line\nsetting = FOU\nn = 30\t# rows\nout = {out} # the #2 run\n")
+    assert run_cli("datagen", "sem", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    assert sorted(os.listdir(tmp_path)) == ["gen.cfg", "run#2.csv"]
+    assert [e.n for e in load_csv(str(out))] == [10, 10, 10]
 
 
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):

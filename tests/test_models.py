@@ -215,6 +215,21 @@ def test_fit_error_on_nonfinite_objective():
             fit_irmv1(envs, FitConfig(penalty_weight=1.0))
 
 
+@pytest.mark.parametrize("fit", [fit_erm, fit_irmv1])
+def test_a_fit_whose_every_trial_step_overflows_stops_at_its_start(fit):
+    # The zero last column makes the Hessian singular, so the step follows the
+    # gradient, scaled by a learning rate at which every halving still overflows.
+    rng = np.random.default_rng(5)
+    envs = []
+    for env_id in range(2):
+        x = rng.normal(size=(40, 3))
+        x[:, -1] = 0.0
+        envs.append(EnvDataset(env_id, x, rng.normal(size=40)))
+    config = FitConfig(learning_rate=1e300, init_scale=1.0, seed=8)
+    phi0 = np.random.default_rng(8).normal(0.0, 1.0, (3, 3))
+    assert fit(envs, config).phi.tobytes() == phi0.tobytes()
+
+
 def test_model_round_trip(tmp_path):
     _, envs = make_envs(seed=11, n=100)
     model = fit_irmv1(envs, FitConfig(penalty_weight=7.5, init_scale=1.0, seed=3))
