@@ -28,11 +28,10 @@ from .bench import (
     summarize,
 )
 from .conformal import calibrate, load_state, save_state
-from .core import check_alpha, check_seed, check_train_fraction, write_float_rows
+from .core import check_alpha, check_seed, check_train_fraction, not_utf8, write_float_rows
 from .datagen import (
     DEFAULT_ENV_PARAMS,
     SETTINGS,
-    CsvParseError,
     SemConfig,
     env_sizes,
     generate_sem,
@@ -228,13 +227,15 @@ def _splice_config(argv: list[str], leaves: dict[tuple[str, ...], _Parser]) -> l
     if path is None:
         return argv
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
     flags = leaves[words]._option_string_actions  # noqa: SLF001 - no public lookup
     tokens = []
     for lineno, raw in enumerate(lines, start=1):
+        if fault := not_utf8(raw):
+            raise _UsageError(f"{path}: line {lineno}: {fault}")
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
@@ -351,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BenchError, FitError, CsvParseError, ValueError, OSError) as exc:
+    except (BenchError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

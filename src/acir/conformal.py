@@ -43,6 +43,7 @@ from .core import (
     sorted_conformal_quantile,
     write_float_rows,
 )
+from .datagen import _name_bad_line, _parse_rows
 from .models import LinearIRMModel
 
 __all__ = [
@@ -326,32 +327,14 @@ def save_state(state: CalibrationState, path: str) -> None:
             write_float_rows(fh, [sc])
 
 
-def _parse_scores(path: str, block: list[tuple[int, str]]) -> np.ndarray:
-    """One float per numbered line, converted in one pass; a bad line is named.
-
-    float() reads nan and inf, so a non-finite result sends the block to the
-    same line-by-line rescan as a malformed one. The array is returned
-    read-only, so the state keeps it without a copy.
-    """
-    try:
-        scores = np.fromiter(map(float, [text for _, text in block]), float, len(block))
-        if not np.isfinite(scores).all():
-            raise ValueError("non-finite score")
-    except ValueError:
-        for lineno, text in block:
-            parse_tokens(path, lineno, (text,))
-        raise
-    return _frozen(scores)
-
-
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
     """Read a state written by save_state; every value is re-validated.
 
-    Each section is checked as it is read, with the state's own rules, and
-    a section that breaks one is named by its header line.
+    Each section is checked as it is read: its score lines with a data
+    file's row rule and messages (one column, no env column), the rest with
+    the state's own rules, a break of which is named by its header line.
     """
     env_ids, scores, mus, vs = [], [], [], []
-    declared_m = None
     lines = numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}: need at least one environment")
@@ -366,24 +349,26 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
             )
         env_id, m, n_cal = parse_tokens(path, lineno, head[:3], int)
         mu, v = parse_tokens(path, lineno, head[3:])
-        if declared_m is None:
-            declared_m = m
-        elif m != declared_m:
+        if env_ids and m != declared_m:
             raise ValueError(
                 f"{path}: line {lineno}: inconsistent environment count {m} vs {declared_m}"
             )
+        declared_m = m
         if n_cal < 1:
             raise ValueError(f"{path}: line {lineno}: env {env_id}: n_cal must be >= 1")
         if pos + 1 + n_cal > len(lines):
             raise ValueError(
                 f"{path}: line {lineno}: env {env_id}: fewer than {n_cal} score lines"
             )
-        block = _parse_scores(path, lines[pos + 1 : pos + 1 + n_cal])
+        block = lines[pos + 1 : pos + 1 + n_cal]
         try:
+            sc = _parse_rows([text for _, text in block], 1, False)["vals"].ravel()
             _check_env_ids((*env_ids, env_id))
             _check_moments(mu, v)
-            scores.append(_env_scores(env_id, block))
+            scores.append(_env_scores(env_id, sc))
         except ValueError as exc:
+            # A score line that breaks the row rule (a non-finite score too) is named first.
+            _name_bad_line(path, block, 1, False)
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         env_ids.append(env_id)
         mus.append(mu)

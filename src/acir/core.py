@@ -498,18 +498,28 @@ def _text_range(fd: int, start: int, stop: int) -> TextIO:
     return io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8")
 
 
+def not_utf8(text: str) -> str | None:
+    """The fault naming text's first byte not UTF-8 (read surrogate-escaped), else None."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:  # the byte was read as a lone surrogate
+        return f"byte 0x{ord(text[exc.start]) - 0xDC00:02x} is not UTF-8"
+    return None
+
+
 def numbered_lines(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file, stripped, each with its 1-based number."""
-    with open(path, encoding="utf-8") as fh:
+    """The non-blank lines of a text file, stripped, each with its 1-based number;
+    a byte that is not UTF-8 is surrogate-escaped, for the reader to name."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return [(no, text) for no, text in enumerate(map(str.strip, fh), start=1) if text]
 
 
 def parse_tokens(path: str, lineno: int, tokens: Sequence[str], kind: type = float) -> list:
-    """``kind`` of each token; a malformed or non-finite one is a ValueError naming the line."""
+    """``kind`` of each token; a ValueError naming the line for a bad or non-finite one."""
     try:
         values = [kind(tok) for tok in tokens]
     except ValueError as exc:
-        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        raise ValueError(f"{path}: line {lineno}: {not_utf8(' '.join(tokens)) or exc}") from None
     for tok, value in zip(tokens, values):
         if not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")

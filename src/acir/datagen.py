@@ -15,6 +15,10 @@ Setting labels are three letters: F (fully observed, hidden weights zero) or
 P (partially observed, hidden weights Gaussian); O (homoskedastic Y-noise,
 sigma_y^2 = e^2, sigma_2^2 = 1) or E (heteroskedastic, sigma_y^2 = 1,
 sigma_2^2 = e^2); and U (unscrambled covariates, the only variant here).
+
+Data and points rows and the calibration state's score lines keep one row
+rule: _parse_rows takes the lines and every value is finite. _name_bad_line
+names the first line that breaks it, the same way for every such reader.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .core import (
     check_envs,
     check_seed,
     check_train_fraction,
+    not_utf8,
     parse_in_two,
     write_float_rows,
 )
@@ -266,41 +271,40 @@ def _read_numeric(
     """Parse a CSV whose header passes ``check_header`` and whose body keeps the row rule.
 
     check_header gets the stripped header cells and raises CsvParseError on a
-    bad header; their count is the row width. np.loadtxt parses the body into
-    a structured array: field ``vals`` is the float matrix of the value
-    columns and, with ``env_column``, field ``env`` is the int64 first column.
-    parse_in_two parses it from the line after the header on, a large body
-    in two halves on two processes, with the rows and errors of one loadtxt
-    call; loadtxt skips blank lines. That parse and finite values are the row
-    rule (_keeps_rule): a file that breaks it is read again with the same
-    rule only to name the offending line.
+    bad header; their count is the row width. parse_in_two parses the body
+    with _parse_rows, a large body in two halves on two processes, with the
+    rows and errors of one call. A body that breaks the row rule, or holds a
+    byte that is not UTF-8 (read surrogate-escaped), is read again only to
+    name the offending line.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         line = fh.readline()
         if not line:
             raise CsvParseError(f"{path}: empty file")
+        if fault := not_utf8(line):
+            raise CsvParseError(f"{path}: line 1: {fault}")
         header = [c.strip() for c in next(csv.reader([line]), [])]
         check_header(header)
         width = len(header)
         try:
             # The header is read untranslated, so its UTF-8 length is its length in the file.
-            table = parse_in_two(
-                fh.fileno(), len(line.encode()),
-                lambda lines: _parse_rows(lines, width, env_column),
-            )
-        except ValueError as exc:
-            _name_bad_line(path, fh, width, env_column)
+            table = parse_in_two(fh.fileno(), len(line.encode()),
+                                 lambda lines: _parse_rows(lines, width, env_column))
+            if not np.isfinite(table["vals"]).all():
+                raise ValueError("non-finite value")
+        except ValueError as exc:  # a UnicodeDecodeError too
+            _name_bad_line(path, enumerate((ln.rstrip("\r\n") for ln in fh), start=2),
+                           width, env_column)
             raise CsvParseError(f"{path}: {exc}") from None
-        if not len(table):
-            raise CsvParseError(f"{path}: no data rows")
-        if not np.isfinite(table["vals"]).all():
-            _name_bad_line(path, fh, width, env_column)
-            raise CsvParseError(f"{path}: non-finite value")
+    if not len(table):
+        raise CsvParseError(f"{path}: no data rows")
     return table
 
 
-def _parse_rows(lines: TextIO | list[str], width: int, env_column: bool) -> np.ndarray:
-    """Parse lines with np.loadtxt into _read_numeric's structured array.
+def _parse_rows(lines: Iterable[str], width: int, env_column: bool) -> np.ndarray:
+    """Parse lines with np.loadtxt into a structured array: field ``vals`` is the
+    float matrix of the value columns and, with ``env_column``, field ``env``
+    the int64 first column.
 
     The structured dtype makes loadtxt check every row's width; blank lines
     hold no row. A run of parse_in_two's, or a block of _name_bad_line's, may
@@ -314,40 +318,39 @@ def _parse_rows(lines: TextIO | list[str], width: int, env_column: bool) -> np.n
 
 
 def _keeps_rule(lines: list[str], width: int, env_column: bool) -> bool:
-    """Whether lines without their ends keep the row rule of a data file:
-    _parse_rows takes them and every value they hold is finite."""
+    """Whether lines without their ends keep the row rule."""
     try:
         return bool(np.isfinite(_parse_rows(lines, width, env_column)["vals"]).all())
     except ValueError:
         return False
 
 
-def _name_bad_line(path: str, fh: TextIO, width: int, env_column: bool) -> None:
-    """Raise CsvParseError for the first data line that breaks the row rule.
+def _name_bad_line(path: str, lines: Iterable, width: int, env_column: bool) -> None:
+    """Raise CsvParseError for the first of the numbered lines that breaks the row rule.
 
-    fh is the file opened with newline="", so each line keeps its own end.
-    The lines are checked with _keeps_rule a block of _RULE_BLOCK_LINES at a
-    time; in the first block that breaks it, each non-blank line on its own,
-    and the first line that breaks it is named with _line_fault's message.
-    So a line that loadtxt parses to finite values is never named. Returns
-    only if every line keeps the rule.
+    lines are (number, text without its end) pairs: a data file's body or a
+    state's score lines. They are checked with _keeps_rule a block of
+    _RULE_BLOCK_LINES at a time; in the first block that breaks it, each
+    non-blank line on its own, and the first that breaks it is named with
+    _line_fault's message. So a line that loadtxt parses to finite values is
+    never named. Returns only if every line keeps the rule.
     """
-    fh.seek(0)
-    fh.readline()
-    first = 2
-    while lines := [line.rstrip("\r\n") for line in itertools.islice(fh, _RULE_BLOCK_LINES)]:
-        if not _keeps_rule(lines, width, env_column):
-            for lineno, text in enumerate(lines, start=first):
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _RULE_BLOCK_LINES)):
+        if not _keeps_rule([text for _, text in block], width, env_column):
+            for lineno, text in block:
                 if text and not _keeps_rule([text], width, env_column):
-                    fault = _line_fault(text.split(","), width, env_column)
+                    fault = _line_fault(text, width, env_column)
                     raise CsvParseError(f"{path}: line {lineno}: {fault}")
-        first += len(lines)
 
 
-def _line_fault(cells: list[str], width: int, env_column: bool) -> str:
-    """Why a line's cells break the row rule: the first of the column count, a
-    non-integer env, a non-numeric or non-finite cell; else a form loadtxt
-    rejects but int() and float() take (``1_0``, non-ASCII digits, int64 overflow)."""
+def _line_fault(text: str, width: int, env_column: bool) -> str:
+    """Why a line breaks the row rule: the first of a byte that is not UTF-8, the
+    column count, a non-integer env, a non-numeric or non-finite cell; else a form
+    loadtxt rejects but int() and float() take (``1_0``, non-ASCII digits, int64 overflow)."""
+    if fault := not_utf8(text):
+        return fault
+    cells = text.split(",")
     if len(cells) != width:
         return f"expected {width} columns, got {len(cells)}"
     if env_column:

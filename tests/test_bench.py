@@ -103,6 +103,7 @@ def test_config_rejects_totals_below_env_count():
 
 @pytest.mark.parametrize("env_params, message", [
     ((0.2, 2.0, 2.0), "distinct"), ((0.2, float("nan"), 5.0), "finite"), ((-1.0, 2.0), "finite"),
+    ((0.2,), "need at least 2 environments"),
 ])
 def test_config_rejects_duplicate_or_non_finite_env_params(env_params, message):
     with pytest.raises(ValueError, match=message):
@@ -128,6 +129,8 @@ def test_config_csv_mode_requires_test_envs():
     assert cfg.is_csv
     assert cfg.csv_path == "/tmp/data.csv"
     assert not small_config().is_csv
+    with pytest.raises(ValueError, match="^not a CSV-mode config$"):
+        small_config().csv_path
 
 
 def test_config_rejects_a_test_env_named_twice():

@@ -369,6 +369,42 @@ def test_predict_rejects_nan_calibration_state(workspace, tmp_path, capsys):
     assert str(state) in err and "finite" in err  # rejected at load, naming the file
 
 
+# Small files every reader takes: a data file, a 2x2 model, a one-environment
+# state and one query point for them.
+GOOD_FILES = {
+    "data": b"env,y,x1\n0,1.0,2.0\n1,2.0,3.0\n",
+    "model": b"2 2 0.0\n1.0 0.0\n0.0 1.0\n",
+    "state": b"0 1 2 0.0 1.0\n1.0\n2.0\n",
+    "points": b"x1,x2\n0.5,1.0\n",
+}
+FIT = ["fit", "--data", "{d}/data", "--out", "{d}/m.txt"]
+PREDICT = ["predict", "--model", "{d}/model", "--calibration", "{d}/state",
+           "--input", "{d}/points"]
+
+
+# Each bad file holds a Latin-1 e-acute, byte 0xe9, which is not UTF-8.
+@pytest.mark.parametrize("argv, name, text, line", [
+    (FIT, "data", b"env,y,x1\n0,1.0,2.0\n1,\xe9,3.0\n", 3),
+    (FIT, "data", b"env,y,x\xe9\n0,1.0,2.0\n", 1),
+    (PREDICT, "points", b"x1,x2\n0.5,1.0\n0.5,1.\xe9\n", 3),
+    (PREDICT, "model", b"2 2 0.0\n1.0 0.0\n0.0 1.\xe9\n", 3),
+    (PREDICT, "state", b"0 1 2 0.0 1.0\n1.0\n2.\xe9\n", 3),
+    (PREDICT, "state", b"0 1 2 0.0 1.\xe9\n1.0\n2.0\n", 1),
+    ([*FIT, "--config", "{d}/config"], "config", b"# caf\xe9\nmethod = irm\n", 1),
+    ([*FIT, "--config", "{d}/config"], "config", b"method = irm\n\nout = m\xe9.txt\n", 3),
+], ids=["data", "data-header", "points", "model", "state", "state-header", "config-comment",
+        "config"])
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, capsys, argv, name, text,
+                                                            line):
+    for good, content in GOOD_FILES.items():
+        (tmp_path / good).write_bytes(content)
+    (tmp_path / name).write_bytes(text)
+    # A bad config file is a usage error; a bad input file a runtime one.
+    assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == (1 if name == "config" else 2)
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / name}: line {line}: byte 0xe9 is not UTF-8\n"
+
+
 # ---------------------------------------------------------------------------
 # bench commands
 

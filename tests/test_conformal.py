@@ -180,6 +180,12 @@ def test_state_rejects_unsorted_scores():
         )
 
 
+def test_state_rejects_an_empty_score_vector():
+    with pytest.raises(ValueError, match="^env 0: empty score vector$"):
+        CalibrationState(model=EYE_MODEL, env_ids=(0,), scores=(np.array([]),),
+                         mu=np.zeros(1), v=np.ones(1))
+
+
 def test_state_rejects_negative_scores():
     with pytest.raises(ValueError, match="nonnegative"):
         CalibrationState(
@@ -639,15 +645,18 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
 @pytest.mark.parametrize("text, message", [
     ("0 1 two 0.0 1.0\n1.0\n2.0\n", "line 1: invalid literal for int"),
     ("0 1 2 0.0 wide\n1.0\n2.0\n", "line 1: could not convert string to float: 'wide'"),
-    ("0 1 2 0.0 1.0\n1.0\n\nxyz\n", "line 4: could not convert string to float: 'xyz'"),
+    # score lines keep the data files' row rule and get their messages
+    ("0 1 2 0.0 1.0\n1.0\n\nxyz\n", "line 4: non-numeric cell in ['xyz']"),
     ("0 2 1 0.0 1.0\n1.0\n1 2 2 0.0 1.0\n1.0\n2.0x\n",
-     "line 5: could not convert string to float: '2.0x'"),
+     "line 5: non-numeric cell in ['2.0x']"),
+    ("0 1 2 0.0 1.0\n1.0\n1_000\n", "line 3: cell outside the number grammar in ['1_000']"),
+    ("0 1 2 0.0 1.0\n1.0\nnan\n", "line 3: non-finite cell in ['nan']"),
+    ("0 1 2 0.0 1.0\n1.0\ninf\n", "line 3: non-finite cell in ['inf']"),
+    # section headers and the section count
     ("\n0 1 2 0.0\n1.0\n2.0\n", "line 2: expected section header"),
     ("0 1 -1 0.0 1.0\n1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 0 0.0 1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 2 nan 1.0\n1.0\n2.0\n", "line 1: non-finite value 'nan'"),
-    ("0 1 2 0.0 1.0\n1.0\nnan\n", "line 3: non-finite value 'nan'"),
-    ("0 1 2 0.0 1.0\n1.0\ninf\n", "line 3: non-finite value 'inf'"),
     ("0 2 1 0.0 1.0\n1.0\n\n1 3 1 0.0 1.0\n1.0\n",
      "line 4: inconsistent environment count 3 vs 2"),
     ("0 2 1 0.0 1.0\n1.0\n1 2 3 0.0 1.0\n1.0\n2.0\n",

@@ -274,6 +274,8 @@ def test_coverage_rate_counts_indicators():
     assert coverage_rate(ivs, np.array([-5.0, 9.0])) == 0.0
     with pytest.raises(ValueError):
         coverage_rate(ivs, np.array([1.0]))
+    with pytest.raises(ValueError, match="^need at least one interval$"):
+        coverage_rate(PredictionInterval([], []), np.array([]))
 
 
 def test_average_length_is_mean_half_width():

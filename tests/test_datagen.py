@@ -6,12 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from acir import core, datagen
 from acir.bench import ExperimentConfig
+from acir.conformal import load_state
 from acir.core import EnvDataset
 from acir.datagen import (
     DEFAULT_ENV_PARAMS,
@@ -25,6 +26,7 @@ from acir.datagen import (
     save_csv,
     split_dataset,
 )
+from acir.models import LinearIRMModel
 from conftest import assert_no_child_left
 
 N_BIG = 10000
@@ -194,14 +196,15 @@ def test_split_partitions_the_rows():
     (lambda: env_sizes(7.5, 3), "total must be an integer, got 7.5"),
     (lambda: env_sizes(9, 3.0), "m must be an integer, got 3.0"),
     (lambda: generate_sem(SemConfig(setting="FOU"), 0.2, 2.5, 0), "n must be an integer, got 2.5"),
+    (lambda: generate_sem(SemConfig(setting="FOU"), 0.2, 0, 0), "n must be >= 1"),
     (lambda: split_dataset(EnvDataset(0, np.ones((4, 1)), np.zeros(4)), float("nan"), 0),
      "train fraction must be in (0, 1), got nan"),
     (lambda: split_dataset(EnvDataset(0, np.ones((4, 1)), np.zeros(4)), 1.5, 0),
      "train fraction must be in (0, 1), got 1.5"),
     (lambda: ExperimentConfig("FOU", test_envs=(1,)),
      "test_envs applies only in CSV mode, got (1,) with setting 'FOU'"),
-], ids=["env_sizes-total", "env_sizes-m", "generate_sem-n", "split-nan", "split-above-one",
-        "synthetic-test_envs"])
+], ids=["env_sizes-total", "env_sizes-m", "generate_sem-n", "generate_sem-zero-n", "split-nan",
+        "split-above-one", "synthetic-test_envs"])
 def test_a_value_that_failed_late_or_was_ignored_is_refused_by_name(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -275,6 +278,9 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
         load_csv(str(path))
     path.write_text("wrong,header\n")
     with pytest.raises(CsvParseError):
+        load_csv(str(path))
+    path.write_text("env,y,x2\n0,1.0,2.0\n")
+    with pytest.raises(CsvParseError, match=r": line 1: feature columns must be x1\.\.x1, got "):
         load_csv(str(path))
 
 
@@ -424,11 +430,11 @@ EDGE_CELLS = [str(2**63), "99999999999999999999", "1_0", "\u0661", "\uff11", '"1
 
 
 @st.composite
-def bodies(draw):
+def bodies(draw, shapes=((1, False), (2, False), (2, True), (3, True))):
     """A row width, whether an env column leads, and a body of rows of that
     width that hold an edge cell now and then, a trailing comma, blank and
     whitespace-only lines, and LF, CRLF or CR line ends."""
-    width, env_column = draw(st.sampled_from([(1, False), (2, False), (2, True), (3, True)]))
+    width, env_column = draw(st.sampled_from(shapes))
     cell = st.sampled_from(["0", "-1.5e3", "7"] * 4 + EDGE_CELLS)
     row = st.builds(lambda cells, comma: ",".join(cells) + comma,
                     st.lists(cell, min_size=width, max_size=width),
@@ -437,6 +443,14 @@ def bodies(draw):
     lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])),
                           min_size=1, max_size=6))
     return width, env_column, "".join(text + end for text, end in lines)
+
+
+def _body_lines(path):
+    """The numbered lines after the header of the file at path, without
+    their ends, as _read_numeric hands them to _name_bad_line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()
+        return list(enumerate((line.rstrip("\r\n") for line in fh), start=2))
 
 
 @settings(deadline=None, max_examples=300)
@@ -460,17 +474,13 @@ def test_a_body_that_fails_its_checks_has_a_line_that_is_named(body):
             except ValueError:
                 named = True
         if named:
-            with open(path, encoding="utf-8", newline="") as fh:
-                with pytest.raises(CsvParseError, match=r": line \d+: "):
-                    datagen._name_bad_line(path, fh, width, env_column)
+            with pytest.raises(CsvParseError, match=r": line \d+: "):
+                datagen._name_bad_line(path, _body_lines(path), width, env_column)
 
 
-def _reference_name_bad_line(path, fh, width, env_column):
+def _reference_name_bad_line(path, lines, width, env_column):
     """_name_bad_line as first written, every rule on one line at a time: the reference."""
-    fh.seek(0)
-    fh.readline()
-    for lineno, line in enumerate(fh, start=2):
-        text = line.rstrip("\r\n")
+    for lineno, text in lines:
         if not text:
             continue
         cells = text.split(",")
@@ -494,13 +504,12 @@ def _reference_name_bad_line(path, fh, width, env_column):
             raise CsvParseError(f"{where}: cell outside the number grammar in {cells!r}") from None
 
 
-def _named(scan, path, width, env_column):
-    """The message of the CsvParseError scan raises on the file at path, or None."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            scan(path, fh, width, env_column)
-        except CsvParseError as exc:
-            return str(exc)
+def _named(scan, path, lines, width, env_column):
+    """The message of the CsvParseError scan raises on the numbered lines, or None."""
+    try:
+        scan(path, lines, width, env_column)
+    except CsvParseError as exc:
+        return str(exc)
     return None
 
 
@@ -512,9 +521,38 @@ def test_the_block_scan_names_the_line_and_message_of_the_line_by_line_scan(body
         path = os.path.join(d, "body.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("header\n" + text)
-        expected = _named(_reference_name_bad_line, path, width, env_column)
+        lines = _body_lines(path)
+        expected = _named(_reference_name_bad_line, path, lines, width, env_column)
         with mock.patch.object(datagen, "_RULE_BLOCK_LINES", block):
-            assert _named(datagen._name_bad_line, path, width, env_column) == expected
+            assert _named(datagen._name_bad_line, path, lines, width, env_column) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(bodies(shapes=[(1, False)]), st.sampled_from([1, 2, 3, datagen._RULE_BLOCK_LINES]))
+def test_a_state_score_line_is_named_with_the_line_and_message_of_a_data_line(body, block):
+    # A state's score lines are a body one column wide without an env
+    # column, read as every line of a state: stripped, blank ones dropped.
+    _, _, text = body
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "state.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("header\n" + text)
+        lines = core.numbered_lines(path)[1:]
+        assume(lines)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"0 1 {len(lines)} 0.0 1.0\n" + text)
+        expected = _named(_reference_name_bad_line, path, lines, 1, False)
+        with mock.patch.object(datagen, "_RULE_BLOCK_LINES", block):
+            try:
+                load_state(path, LinearIRMModel(phi=np.eye(2), penalty_weight=0.0))
+            except ValueError as exc:
+                got = str(exc)
+            else:
+                got = None
+    if expected is not None:
+        assert got == expected
+    elif got is not None:  # the scores parse but break a rule of the state's own
+        assert got.startswith(f"{path}: line 1: env 0: scores must be ")
 
 
 @pytest.mark.parametrize("first, second", [
@@ -528,9 +566,10 @@ def test_the_first_of_two_bad_lines_is_named_across_blocks(tmp_path, first, seco
     rows[first], rows[second] = bad_rows
     path = tmp_path / "d.csv"
     path.write_text("env,y,x1\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    expected = _named(_reference_name_bad_line, str(path), 3, True)
+    lines = _body_lines(path)
+    expected = _named(_reference_name_bad_line, str(path), lines, 3, True)
     assert f": line {first + 2}: " in expected
-    assert _named(datagen._name_bad_line, str(path), 3, True) == expected
+    assert _named(datagen._name_bad_line, str(path), lines, 3, True) == expected
     with pytest.raises(CsvParseError) as info:
         load_csv(str(path))
     assert str(info.value) == expected

@@ -262,6 +262,8 @@ def test_model_round_trip(tmp_path):
     ("\n2 2 0.0\n1.0 2.0\n", "line 2: declared shape (2, 2) does not match the 1 rows given"),
     ("2 2 0.0\n1.0 2.0\n3.0 4.0\n5.0 6.0\n",
      "line 1: declared shape (2, 2) does not match the 3 rows given"),
+    ("", "empty model file"),
+    ("\n \n", "empty model file"),
 ])
 def test_load_model_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     path = tmp_path / "model.txt"
