@@ -208,8 +208,6 @@ class SummaryRow:
 def _stage(replication: int, name: str) -> Iterator[None]:
     try:
         yield
-    except BenchError:
-        raise
     except Exception as exc:
         raise BenchError(f"(replication {replication}, stage {name}): {exc}") from exc
 

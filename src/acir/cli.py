@@ -259,9 +259,14 @@ def _refuse_flags(args: argparse.Namespace, flags: dict[str, str], mode: str) ->
             raise _UsageError(f"{flag} does not apply {mode}")
 
 
+_PENALTY_FLAGS = {"--penalty-weight": "penalty_weight", "--warmup-iters": "warmup_iters"}
+
+
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     with _usage_errors():
         config = _from_flags(ExperimentConfig, args, fit=_fit_config(args))
+    if not any(method.endswith("IRM") for method in config.methods):
+        _refuse_flags(args, _PENALTY_FLAGS, "without an IRM method")
     rows = run_experiment(config)
     paths = emit_outputs(rows, summarize(rows), args.out)
     for path in paths:
@@ -287,8 +292,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         _refuse_flags(args, {"--train-fraction": "train_fraction", "--split-seed": "split_seed"},
                       "without --calibration-out")
     if args.method == "erm":
-        _refuse_flags(args, {"--penalty-weight": "penalty_weight",
-                             "--warmup-iters": "warmup_iters"}, "with --method erm")
+        _refuse_flags(args, _PENALTY_FLAGS, "with --method erm")
     with _usage_errors():
         config = _fit_config(args)
     envs = load_csv(args.data)

@@ -38,12 +38,12 @@ from .core import (
     _readonly,
     check_alpha,
     check_envs,
+    not_utf8,
     numbered_lines,
-    parse_tokens,
     sorted_conformal_quantile,
     write_float_rows,
 )
-from .datagen import _name_bad_line, _parse_rows
+from .datagen import _read_rows
 from .models import LinearIRMModel
 
 __all__ = [
@@ -330,9 +330,9 @@ def save_state(state: CalibrationState, path: str) -> None:
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
     """Read a state written by save_state; every value is re-validated.
 
-    Each section is checked as it is read: its score lines with a data
-    file's row rule and messages (one column, no env column), the rest with
-    the state's own rules, a break of which is named by its header line.
+    Each section is checked as it is read: its header (cells split on
+    whitespace) and score lines keep the data files' row rule, and a break
+    of the state's own rules is named by the header line.
     """
     env_ids, scores, mus, vs = [], [], [], []
     lines = numbered_lines(path)
@@ -341,14 +341,11 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
     pos = 0
     while pos < len(lines):
         lineno, text = lines[pos]
-        head = text.split()
-        if len(head) != 5:
-            raise ValueError(
-                f"{path}: line {lineno}: expected section header 'env m n_cal mu v', "
-                f"got {text!r}"
-            )
-        env_id, m, n_cal = parse_tokens(path, lineno, head[:3], int)
-        mu, v = parse_tokens(path, lineno, head[3:])
+        if len(text.split()) != 5:  # a non-UTF-8 byte is named first, as by the row rule
+            fault = not_utf8(text) or f"expected section header 'env m n_cal mu v', got {text!r}"
+            raise ValueError(f"{path}: line {lineno}: {fault}")
+        head = _read_rows(path, lines[pos : pos + 1], 5, ("env", "m", "n_cal"), None)
+        env_id, m, n_cal, (mu, v) = head[0].tolist()
         if env_ids and m != declared_m:
             raise ValueError(
                 f"{path}: line {lineno}: inconsistent environment count {m} vs {declared_m}"
@@ -360,15 +357,12 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
             raise ValueError(
                 f"{path}: line {lineno}: env {env_id}: fewer than {n_cal} score lines"
             )
-        block = lines[pos + 1 : pos + 1 + n_cal]
+        sc = _read_rows(path, lines[pos + 1 : pos + 1 + n_cal], 1)["vals"].ravel()
         try:
-            sc = _parse_rows([text for _, text in block], 1, False)["vals"].ravel()
             _check_env_ids((*env_ids, env_id))
             _check_moments(mu, v)
             scores.append(_env_scores(env_id, sc))
         except ValueError as exc:
-            # A score line that breaks the row rule (a non-finite score too) is named first.
-            _name_bad_line(path, block, 1, False)
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         env_ids.append(env_id)
         mus.append(mu)

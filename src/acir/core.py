@@ -1,6 +1,6 @@
 """Shared data containers, the conformal quantile convention, evaluation metrics,
 the writer for rows of floats in text files, the two-process parse of large
-text files, and the line-numbered token reader for the model and state files.
+text files, and the numbered lines that the model and state readers parse.
 
 _in_two is the one fork primitive: one gate (_can_fork, asked nowhere
 else), one forked-worker lifecycle and one fallback, which is also the
@@ -513,14 +513,3 @@ def numbered_lines(path: str) -> list[tuple[int, str]]:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return [(no, text) for no, text in enumerate(map(str.strip, fh), start=1) if text]
 
-
-def parse_tokens(path: str, lineno: int, tokens: Sequence[str], kind: type = float) -> list:
-    """``kind`` of each token; a ValueError naming the line for a bad or non-finite one."""
-    try:
-        values = [kind(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {lineno}: {not_utf8(' '.join(tokens)) or exc}") from None
-    for tok, value in zip(tokens, values):
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
-    return values

@@ -16,9 +16,10 @@ P (partially observed, hidden weights Gaussian); O (homoskedastic Y-noise,
 sigma_y^2 = e^2, sigma_2^2 = 1) or E (heteroskedastic, sigma_y^2 = 1,
 sigma_2^2 = e^2); and U (unscrambled covariates, the only variant here).
 
-Data and points rows and the calibration state's score lines keep one row
-rule: _parse_rows takes the lines and every value is finite. _name_bad_line
-names the first line that breaks it, the same way for every such reader.
+Every number read from a data, points, model or state file keeps one row
+rule: _parse_rows takes the lines, cells split on commas (on whitespace in a
+model's rows and both files' headers), and every value is finite.
+_name_bad_line names the first line that breaks it, the same way for all.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -266,16 +268,16 @@ def _feature_names(p: int) -> list[str]:
 
 
 def _read_numeric(
-    path: str, check_header: Callable[[list[str]], None], env_column: bool
+    path: str, check_header: Callable[[list[str]], None], ints: Sequence[str]
 ) -> np.ndarray:
     """Parse a CSV whose header passes ``check_header`` and whose body keeps the row rule.
 
     check_header gets the stripped header cells and raises CsvParseError on a
-    bad header; their count is the row width. parse_in_two parses the body
-    with _parse_rows, a large body in two halves on two processes, with the
-    rows and errors of one call. A body that breaks the row rule, or holds a
-    byte that is not UTF-8 (read surrogate-escaped), is read again only to
-    name the offending line.
+    bad header; their count is the row width, and ints names its leading
+    integer columns. parse_in_two parses the body with _parse_rows, a large
+    body in two halves on two processes, with the rows and errors of one
+    call. A body that breaks the row rule, or holds a byte that is not UTF-8
+    (read surrogate-escaped), is read again only to name the offending line.
     """
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         line = fh.readline()
@@ -286,80 +288,100 @@ def _read_numeric(
         header = [c.strip() for c in next(csv.reader([line]), [])]
         check_header(header)
         width = len(header)
-        try:
-            # The header is read untranslated, so its UTF-8 length is its length in the file.
-            table = parse_in_two(fh.fileno(), len(line.encode()),
-                                 lambda lines: _parse_rows(lines, width, env_column))
-            if not np.isfinite(table["vals"]).all():
-                raise ValueError("non-finite value")
-        except ValueError as exc:  # a UnicodeDecodeError too
-            _name_bad_line(path, enumerate((ln.rstrip("\r\n") for ln in fh), start=2),
-                           width, env_column)
-            raise CsvParseError(f"{path}: {exc}") from None
+        # The header is read untranslated, so its UTF-8 length is its length in the file.
+        parse = partial(parse_in_two, fh.fileno(), len(line.encode()),
+                        lambda lines: _parse_rows(lines, width, ints))
+        body = enumerate((ln.rstrip("\r\n") for ln in fh), start=2)
+        table = _read_rows(path, body, width, ints, parse=parse)
     if not len(table):
         raise CsvParseError(f"{path}: no data rows")
     return table
 
 
-def _parse_rows(lines: Iterable[str], width: int, env_column: bool) -> np.ndarray:
-    """Parse lines with np.loadtxt into a structured array: field ``vals`` is the
-    float matrix of the value columns and, with ``env_column``, field ``env``
-    the int64 first column.
+def _parse_rows(lines: Iterable[str], width: int, ints: Sequence[str],
+                delimiter: str | None = ",") -> np.ndarray:
+    """Parse lines with np.loadtxt, cells split on delimiter (on whitespace for
+    None), into a structured array: an int64 field for each of ints, the
+    leading columns, then field ``vals``, the float matrix of the rest.
 
     The structured dtype makes loadtxt check every row's width; blank lines
     hold no row. A run of parse_in_two's, or a block of _name_bad_line's, may
     hold no rows, and loadtxt's warning then would be wrong.
     """
-    fields = [("env", np.int64)] if env_column else []
-    fields.append(("vals", np.float64, (width - len(fields),)))
+    fields = [(name, np.int64) for name in ints]
+    fields.append(("vals", np.float64, (width - len(ints),)))
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
+        return np.loadtxt(lines, dtype=fields, delimiter=delimiter, comments=None, ndmin=1)
 
 
-def _keeps_rule(lines: list[str], width: int, env_column: bool) -> bool:
-    """Whether lines without their ends keep the row rule."""
+def _read_rows(path: str, lines: Iterable, width: int, ints: Sequence[str] = (),
+               delimiter: str | None = ",", parse: Callable | None = None) -> np.ndarray:
+    """parse()'s rows of the numbered lines if every value is finite, else
+    _name_bad_line's CsvParseError for the first line that breaks the row rule.
+    By default a nonempty list of lines is parsed at once; as loadtxt sets aside
+    rows of width values before it reads a line, a width that the first line
+    cannot hold (one cell more than it has characters) is named first."""
+    if parse is None:
+        lineno, text = lines[0]
+        if width > len(text) + 1:
+            fault = _line_fault(text, width, ints, delimiter)
+            raise CsvParseError(f"{path}: line {lineno}: {fault}")
+        parse = partial(_parse_rows, [text for _, text in lines], width, ints, delimiter)
     try:
-        return bool(np.isfinite(_parse_rows(lines, width, env_column)["vals"]).all())
-    except ValueError:
-        return False
+        table = parse()
+        if not np.isfinite(table["vals"]).all():
+            raise ValueError("non-finite value")
+    except ValueError as exc:  # a UnicodeDecodeError too
+        _name_bad_line(path, lines, width, ints, delimiter)
+        raise CsvParseError(f"{path}: {exc}") from None
+    return table
 
 
-def _name_bad_line(path: str, lines: Iterable, width: int, env_column: bool) -> None:
+def _name_bad_line(path: str, lines: Iterable, width: int, ints: Sequence[str],
+                   delimiter: str | None) -> None:
     """Raise CsvParseError for the first of the numbered lines that breaks the row rule.
 
-    lines are (number, text without its end) pairs: a data file's body or a
-    state's score lines. They are checked with _keeps_rule a block of
-    _RULE_BLOCK_LINES at a time; in the first block that breaks it, each
-    non-blank line on its own, and the first that breaks it is named with
-    _line_fault's message. So a line that loadtxt parses to finite values is
-    never named. Returns only if every line keeps the rule.
+    lines are (number, text without its end) pairs: a data file's body, or a
+    model's or state's header, rows or score lines. They are checked a block
+    of _RULE_BLOCK_LINES at a time; in the first block that breaks the rule,
+    each non-blank line on its own, and the first that breaks it is named
+    with _line_fault's message. So a line that loadtxt parses to finite
+    values is never named. Returns only if every line keeps the rule.
     """
+
+    def keeps_rule(texts: list[str]) -> bool:
+        try:
+            return bool(np.isfinite(_parse_rows(texts, width, ints, delimiter)["vals"]).all())
+        except ValueError:
+            return False
+
     lines = iter(lines)
     while block := list(itertools.islice(lines, _RULE_BLOCK_LINES)):
-        if not _keeps_rule([text for _, text in block], width, env_column):
+        if not keeps_rule([text for _, text in block]):
             for lineno, text in block:
-                if text and not _keeps_rule([text], width, env_column):
-                    fault = _line_fault(text, width, env_column)
+                if text and not keeps_rule([text]):
+                    fault = _line_fault(text, width, ints, delimiter)
                     raise CsvParseError(f"{path}: line {lineno}: {fault}")
 
 
-def _line_fault(text: str, width: int, env_column: bool) -> str:
-    """Why a line breaks the row rule: the first of a byte that is not UTF-8, the
-    column count, a non-integer env, a non-numeric or non-finite cell; else a form
-    loadtxt rejects but int() and float() take (``1_0``, non-ASCII digits, int64 overflow)."""
+def _line_fault(text: str, width: int, ints: Sequence[str], delimiter: str | None) -> str:
+    """Why a line breaks the row rule, its cells split as loadtxt splits them: the
+    first of a byte that is not UTF-8, the column count, a non-integer in a column
+    of ints, a non-numeric or non-finite cell; else a form loadtxt rejects but int()
+    and float() take (``1_0``, non-ASCII digits, int64 overflow)."""
     if fault := not_utf8(text):
         return fault
-    cells = text.split(",")
+    cells = text.split(delimiter)
     if len(cells) != width:
         return f"expected {width} columns, got {len(cells)}"
-    if env_column:
+    for name, cell in zip(ints, cells):
         try:
-            int(cells[0])
+            int(cell)
         except ValueError:
-            return f"env {cells[0]!r} is not an integer"
+            return f"{name} {cell!r} is not an integer"
     try:
-        values = [float(c) for c in (cells[1:] if env_column else cells)]
+        values = [float(c) for c in cells[len(ints):]]
     except ValueError:
         return f"non-numeric cell in {cells!r}"
     if not all(map(math.isfinite, values)):
@@ -388,7 +410,7 @@ def load_csv(path: str) -> list[EnvDataset]:
                 f"{path}: line 1: feature columns must be x1..x{p}, got {header[2:]}"
             )
 
-    table = _read_numeric(path, check_header, env_column=True)
+    table = _read_numeric(path, check_header, ints=("env",))
     ids, first, inverse, counts = np.unique(
         table["env"], return_index=True, return_inverse=True, return_counts=True
     )
@@ -413,7 +435,7 @@ def load_points(path: str, p: int) -> np.ndarray:
         if header != expected:
             raise CsvParseError(f"{path}: line 1: expected header {','.join(expected)}")
 
-    return _read_numeric(path, check_header, env_column=False)["vals"]
+    return _read_numeric(path, check_header, ints=())["vals"]
 
 
 def save_csv(envs: list[EnvDataset], path: str) -> None:

@@ -35,9 +35,10 @@ from .core import (
     _readonly,
     check_envs,
     check_seed,
+    not_utf8,
     numbered_lines,
-    parse_tokens,
 )
+from .datagen import _read_rows
 
 __all__ = [
     "LinearIRMModel",
@@ -411,33 +412,24 @@ def save_model(model: LinearIRMModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearIRMModel:
-    """Read a model written by save_model, validating the declared shape."""
+    """Read a model written by save_model: the data files' row rule, then the shape."""
     lines = numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty model file")
     lineno, text = lines[0]
-    head = text.split()
-    if len(head) != 3:
-        raise ValueError(
-            f"{path}: line {lineno}: header must be 'd p penalty_weight', got {text!r}"
-        )
-    d, p = parse_tokens(path, lineno, head[:2], int)
+    if len(text.split()) != 3:  # a non-UTF-8 byte is named first, as by the row rule
+        fault = not_utf8(text) or f"header must be 'd p penalty_weight', got {text!r}"
+        raise ValueError(f"{path}: line {lineno}: {fault}")
+    d, p, (lam,) = _read_rows(path, lines[:1], 3, ("d", "p"), None)[0].tolist()
     if d < 2 or p < 1:
         raise ValueError(f"{path}: line {lineno}: declared shape ({d}, {p}) needs d >= 2, p >= 1")
-    (lam,) = parse_tokens(path, lineno, head[2:])
-    rows = [parse_tokens(path, no, text.split()) for no, text in lines[1:]]
-    for (no, _), row in zip(lines[1:], rows):
-        if len(row) != p:
-            raise ValueError(
-                f"{path}: line {no}: declared shape ({d}, {p}) does not match "
-                f"a row of {len(row)} values"
-            )
-    if len(rows) != d:
+    phi = _read_rows(path, lines[1:], p, (), None)["vals"] if lines[1:] else ()
+    if len(phi) != d:
         raise ValueError(
             f"{path}: line {lineno}: declared shape ({d}, {p}) does not match "
-            f"the {len(rows)} rows given"
+            f"the {len(phi)} rows given"
         )
     try:
-        return LinearIRMModel(phi=_frozen(np.array(rows, dtype=float)), penalty_weight=lam)
+        return LinearIRMModel(phi=phi, penalty_weight=lam)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

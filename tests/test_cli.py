@@ -38,6 +38,23 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert "--data" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["fit", "--config", "{d}"], "cannot read config file: "),
+], ids=["no-command", "config-is-a-directory"])
+def test_a_command_line_that_names_no_work_is_a_usage_error(tmp_path, capsys, argv, message):
+    assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_the_console_script_exits_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["acir", "fit"])
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 1
+    assert "--data" in capsys.readouterr().err
+
+
 def test_bad_setting_is_usage_error(tmp_path):
     out = str(tmp_path / "d.csv")
     assert run_cli("datagen", "sem", "--setting", "WAT", "--n", "30", "--out", out) == 1
@@ -101,6 +118,11 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
       "--warmup-iters", "7"], "--warmup-iters does not apply with --method erm"),
     (["bench", "run", "--setting", "FOU", "--csv-train-fraction", "0.3", "--out", "{d}"],
      "csv_train_fraction does not apply outside CSV mode, got setting 'FOU'"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--methods",
+      "sc-erm,ac-erm", "--penalty-weight", "500", "--out", "{d}"],
+     "--penalty-weight does not apply without an IRM method"),
+    (["bench", "run", "--setting", "FOU", "--methods", "sc-erm", "--warmup-iters", "7",
+      "--out", "{d}"], "--warmup-iters does not apply without an IRM method"),
 ])
 def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, argv, message):
     assert run_cli(*(arg.format(d=tmp_path) for arg in argv)) == 1
@@ -118,8 +140,13 @@ def test_bad_values_are_usage_errors_before_any_file_is_read(tmp_path, capsys, a
      "penalty-weight", "500", "--penalty-weight does not apply with --method erm"),
     (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--method", "erm"],
      "warmup-iters", "7", "--warmup-iters does not apply with --method erm"),
+    (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "0", "--methods",
+      "ac-erm", "--out", "{d}"], "penalty-weight", "500",
+     "--penalty-weight does not apply without an IRM method"),
+    (["bench", "run", "--setting", "FOU", "--methods", "sc-erm", "--out", "{d}"], "warmup-iters",
+     "7", "--warmup-iters does not apply without an IRM method"),
 ], ids=["bench-run-csv-train-fraction", "bench-run-n-train", "fit-penalty-weight",
-        "fit-warmup-iters"])
+        "fit-warmup-iters", "bench-run-penalty-weight", "bench-run-warmup-iters"])
 def test_a_config_key_that_the_mode_would_ignore_is_a_usage_error(
     tmp_path, capsys, argv, key, value, message
 ):
@@ -388,12 +415,14 @@ PREDICT = ["predict", "--model", "{d}/model", "--calibration", "{d}/state",
     (FIT, "data", b"env,y,x\xe9\n0,1.0,2.0\n", 1),
     (PREDICT, "points", b"x1,x2\n0.5,1.0\n0.5,1.\xe9\n", 3),
     (PREDICT, "model", b"2 2 0.0\n1.0 0.0\n0.0 1.\xe9\n", 3),
+    (PREDICT, "model", b"2 2 0.0 \xe9\n1.0 0.0\n0.0 1.0\n", 1),
     (PREDICT, "state", b"0 1 2 0.0 1.0\n1.0\n2.\xe9\n", 3),
     (PREDICT, "state", b"0 1 2 0.0 1.\xe9\n1.0\n2.0\n", 1),
+    (PREDICT, "state", b"0 1 2 0.0 1.0 \xe9\n1.0\n2.0\n", 1),
     ([*FIT, "--config", "{d}/config"], "config", b"# caf\xe9\nmethod = irm\n", 1),
     ([*FIT, "--config", "{d}/config"], "config", b"method = irm\n\nout = m\xe9.txt\n", 3),
-], ids=["data", "data-header", "points", "model", "state", "state-header", "config-comment",
-        "config"])
+], ids=["data", "data-header", "points", "model", "model-header-token", "state", "state-header",
+        "state-header-token", "config-comment", "config"])
 def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, capsys, argv, name, text,
                                                             line):
     for good, content in GOOD_FILES.items():
@@ -424,11 +453,12 @@ def test_bench_run_prints_the_files_it_wrote(tmp_path, capsys):
 
 def test_bench_run_methods_subset(tmp_path):
     out_dir = str(tmp_path / "out")
-    run_cli(
+    # no --penalty-weight: an ERM-only run refuses it
+    assert run_cli(
         "bench", "run", "--setting", "FOU", "--reps", "1",
         "--n-train", "90", "--n-cal", "90", "--n-test", "60",
-        "--methods", "sc-erm", "--out", out_dir, *FAST,
-    )
+        "--methods", "sc-erm", "--out", out_dir, "--init-scale", "1.0",
+    ) == 0
     lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
     assert all(ln.startswith("SC-ERM,") for ln in lines[1:])
     assert len(lines) == 1 + 4  # pooled + three env scopes

@@ -535,6 +535,27 @@ def test_threads_asking_for_different_alphas_get_their_own_answers(monkeypatch):
         assert list(pool.map(ask, alphas)) == [True, True]
 
 
+@pytest.mark.parametrize("asked, other", [(0.5, 0.05), (0.05, 0.5)])
+def test_a_memo_replaced_between_lookup_and_read_gives_the_plain_answer(monkeypatch, asked,
+                                                                         other):
+    # Another alpha replaces the memo right after this query's lookup, every
+    # time: the query must not take that alpha's all-finite flag.
+    state, x = _state_with_a_far_small_env(29)
+    fresh, _ = _state_with_a_far_small_env(29)
+    plain = fresh.acir_intervals(x, asked)
+    lookup = CalibrationState.env_quantiles
+
+    def replaced_after_lookup(self, alpha):
+        q = lookup(self, alpha)
+        lookup(self, other)
+        return q
+
+    monkeypatch.setattr(CalibrationState, "env_quantiles", replaced_after_lookup)
+    got = state.acir_intervals(x, asked)
+    assert got.center.tobytes() == plain.center.tobytes()
+    assert got.half_width.tobytes() == plain.half_width.tobytes()
+
+
 def test_quantiles_read_from_the_state_equal_quantiles_of_the_raw_scores():
     model, envs, state = make_state(seed=18, n=37)
     raw = [np.abs(env.targets - model.predict(env.features)) for env in envs]
@@ -643,8 +664,8 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("0 1 two 0.0 1.0\n1.0\n2.0\n", "line 1: invalid literal for int"),
-    ("0 1 2 0.0 wide\n1.0\n2.0\n", "line 1: could not convert string to float: 'wide'"),
+    ("0 1 two 0.0 1.0\n1.0\n2.0\n", "line 1: n_cal 'two' is not an integer"),
+    ("0 1 2 0.0 wide\n1.0\n2.0\n", "line 1: non-numeric cell in ['0', '1', '2', '0.0', 'wide']"),
     # score lines keep the data files' row rule and get their messages
     ("0 1 2 0.0 1.0\n1.0\n\nxyz\n", "line 4: non-numeric cell in ['xyz']"),
     ("0 2 1 0.0 1.0\n1.0\n1 2 2 0.0 1.0\n1.0\n2.0x\n",
@@ -656,7 +677,7 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
     ("\n0 1 2 0.0\n1.0\n2.0\n", "line 2: expected section header"),
     ("0 1 -1 0.0 1.0\n1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 0 0.0 1.0\n", "line 1: env 0: n_cal must be >= 1"),
-    ("0 1 2 nan 1.0\n1.0\n2.0\n", "line 1: non-finite value 'nan'"),
+    ("0 1 2 nan 1.0\n1.0\n2.0\n", "line 1: non-finite cell in ['0', '1', '2', 'nan', '1.0']"),
     ("0 2 1 0.0 1.0\n1.0\n\n1 3 1 0.0 1.0\n1.0\n",
      "line 4: inconsistent environment count 3 vs 2"),
     ("0 2 1 0.0 1.0\n1.0\n1 2 3 0.0 1.0\n1.0\n2.0\n",

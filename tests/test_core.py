@@ -110,6 +110,10 @@ def test_env_dataset_validation():
         EnvDataset(env_id=0, features=np.array([[np.nan, 1.0]]), targets=np.zeros(1))
     with pytest.raises(ValueError):
         EnvDataset(env_id=0, features=np.ones((0, 2)), targets=np.zeros(0))
+    with pytest.raises(ValueError, match="^features must be a matrix, got ndim=3$"):
+        EnvDataset(env_id=0, features=np.ones((3, 2, 1)), targets=y)
+    with pytest.raises(ValueError, match="^targets must be a vector, got ndim=2$"):
+        EnvDataset(env_id=0, features=x, targets=np.zeros((3, 1)))
 
 
 def test_env_dataset_is_immutable():
@@ -400,15 +404,22 @@ def test_predict_output_does_not_depend_on_the_worker(two_ways, tmp_path, capsys
     assert_no_child_left()
 
 
+# cpus is the affinity mask, or for an int the CPU count of a system without one.
 @pytest.mark.parametrize("cpus, second_thread, expected", [
     ({0, 1}, False, True),
     ({0}, False, False),
     ({0, 1}, True, False),
-], ids=["two-cpus", "one-cpu", "second-thread"])
+    (2, False, True),
+    (1, False, False),
+], ids=["two-cpus", "one-cpu", "second-thread", "two-cpus-no-affinity", "one-cpu-no-affinity"])
 def test_the_worker_needs_a_second_cpu_and_no_second_thread(
     monkeypatch, forks, cpus, second_thread, expected
 ):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    if isinstance(cpus, int):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     monkeypatch.setattr(core, "_PARALLEL_ROWS", 2)
     release = threading.Event()
     helper = threading.Thread(target=release.wait)
@@ -429,6 +440,14 @@ def test_the_worker_needs_a_second_cpu_and_no_second_thread(
         if second_thread:
             helper.join(timeout=10)
             assert not helper.is_alive()
+
+
+def test_the_thread_count_is_threadings_where_proc_lists_no_threads(monkeypatch):
+    def unlisted(path):
+        raise OSError(f"cannot list {path}")
+
+    monkeypatch.setattr(os, "listdir", unlisted)
+    assert core._thread_count() == threading.active_count()
 
 
 def test_the_suite_runs_on_one_os_thread():

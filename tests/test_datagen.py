@@ -26,7 +26,7 @@ from acir.datagen import (
     save_csv,
     split_dataset,
 )
-from acir.models import LinearIRMModel
+from acir.models import LinearIRMModel, load_model
 from conftest import assert_no_child_left
 
 N_BIG = 10000
@@ -430,24 +430,32 @@ EDGE_CELLS = [str(2**63), "99999999999999999999", "1_0", "\u0661", "\uff11", '"1
 
 
 @st.composite
-def bodies(draw, shapes=((1, False), (2, False), (2, True), (3, True))):
-    """A row width, whether an env column leads, and a body of rows of that
-    width that hold an edge cell now and then, a trailing comma, blank and
-    whitespace-only lines, and LF, CRLF or CR line ends."""
-    width, env_column = draw(st.sampled_from(shapes))
+def bodies(draw, shapes=((1, ()), (2, ()), (2, ("env",)), (3, ("env",))),
+           delimiters=(",", None)):
+    """A row width, the names of its leading integer columns, a delimiter (None
+    for whitespace) and a body of rows of that width that hold an edge cell
+    now and then, a trailing separator, blank and whitespace-only lines, and
+    LF, CRLF or CR line ends."""
+    width, ints = draw(st.sampled_from(shapes))
+    delimiter = draw(st.sampled_from(delimiters))
+    seps = [","] if delimiter else [" ", "  ", "\t"]
     cell = st.sampled_from(["0", "-1.5e3", "7"] * 4 + EDGE_CELLS)
-    row = st.builds(lambda cells, comma: ",".join(cells) + comma,
+    row = st.builds(lambda cells, sep, end: sep.join(cells) + end,
                     st.lists(cell, min_size=width, max_size=width),
-                    st.sampled_from(["", "", "", ","]))
+                    st.sampled_from(seps), st.sampled_from(["", "", "", *seps]))
     line = st.one_of(row, row, row, st.sampled_from(["", "   ", "\t"]))
     lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])),
                           min_size=1, max_size=6))
-    return width, env_column, "".join(text + end for text, end in lines)
+    return width, ints, delimiter, "".join(text + end for text, end in lines)
 
 
-def _body_lines(path):
-    """The numbered lines after the header of the file at path, without
-    their ends, as _read_numeric hands them to _name_bad_line."""
+def _body_lines(path, delimiter=","):
+    """The numbered lines after the header of the file at path, as their
+    reader hands them to _name_bad_line: a data file's (cells split on
+    commas) without their ends, a model's (on whitespace) as numbered_lines
+    gives them, stripped and without blank ones."""
+    if delimiter is None:
+        return core.numbered_lines(path)[1:]
     with open(path, encoding="utf-8", newline="") as fh:
         fh.readline()
         return list(enumerate((line.rstrip("\r\n") for line in fh), start=2))
@@ -456,58 +464,60 @@ def _body_lines(path):
 @settings(deadline=None, max_examples=300)
 @given(bodies())
 def test_a_body_that_fails_its_checks_has_a_line_that_is_named(body):
-    # _read_numeric names the bad line with _name_bad_line whenever loadtxt
-    # rejects a body (a whole one or either run of parse_in_two's, which is
-    # itself a body), or a value is not finite. If _name_bad_line then
-    # returned, loadtxt's message, with its run-relative row number, would
-    # surface instead.
-    width, env_column, text = body
+    # _read_numeric and _read_rows name the bad line with _name_bad_line
+    # whenever loadtxt rejects a body (a whole one or either run of
+    # parse_in_two's, which is itself a body), or a value is not finite. If
+    # _name_bad_line then returned, loadtxt's message, with its run-relative
+    # row number, would surface instead.
+    width, ints, delimiter, text = body
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "body.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("header\n" + text)
+        lines = _body_lines(path, delimiter)
         with open(path, encoding="utf-8") as fh:
             fh.readline()
             try:
-                table = datagen._parse_rows(fh, width, env_column)
+                rows = fh if delimiter else [text for _, text in lines]
+                table = datagen._parse_rows(rows, width, ints, delimiter)
                 named = not np.isfinite(table["vals"]).all()
             except ValueError:
                 named = True
         if named:
             with pytest.raises(CsvParseError, match=r": line \d+: "):
-                datagen._name_bad_line(path, _body_lines(path), width, env_column)
+                datagen._name_bad_line(path, lines, width, ints, delimiter)
 
 
-def _reference_name_bad_line(path, lines, width, env_column):
+def _reference_name_bad_line(path, lines, width, ints=(), delimiter=","):
     """_name_bad_line as first written, every rule on one line at a time: the reference."""
     for lineno, text in lines:
         if not text:
             continue
-        cells = text.split(",")
+        cells = text.split(delimiter)
         where = f"{path}: line {lineno}"
         if len(cells) != width:
             raise CsvParseError(f"{where}: expected {width} columns, got {len(cells)}")
-        if env_column:
+        for name, cell in zip(ints, cells):
             try:
-                int(cells[0])
+                int(cell)
             except ValueError:
-                raise CsvParseError(f"{where}: env {cells[0]!r} is not an integer") from None
+                raise CsvParseError(f"{where}: {name} {cell!r} is not an integer") from None
         try:
-            values = [float(c) for c in (cells[1:] if env_column else cells)]
+            values = [float(c) for c in cells[len(ints):]]
         except ValueError:
             raise CsvParseError(f"{where}: non-numeric cell in {cells!r}") from None
         if not all(map(math.isfinite, values)):
             raise CsvParseError(f"{where}: non-finite cell in {cells!r}")
         try:
-            datagen._parse_rows([text], width, env_column)
+            datagen._parse_rows([text], width, ints, delimiter)
         except ValueError:
             raise CsvParseError(f"{where}: cell outside the number grammar in {cells!r}") from None
 
 
-def _named(scan, path, lines, width, env_column):
+def _named(scan, path, lines, width, ints=(), delimiter=","):
     """The message of the CsvParseError scan raises on the numbered lines, or None."""
     try:
-        scan(path, lines, width, env_column)
+        scan(path, lines, width, ints, delimiter)
     except CsvParseError as exc:
         return str(exc)
     return None
@@ -516,23 +526,23 @@ def _named(scan, path, lines, width, env_column):
 @settings(deadline=None, max_examples=300)
 @given(bodies(), st.sampled_from([1, 2, 3, datagen._RULE_BLOCK_LINES]))
 def test_the_block_scan_names_the_line_and_message_of_the_line_by_line_scan(body, block):
-    width, env_column, text = body
+    width, ints, delimiter, text = body
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "body.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("header\n" + text)
-        lines = _body_lines(path)
-        expected = _named(_reference_name_bad_line, path, lines, width, env_column)
+        lines = _body_lines(path, delimiter)
+        expected = _named(_reference_name_bad_line, path, lines, width, ints, delimiter)
         with mock.patch.object(datagen, "_RULE_BLOCK_LINES", block):
-            assert _named(datagen._name_bad_line, path, lines, width, env_column) == expected
+            assert _named(datagen._name_bad_line, path, lines, width, ints, delimiter) == expected
 
 
 @settings(deadline=None, max_examples=300)
-@given(bodies(shapes=[(1, False)]), st.sampled_from([1, 2, 3, datagen._RULE_BLOCK_LINES]))
+@given(bodies(shapes=[(1, ())], delimiters=[","]), st.sampled_from([1, 2, 3, datagen._RULE_BLOCK_LINES]))
 def test_a_state_score_line_is_named_with_the_line_and_message_of_a_data_line(body, block):
     # A state's score lines are a body one column wide without an env
     # column, read as every line of a state: stripped, blank ones dropped.
-    _, _, text = body
+    _, _, _, text = body
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "state.txt")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -541,7 +551,7 @@ def test_a_state_score_line_is_named_with_the_line_and_message_of_a_data_line(bo
         assume(lines)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"0 1 {len(lines)} 0.0 1.0\n" + text)
-        expected = _named(_reference_name_bad_line, path, lines, 1, False)
+        expected = _named(_reference_name_bad_line, path, lines, 1)
         with mock.patch.object(datagen, "_RULE_BLOCK_LINES", block):
             try:
                 load_state(path, LinearIRMModel(phi=np.eye(2), penalty_weight=0.0))
@@ -567,12 +577,59 @@ def test_the_first_of_two_bad_lines_is_named_across_blocks(tmp_path, first, seco
     path = tmp_path / "d.csv"
     path.write_text("env,y,x1\n" + "\n".join(rows) + "\n", encoding="utf-8")
     lines = _body_lines(path)
-    expected = _named(_reference_name_bad_line, str(path), lines, 3, True)
+    expected = _named(_reference_name_bad_line, str(path), lines, 3, ("env",))
     assert f": line {first + 2}: " in expected
-    assert _named(datagen._name_bad_line, str(path), lines, 3, True) == expected
+    assert _named(datagen._name_bad_line, str(path), lines, 3, ("env",)) == expected
     with pytest.raises(CsvParseError) as info:
         load_csv(str(path))
     assert str(info.value) == expected
+
+
+# Each of the six places a number is read, as (reader, file text with the bad
+# cell as {}, its line, the cells of that line): one number grammar for all.
+EYE = LinearIRMModel(phi=np.eye(2), penalty_weight=0.0)
+SIX_PLACES = {
+    "data-row": (load_csv, "env,y,x1\n0,1.0,2.0\n1,{},2.0\n", 3, ["1", "{}", "2.0"]),
+    "points-row": (lambda path: load_points(path, 2), "x1,x2\n0.5,1.0\n{},1.0\n", 3,
+                   ["{}", "1.0"]),
+    "model-header": (load_model, "2 2 {}\n1.0 0.0\n0.0 1.0\n", 1, ["2", "2", "{}"]),
+    "model-row": (load_model, "2 2 0.0\n1.0 0.0\n0.0 {}\n", 3, ["0.0", "{}"]),
+    "state-header": (lambda path: load_state(path, EYE), "0 1 2 {} 1.0\n1.0\n2.0\n", 1,
+                     ["0", "1", "2", "{}", "1.0"]),
+    "state-score": (lambda path: load_state(path, EYE), "0 1 2 0.0 1.0\n1.0\n{}\n", 3, ["{}"]),
+}
+
+
+@pytest.mark.parametrize("place", SIX_PLACES)
+@pytest.mark.parametrize("cell, fault", [
+    ("1_000", "cell outside the number grammar"), ("\uff14", "cell outside the number grammar"),
+    ("nan", "non-finite cell"), ("1e400", "non-finite cell"),
+])
+def test_a_bad_cell_is_refused_with_the_same_words_wherever_a_number_is_read(
+    tmp_path, place, cell, fault
+):
+    # Python's int() and float() take 1_000 and a fullwidth 4, and float() nan and 1e400.
+    read, text, line, cells = SIX_PLACES[place]
+    path = tmp_path / "file"
+    path.write_text(text.format(cell), encoding="utf-8")
+    with pytest.raises(CsvParseError) as info:
+        read(str(path))
+    cells = [c.format(cell) for c in cells]
+    assert str(info.value) == f"{path}: line {line}: {fault} in {cells!r}"
+
+
+@pytest.mark.parametrize("read, text", [
+    (load_csv, "env,y,x1\n0,1_0,2.0\n"),
+    (load_model, "2 2 0.0\n1.0 0.0\n0.0 1_0\n"),
+], ids=["data", "model"])
+def test_a_file_is_refused_even_if_no_line_is_named(tmp_path, monkeypatch, read, text):
+    # The naming pass is only for the message: if it named nothing, the
+    # reader would still refuse the file, with loadtxt's own message.
+    path = tmp_path / "file"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(datagen, "_name_bad_line", lambda *args: None)
+    with pytest.raises(CsvParseError, match=f"^{path}: could not convert"):
+        read(str(path))
 
 
 def test_only_a_line_the_reader_rejects_is_named(tmp_path):

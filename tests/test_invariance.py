@@ -1,5 +1,7 @@
 """Density fits, clamped likelihood ratios, and the invariance statistic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,18 @@ def test_invariance_report_derives_inv_and_delta_from_its_matrix():
         InvarianceReport(env_ids=(0, 1), m_hat=np.zeros((2, 2)), inv=0.5, delta=np.zeros(2))
     with pytest.raises(AttributeError):
         report.inv = 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DensityModel(env_ids=(0, 1), means=np.zeros((2, 2)), variances=np.ones((2, 3))),
+     "means/variances must be (m, p) matching env_ids"),
+    (lambda: DensityModel(env_ids=(0, 1), means=np.zeros((2, 2)),
+                          variances=np.ones((2, 2))).log_density(np.zeros((4, 3)), 0),
+     "expected 2 features, got 3"),
+], ids=["shapes-disagree", "log-density-width"])
+def test_a_density_model_refuses_mismatched_widths(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_density_model_rejects_nonpositive_variance():

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import time
 
 import numpy as np
@@ -242,23 +244,21 @@ def test_model_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("2 two 0.0\n1.0 2.0\n3.0 4.0\n", "line 1: invalid literal for int"),
-    ("2 2 zero\n1.0 2.0\n3.0 4.0\n", "line 1: could not convert string to float: 'zero'"),
-    ("2 2 0.0\n1.0 2.0\n\n3.0 abc\n", "line 4: could not convert string to float: 'abc'"),
+    ("2 two 0.0\n1.0 2.0\n3.0 4.0\n", "line 1: p 'two' is not an integer"),
+    ("2 2 zero\n1.0 2.0\n3.0 4.0\n", "line 1: non-numeric cell in ['2', '2', 'zero']"),
+    ("2 2 0.0\n1.0 2.0\n\n3.0 abc\n", "line 4: non-numeric cell in ['3.0', 'abc']"),
     ("\n2 2\n1.0 2.0\n3.0 4.0\n", "line 2: header must be"),
-    ("2 2 nan\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite value 'nan'"),
-    ("2 2 inf\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite value 'inf'"),
-    ("2 2 0.0\n1.0 2.0\n\n3.0 -inf\n", "line 4: non-finite value '-inf'"),
+    ("2 2 nan\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite cell in ['2', '2', 'nan']"),
+    ("2 2 inf\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite cell in ['2', '2', 'inf']"),
+    ("2 2 0.0\n1.0 2.0\n\n3.0 -inf\n", "line 4: non-finite cell in ['3.0', '-inf']"),
     ("1 2 0.0\n1.0 2.0\n", "line 1: declared shape (1, 2) needs d >= 2, p >= 1"),
     ("\n0 3 0.0\n", "line 2: declared shape (0, 3) needs d >= 2, p >= 1"),
     ("-1 3 0.0\n", "line 1: declared shape (-1, 3) needs d >= 2, p >= 1"),
     ("2 0 0.0\n", "line 1: declared shape (2, 0) needs d >= 2, p >= 1"),
     ("2 -4 0.0\n1.0\n2.0\n", "line 1: declared shape (2, -4) needs d >= 2, p >= 1"),
     ("2 2 -1.0\n1.0 2.0\n3.0 4.0\n", "penalty_weight must be >= 0 and finite, got -1.0"),
-    ("2 2 0.0\n1.0 2.0\n\n3.0\n",
-     "line 4: declared shape (2, 2) does not match a row of 1 values"),
-    ("2 2 0.0\n1.0 2.0\n3.0 4.0 5.0\n6.0\n",
-     "line 3: declared shape (2, 2) does not match a row of 3 values"),
+    ("2 2 0.0\n1.0 2.0\n\n3.0\n", "line 4: expected 2 columns, got 1"),
+    ("2 2 0.0\n1.0 2.0\n3.0 4.0 5.0\n6.0\n", "line 3: expected 2 columns, got 3"),
     ("\n2 2 0.0\n1.0 2.0\n", "line 2: declared shape (2, 2) does not match the 1 rows given"),
     ("2 2 0.0\n1.0 2.0\n3.0 4.0\n5.0 6.0\n",
      "line 1: declared shape (2, 2) does not match the 3 rows given"),
@@ -271,6 +271,27 @@ def test_load_model_names_file_and_line_of_a_bad_token(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         load_model(str(path))
     assert str(info.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 10000000 0.0\n1.0 2.0\n3.0 4.0\n", "line 2: expected 10000000 columns, got 2"),
+    ("2 10000000 0.0\n", "line 1: declared shape (2, 10000000) does not match the 0 rows given"),
+    (f"2 {2**40} 0.0\n", f"line 1: declared shape (2, {2**40}) does not match the 0 rows given"),
+])
+def test_a_declared_width_no_row_holds_is_refused_without_rows_of_it(tmp_path, text, message):
+    # loadtxt sets aside a few rows of the declared width (here 80 MB each)
+    # before it reads a line, so such a width is refused before it is asked.
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load_model(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: {message}"
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -289,6 +310,22 @@ def test_model_rejects_a_non_finite_penalty_weight(value):
 def test_a_negative_fit_seed_is_rejected_at_construction():
     with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
         FitConfig(seed=-1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinearIRMModel(phi=np.ones(3)), "phi must be a matrix, got ndim=1"),
+    (lambda: LinearIRMModel(phi=np.ones((1, 3))), "representation dimension must be >= 2, got 1"),
+    (lambda: LinearIRMModel(phi=np.array([[1.0, np.nan], [0.0, 1.0]])), "phi must be finite"),
+    (lambda: LinearIRMModel(phi=np.eye(2)).represent(np.ones(3)), "expected 2 features, got 3"),
+    (lambda: irm_objective(LinearIRMModel(phi=np.eye(2)), [EnvDataset(0, np.ones((2, 3)),
+                                                                      np.zeros(2))]),
+     "expected 2 features, got 3"),
+    (lambda: FitConfig(max_iters=0), "iteration counts out of range"),
+], ids=["phi-vector", "phi-one-row", "phi-nan", "represent-width", "objective-width",
+        "no-iterations"])
+def test_a_bad_model_input_or_fit_option_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_config_validation():

@@ -1,0 +1,215 @@
+"""Run the benchmark on two trees in alternating pairs and compare their end-to-end metrics.
+
+Usage, from the repository root:
+
+    python3 tools/bench_pairs.py BASE CHANGE --workload W|all --pairs K --seconds S
+                                 [--seed N] [--record]
+
+BASE and CHANGE name commits; CHANGE may be ``.`` for the working tree (the
+files git tracks or would track, as they are on disk). Each side is copied
+into its own directory of a temporary one, at paths of equal length (a
+commit with ``git archive``). For each workload, each of K pairs runs the
+copies' own, unchanged
+
+    python3 benchmarks/run.py --workload W --seed N --seconds S --trace 0
+
+once on each side, the base first in even pairs and the change first in odd
+ones, and reads the run's ``.bench_out`` JSON record.
+
+For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
+medians over the K runs, the base's interquartile range, how many pairs
+favour the change, and whether the change's median is within the metric's
+bound (its relative worsening against the base's median is at most the
+bound). It also prints the medians of the raw set-up times
+(``setup_runs_s``) and of their host-speed scales (``setup_scales``), the
+failed operations of each side, and whether the output fingerprints matched
+in every pair.
+
+``--record`` appends one entry per workload to ``BENCH_<workload>.json`` at
+the repository root: both sides, the environment block (with ``nproc`` and
+the CPU affinity mask) and the figures above. Nothing else is written
+outside the temporary directory, which is removed on every path, as is any
+benchmark process still running.
+
+Needs only the standard library and git. A run takes about S seconds plus
+its set-up (10-30 s per run on a 2-vCPU host), so K pairs of one workload
+take about 2 K (S + 30) seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, timeout=120).stdout
+
+
+def describe(rev: str) -> str:
+    """The commit rev names, or for ``.`` the working tree on top of HEAD."""
+    head = _git("rev-parse", "HEAD" if rev == "." else f"{rev}^{{commit}}").decode().strip()
+    return f"{head}+working-tree" if rev == "." else head
+
+
+def copy_tree(rev: str, dest: Path) -> None:
+    """The files of commit rev, or of the working tree for ``.``, under dest."""
+    dest.mkdir()
+    if rev != ".":
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", rev))) as tar:
+            tar.extractall(dest, filter="data")
+        return
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in listed.decode().split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file deleted on disk is left out
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(source.read_bytes())
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON record of one unchanged benchmark run in tree."""
+    argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", repr(seconds), "--trace", "0"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    # subprocess.run kills the run on any exception, a timeout or Ctrl-C too
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=10 * seconds + 900)
+    if done.returncode != 0:
+        raise RuntimeError(f"{tree.name}: {workload} exited with code {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    with open(tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def _failed(record: dict) -> int:
+    return round(record["error_rate"] * record["samples"]["operations"])
+
+
+def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
+    """The figures of K (base, change) record pairs of one workload."""
+    metrics = {}
+    for metric in spec["end_to_end"]:
+        name, bound, higher = metric["name"], metric["bound"], metric["better"] == "higher"
+        base = [b["end_to_end_untraced"][name] for b, _ in pairs]
+        change = [c["end_to_end_untraced"][name] for _, c in pairs]
+        base_median, change_median = statistics.median(base), statistics.median(change)
+        sign = 1.0 if higher else -1.0
+        # the change's relative worsening against the base median; 0 when the base reads 0
+        worse = sign * (base_median - change_median) / base_median if base_median else 0.0
+        metrics[name] = {
+            "better": metric["better"],
+            "bound": bound,
+            "base_median": base_median,
+            "change_median": change_median,
+            "base_iqr": _iqr(base),
+            "pairs_favouring_change": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "relative_worsening": worse,
+            "within_bound": worse <= bound,
+        }
+    sides = {"base": [b for b, _ in pairs], "change": [c for _, c in pairs]}
+    return {
+        "pairs": len(pairs),
+        "metrics": metrics,
+        "setup_runs_s_median": {k: statistics.median(statistics.median(r["setup_runs_s"])
+                                                     for r in v) for k, v in sides.items()},
+        "setup_scales_median": {k: statistics.median(statistics.median(r["setup_scales"])
+                                                     for r in v) for k, v in sides.items()},
+        "failed_operations": {k: sum(map(_failed, v)) for k, v in sides.items()},
+        "operations": {k: sum(r["samples"]["operations"] for r in v) for k, v in sides.items()},
+        "src_sha256": {k: v[0]["environment"]["src_sha256"] for k, v in sides.items()},
+        "fingerprints_match": all(b["fingerprints"] == c["fingerprints"] for b, c in pairs),
+    }
+
+
+def report(workload: str, result: dict) -> None:
+    print(f"\n{workload}: {result['pairs']} pairs")
+    print(f"  {'metric':<14} {'base':>12} {'change':>12} {'base IQR':>10} "
+          f"{'favour':>6} {'worse':>7} {'bound':>5}  ok")
+    for name, m in result["metrics"].items():
+        print(f"  {name:<14} {m['base_median']:>12.6g} {m['change_median']:>12.6g} "
+              f"{m['base_iqr']:>10.4g} {m['pairs_favouring_change']:>3}/{result['pairs']:<2} "
+              f"{100 * m['relative_worsening']:>6.1f}% {m['bound']:>5} "
+              f"{'yes' if m['within_bound'] else 'NO'}")
+    for key in ("setup_runs_s_median", "setup_scales_median", "failed_operations"):
+        print(f"  {key}: base {result[key]['base']!r}, change {result[key]['change']!r}")
+    print(f"  fingerprints matched in every pair: {result['fingerprints_match']}")
+
+
+def record(workload: str, entry: dict) -> Path:
+    path = ROOT / f"BENCH_{workload}.json"
+    entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    entries.append(entry)
+    path.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    return path
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--record", action="store_true",
+                        help="append one entry per workload to BENCH_<workload>.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
+        parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = names if args.workload == "all" else [args.workload]
+    if not set(workloads) <= set(names):
+        parser.error(f"unknown workload {args.workload!r}, expected one of {names} or all")
+    sides = {"base": describe(args.base), "change": describe(args.change)}
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        trees = {"base": Path(tmp) / "a", "change": Path(tmp) / "b"}
+        copy_tree(args.base, trees["base"])
+        copy_tree(args.change, trees["change"])
+        for workload in workloads:
+            pairs = []
+            for k in range(args.pairs):
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                runs = {side: run_once(trees[side], workload, args.seed, args.seconds)
+                        for side in order}
+                pairs.append((runs["base"], runs["change"]))
+                print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
+            result = compare(pairs, spec)
+            report(workload, result)
+            if args.record:
+                environment = dict(pairs[0][0]["environment"])
+                for key in ("commit", "src_sha256"):
+                    environment.pop(key, None)
+                environment["affinity"] = sorted(os.sched_getaffinity(0))
+                entry = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                         "workload": workload, **sides, "seed": args.seed,
+                         "seconds": args.seconds, "environment": environment, **result}
+                print(f"  recorded in {record(workload, entry)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
