@@ -92,7 +92,8 @@ class ExperimentConfig:
     synthetic settings refuse test_envs and csv_train_fraction, and CSV mode
     refuses n_train_total, n_cal_total, n_test_total, env_params and
     resplit_only. A field left at None in the mode that uses it reads its
-    default from _MODE_DEFAULTS.
+    default from _MODE_DEFAULTS. Without an IRM method, the IRM-only fields
+    of fit are refused too (FitConfig.refuse_penalty).
     """
 
     setting: str
@@ -123,13 +124,14 @@ class ExperimentConfig:
         for name, default in _MODE_DEFAULTS[self.is_csv].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "replications", _integer("replications", self.replications))
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.is_csv:
-            check_train_fraction(self.csv_train_fraction)
+            fraction = check_train_fraction(self.csv_train_fraction)
+            object.__setattr__(self, "csv_train_fraction", fraction)
         else:
             object.__setattr__(self, "env_params", check_env_params(self.env_params))
             m = len(self.env_params)
@@ -146,6 +148,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least one method; choose from {METHODS}")
         chosen = {method.upper() for method in self.methods}
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in chosen))
+        if not any(method.endswith("IRM") for method in self.methods):
+            self.fit.refuse_penalty("without an IRM method")
         test_envs = tuple(_integer("test_envs", e) for e in self.test_envs)
         object.__setattr__(self, "test_envs", test_envs)
         repeated = sorted({e for e in self.test_envs if self.test_envs.count(e) > 1})

@@ -7,6 +7,8 @@ calibrate it) from a CSV, ``assess`` for the invariance report, and
 
 Every leaf command accepts ``--config FILE`` holding ``key = value`` lines,
 each key a flag of that command; explicit flags override file values.
+argparse only parses: each command checks every value it takes through the
+library, in one _usage_errors block before it reads any file.
 Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures.
 """
 
@@ -30,7 +32,6 @@ from .bench import (
 from .conformal import calibrate, load_state, save_state
 from .core import check_alpha, check_seed, check_train_fraction, not_utf8, write_float_rows
 from .datagen import (
-    DEFAULT_ENV_PARAMS,
     SETTINGS,
     SemConfig,
     env_sizes,
@@ -97,24 +98,6 @@ def _comma_list(convert: Callable[[str], object]) -> Callable[[str], tuple]:
     return parse
 
 
-def _checked(kind: type, check: Callable) -> Callable[[str], object]:
-    """An argparse type: ``kind`` of the text passed through ``check``, whose
-    ValueError is a usage error."""
-
-    def convert(text: str):
-        value = kind(text)
-        try:
-            return check(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    convert.__name__ = kind.__name__  # argparse names the type in its errors
-    return convert
-
-
-_seed = _checked(int, check_seed)
-
-
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -170,9 +153,9 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     sem_p = leaf(datagen_sub, "datagen", "sem", summary="draw one dataset and write it as CSV")
     sem_p.add_argument("--setting", required=True)
     sem_p.add_argument("--n", type=int, required=True, help="total rows across environments")
-    sem_p.add_argument("--seed", type=_seed, default=0)
-    sem_p.add_argument("--stream-seed", type=_seed, default=0)
-    sem_p.add_argument("--env-params", type=_comma_list(float), default=DEFAULT_ENV_PARAMS)
+    sem_p.add_argument("--seed", type=int, default=None)
+    sem_p.add_argument("--stream-seed", type=int, default=0)
+    sem_p.add_argument("--env-params", type=_comma_list(float), default=None)
     sem_p.add_argument("--out", required=True)
 
     fit_p = leaf(sub, "fit", summary="train a model from CSV data")
@@ -181,9 +164,9 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     fit_p.add_argument("--method", choices=["irm", "erm"], default="irm")
     fit_p.add_argument("--calibration-out", default=None,
                        help="also split, calibrate, and write this state file")
-    fit_p.add_argument("--train-fraction", type=_checked(float, check_train_fraction),
-                       default=None, help="with --calibration-out (default 0.5)")
-    fit_p.add_argument("--split-seed", type=_seed, default=None,
+    fit_p.add_argument("--train-fraction", type=float, default=None,
+                       help="with --calibration-out (default 0.5)")
+    fit_p.add_argument("--split-seed", type=int, default=None,
                        help="with --calibration-out (default 0)")
     _add_fit_flags(fit_p)
 
@@ -195,7 +178,7 @@ def build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     pred_p = leaf(sub, "predict", summary="prediction intervals at new points")
     pred_p.add_argument("--model", required=True)
     pred_p.add_argument("--calibration", required=True)
-    pred_p.add_argument("--alpha", type=_checked(float, check_alpha), default=0.05)
+    pred_p.add_argument("--alpha", type=float, default=0.05)
     pred_p.add_argument("--input", required=True)
     pred_p.add_argument("--method", choices=["sc", "acir"], default="acir")
     pred_p.add_argument("--out", default=None, help="output CSV (default: stdout)")
@@ -251,22 +234,9 @@ def _splice_config(argv: list[str], leaves: dict[tuple[str, ...], _Parser]) -> l
     return argv[:n] + tokens + argv[n:]
 
 
-def _refuse_flags(args: argparse.Namespace, flags: dict[str, str], mode: str) -> None:
-    """A usage error naming the first of ``flags`` (flag: its dest) that was
-    given, as a flag or a config key: ``mode`` does not use it."""
-    for flag, dest in flags.items():
-        if getattr(args, dest) is not None:
-            raise _UsageError(f"{flag} does not apply {mode}")
-
-
-_PENALTY_FLAGS = {"--penalty-weight": "penalty_weight", "--warmup-iters": "warmup_iters"}
-
-
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     with _usage_errors():
         config = _from_flags(ExperimentConfig, args, fit=_fit_config(args))
-    if not any(method.endswith("IRM") for method in config.methods):
-        _refuse_flags(args, _PENALTY_FLAGS, "without an IRM method")
     rows = run_experiment(config)
     paths = emit_outputs(rows, summarize(rows), args.out)
     for path in paths:
@@ -276,10 +246,11 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 def _cmd_datagen_sem(args: argparse.Namespace) -> int:
     with _usage_errors():
-        sem = SemConfig(setting=args.setting, env_params=args.env_params, seed=args.seed)
+        sem = _from_flags(SemConfig, args)
         sizes = env_sizes(args.n, len(sem.env_params))
+        stream_seed = check_seed(args.stream_seed, "stream_seed")
     envs = [
-        generate_sem(sem, e, size, stream_seed=args.stream_seed)
+        generate_sem(sem, e, size, stream_seed=stream_seed)
         for e, size in zip(sem.env_params, sizes)
     ]
     save_csv(envs, args.out)
@@ -288,17 +259,19 @@ def _cmd_datagen_sem(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if args.calibration_out is None:
-        _refuse_flags(args, {"--train-fraction": "train_fraction", "--split-seed": "split_seed"},
-                      "without --calibration-out")
-    if args.method == "erm":
-        _refuse_flags(args, _PENALTY_FLAGS, "with --method erm")
     with _usage_errors():
         config = _fit_config(args)
+        if args.method == "erm":
+            config.refuse_penalty("with --method erm")
+        # no library object owns the split flags, so this names the flag
+        fraction, seed = args.train_fraction, args.split_seed
+        if args.calibration_out is None and (fraction is not None or seed is not None):
+            flag = "--train-fraction" if fraction is not None else "--split-seed"
+            raise ValueError(f"{flag} does not apply without --calibration-out")
+        fraction = check_train_fraction(0.5 if fraction is None else fraction)
+        seed = check_seed(0 if seed is None else seed, "split_seed")
     envs = load_csv(args.data)
     if args.calibration_out is not None:
-        fraction = 0.5 if args.train_fraction is None else args.train_fraction
-        seed = 0 if args.split_seed is None else args.split_seed
         splits = [split_dataset(env, fraction, seed=seed) for env in envs]
         train = [sp.train for sp in splits]
         cal = [sp.calibration for sp in splits]
@@ -325,13 +298,15 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    with _usage_errors():
+        alpha = check_alpha(args.alpha)
     model = load_model(args.model)
     state = load_state(args.calibration, model)
     points = load_points(args.input, model.p)
     if args.method == "sc":
-        intervals = state.sc_intervals(points, args.alpha)
+        intervals = state.sc_intervals(points, alpha)
     else:
-        intervals = state.acir_intervals(points, args.alpha)
+        intervals = state.acir_intervals(points, alpha)
 
     def write(fh: TextIO) -> None:
         fh.write("center,lower,upper\n")

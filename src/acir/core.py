@@ -229,11 +229,12 @@ def _integer(name: str, value: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_seed(seed: int) -> int:
-    """seed as an int; a ValueError unless it is an integer >= 0, as numpy's generators need."""
-    seed = _integer("seed", seed)
+def check_seed(seed: int, name: str = "seed") -> int:
+    """seed as an int; a ValueError naming ``name`` unless it is an integer >= 0,
+    as numpy's generators need."""
+    seed = _integer(name, seed)
     if seed < 0:
-        raise ValueError(f"seeds must be >= 0, got {seed}")
+        raise ValueError(f"{name} must be >= 0, got {seed}")
     return seed
 
 

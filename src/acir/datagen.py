@@ -205,7 +205,7 @@ def generate_sem(
     """
     if _integer("n", n) < 1:
         raise ValueError("n must be >= 1")
-    stream_seed = check_seed(stream_seed)
+    stream_seed = check_seed(stream_seed, "stream_seed")
     observed, noise_kind = _parse_setting(config.setting)
     e = float(env_param)
     idx = config.env_index(e)

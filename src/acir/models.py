@@ -119,6 +119,10 @@ class LinearIRMModel:
         return float(out) if x.ndim == 1 else out
 
 
+# The fields only fit_irmv1 uses, with the value each takes when left at None.
+_IRM_DEFAULTS: dict[str, float | int] = {"penalty_weight": 1e4, "warmup_iters": 100}
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for fit_erm / fit_irmv1.
@@ -128,32 +132,45 @@ class FitConfig:
     it, and penalty_weight is applied after warmup_iters penalty-free
     iterations. init_scale is the standard deviation of the seeded Gaussian
     initialization of phi; repr_dim defaults to the feature count.
+
+    penalty_weight and warmup_iters are IRM-only, and at None fit_irmv1 takes
+    them from _IRM_DEFAULTS. fit_erm ignores them, while refuse_penalty lets
+    ExperimentConfig without an IRM method and ``fit --method erm`` refuse them.
     """
 
     learning_rate: float = 1e-3
     max_iters: int = 5000
     tolerance: float = 1e-6
-    penalty_weight: float = 1e4
+    penalty_weight: float | None = None
     seed: int = 0
-    warmup_iters: int = 100
+    warmup_iters: int | None = None
     init_scale: float = 0.1
     repr_dim: int | None = None
 
     def __post_init__(self) -> None:
-        optional = () if self.repr_dim is None else ("repr_dim",)
-        for name in ("max_iters", "warmup_iters", *optional):
+        optional = [n for n in ("warmup_iters", "repr_dim") if getattr(self, n) is not None]
+        for name in ("max_iters", *optional):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed, "fit_seed"))
         # the comparisons are written so that NaN fails them
         if not (0.0 < self.learning_rate < math.inf and 0.0 < self.tolerance < math.inf):
             raise ValueError("learning_rate and tolerance must be positive and finite")
-        if self.max_iters < 1 or self.warmup_iters < 0:
+        if self.max_iters < 1 or (self.warmup_iters or 0) < 0:
             raise ValueError("iteration counts out of range")
-        _check_penalty_weight(self.penalty_weight)
+        if self.penalty_weight is not None:
+            object.__setattr__(self, "penalty_weight", _check_penalty_weight(self.penalty_weight))
         if not 0.0 < self.init_scale < math.inf:
             raise ValueError("init_scale must be positive and finite")
         if self.repr_dim is not None and self.repr_dim < 2:
             raise ValueError("repr_dim must be >= 2")
+        for name in ("learning_rate", "tolerance", "init_scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    def refuse_penalty(self, why: str) -> None:
+        """A ValueError naming the first IRM-only field given: it does not apply ``why``."""
+        for name in _IRM_DEFAULTS:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{name} does not apply {why}")
 
 
 def irm_objective(
@@ -365,7 +382,8 @@ def fit_irmv1(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
     objective value.
     """
     p = check_envs(train)
-    lam = config.penalty_weight
+    lam, warmup_iters = (_IRM_DEFAULTS[k] if getattr(config, k) is None else getattr(config, k)
+                         for k in _IRM_DEFAULTS)
     if lam > 0 and len(train) < 2:
         warnings.warn(
             "invariance penalty is vacuous with a single environment",
@@ -379,10 +397,10 @@ def fit_irmv1(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
 
     start = s0
     at_start = _eval_stats(s0, stats, lam)
-    if lam > 0 and config.warmup_iters > 0:
+    if lam > 0 and warmup_iters > 0:
         warmed = _descend(
             s0, _eval_stats(s0, stats, 0.0), stats, 0.0, config.learning_rate,
-            config.warmup_iters, config.tolerance, d,
+            warmup_iters, config.tolerance, d,
         )
         at_warmed = _eval_stats(warmed, stats, lam)
         if at_warmed.obj <= at_start.obj:
@@ -395,7 +413,8 @@ def fit_irmv1(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
 
 
 def fit_erm(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
-    """Fit pooled per-environment mean squared error (penalty weight 0)."""
+    """Fit pooled per-environment mean squared error (penalty weight 0); the
+    IRM-only fields of config are ignored, so one FitConfig serves both fitters."""
     return fit_irmv1(train, replace(config, penalty_weight=0.0))
 
 

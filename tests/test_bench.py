@@ -92,7 +92,7 @@ def test_config_rejects_a_train_fraction_outside_the_unit_interval(fraction):
 
 
 def test_config_rejects_a_negative_seed_before_any_run():
-    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         small_config(seed=-1)
 
 
@@ -161,6 +161,20 @@ def test_a_mode_specific_field_is_refused_in_the_other_mode_and_defaults_in_its_
         ExperimentConfig(**other, **{name: value})
 
 
+@pytest.mark.parametrize("name, value", [("penalty_weight", 500.0), ("warmup_iters", 7)])
+def test_an_irm_only_fit_field_is_refused_without_an_irm_method(name, value):
+    fit = FitConfig(**{name: value})
+    assert small_config(methods=("SC-ERM", "AC-IRM"), fit=fit).fit is fit
+    with pytest.raises(ValueError, match=f"^{name} does not apply without an IRM method$"):
+        ExperimentConfig(setting="FOU", methods=("SC-ERM",), fit=fit)
+
+
+def test_float_fields_are_stored_as_the_float_their_check_returns():
+    csv = ExperimentConfig(setting="csv:data.csv", test_envs=(0,), alpha=np.float32(0.25),
+                           csv_train_fraction=np.float32(0.5))
+    assert type(csv.alpha) is float and type(csv.csv_train_fraction) is float
+
+
 def test_metrics_row_validation():
     with pytest.raises(ValueError, match="coverage"):
         MetricsRow("SC-IRM", "FOU", 0, "pooled", 1.5, 1.0)
@@ -188,7 +202,9 @@ def test_row_accounting_and_order():
 
 
 def test_single_method_subset_runs_only_that_fit():
-    rows = run_experiment(small_config(methods=("SC-ERM",), replications=1))
+    # an ERM-only run refuses FAST_FIT's penalty, so this fit leaves it unset
+    rows = run_experiment(small_config(methods=("SC-ERM",), replications=1,
+                                       fit=FitConfig(init_scale=1.0)))
     assert len(rows) == 4
     assert all(r.method == "SC-ERM" for r in rows)
 

@@ -59,18 +59,18 @@ def test_config_validation():
 
 
 def test_a_negative_sem_seed_is_rejected_with_the_seed_rule():
-    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         SemConfig(setting="FOU", seed=-1)
 
 
 def test_a_negative_stream_seed_is_rejected_with_the_seed_rule():
-    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^stream_seed must be >= 0, got -1$"):
         generate_sem(SemConfig(setting="FOU"), env_param=0.2, n=10, stream_seed=-1)
 
 
 def test_a_negative_split_seed_is_rejected_with_the_seed_rule():
     data = EnvDataset(0, np.ones((4, 1)), np.zeros(4))
-    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         split_dataset(data, 0.5, seed=-1)
 
 

@@ -308,7 +308,7 @@ def test_model_rejects_a_non_finite_penalty_weight(value):
 
 
 def test_a_negative_fit_seed_is_rejected_at_construction():
-    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^fit_seed must be >= 0, got -1$"):
         FitConfig(seed=-1)
 
 
@@ -326,6 +326,27 @@ def test_a_negative_fit_seed_is_rejected_at_construction():
 def test_a_bad_model_input_or_fit_option_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_the_irm_only_fields_default_to_none_and_fit_irmv1_fills_them():
+    config = FitConfig(init_scale=1.0, max_iters=50)
+    assert config.penalty_weight is None and config.warmup_iters is None
+    _, envs = make_envs(n=100)
+    model = fit_irmv1(envs, config)
+    given = fit_irmv1(envs, FitConfig(init_scale=1.0, max_iters=50, penalty_weight=1e4,
+                                      warmup_iters=100))
+    assert model.penalty_weight == 1e4
+    assert model.phi.tobytes() == given.phi.tobytes()
+
+
+def test_float_options_are_stored_as_the_float_their_check_returns():
+    cfg = SemConfig(setting="PEU", seed=1)
+    envs = [generate_sem(cfg, e, 300, stream_seed=2) for e in cfg.env_params]
+    as_float32 = fit_irmv1(envs, FitConfig(penalty_weight=np.float32(3.0), init_scale=1.0))
+    assert as_float32.phi.tobytes() == fit_irmv1(envs, FAST).phi.tobytes()
+    names = ("learning_rate", "tolerance", "penalty_weight", "init_scale")
+    config = FitConfig(**{name: np.float32(0.5) for name in names})
+    assert all(type(getattr(config, name)) is float for name in names)
 
 
 def test_config_validation():

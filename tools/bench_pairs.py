@@ -17,10 +17,11 @@ once on each side, the base first in even pairs and the change first in odd
 ones, and reads the run's ``.bench_out`` JSON record.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
-medians over the K runs, the base's interquartile range, how many pairs
-favour the change, and whether the change's median is within the metric's
-bound (its relative worsening against the base's median is at most the
-bound). It also prints the medians of the raw set-up times
+medians over the K runs, the base's interquartile range, the range of the
+K pair ratios (change over base, which on identical trees is the noise
+floor a later claim is read against), how many pairs favour the change,
+and whether the change's median is within the metric's bound (its relative
+worsening against the base's median is at most the bound). It also prints the medians of the raw set-up times
 (``setup_runs_s``) and of their host-speed scales (``setup_scales``), the
 failed operations of each side, and whether the output fingerprints matched
 in every pair.
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -123,6 +125,7 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
             "base_median": base_median,
             "change_median": change_median,
             "base_iqr": _iqr(base),
+            "pair_ratios": [c / b if b else None for b, c in zip(base, change)],
             "pairs_favouring_change": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "relative_worsening": worse,
             "within_bound": worse <= bound,
@@ -145,10 +148,12 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
 def report(workload: str, result: dict) -> None:
     print(f"\n{workload}: {result['pairs']} pairs")
     print(f"  {'metric':<14} {'base':>12} {'change':>12} {'base IQR':>10} "
-          f"{'favour':>6} {'worse':>7} {'bound':>5}  ok")
+          f"{'pair ratios':>13} {'favour':>6} {'worse':>7} {'bound':>5}  ok")
     for name, m in result["metrics"].items():
+        ratios = [r for r in m["pair_ratios"] if r is not None] or [math.nan]
         print(f"  {name:<14} {m['base_median']:>12.6g} {m['change_median']:>12.6g} "
-              f"{m['base_iqr']:>10.4g} {m['pairs_favouring_change']:>3}/{result['pairs']:<2} "
+              f"{m['base_iqr']:>10.4g} {min(ratios):>6.3f}-{max(ratios):<6.3f} "
+              f"{m['pairs_favouring_change']:>3}/{result['pairs']:<2} "
               f"{100 * m['relative_worsening']:>6.1f}% {m['bound']:>5} "
               f"{'yes' if m['within_bound'] else 'NO'}")
     for key in ("setup_runs_s_median", "setup_scales_median", "failed_operations"):
