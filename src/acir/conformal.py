@@ -18,13 +18,14 @@ immutable, and interval construction only reads it, so a single state can
 serve concurrent prediction requests. Its only writes are caches: the
 sorted pooled scores on the first SC query, the stacked moments on the
 first AC query, and the quantiles of the last alpha asked for, a one-slot
-memo replaced as one tuple. Threads racing to fill a cache compute the
-same read-only value; threads asking for different alphas each get their
-own alpha's quantiles, whichever memo is left.
+memo of (alpha, quantiles) replaced as one tuple. Threads racing to fill a
+cache compute the same read-only value; threads asking for different
+alphas each get their own alpha's quantiles, whichever memo is left.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,12 +86,6 @@ def _stacked_moments(rep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    # count_nonzero, not ndarray.all, whose Python-level wrapper costs more
-    # than the check on a few values
-    return np.count_nonzero(np.isfinite(a)) == a.size
-
-
 def _env_scores(env_id: int, scores: np.ndarray) -> np.ndarray:
     """One environment's scores, read-only, unless they are empty, negative,
     non-finite or unsorted: the one score rule of a state and of its file."""
@@ -122,9 +117,8 @@ class CalibrationState:
     After that a conformal quantile is one index read into sorted scores:
     sc_intervals reads one from ``pooled_sorted``, and env_quantiles one
     per environment, once per alpha: it keeps the last alpha's read-only
-    quantiles and whether all are finite. Nothing is sorted or
-    re-validated per query but alpha and the shape of the points, checked
-    once. A single acir_interval is the O(p*d) computation of the point's
+    quantiles, and nothing else. Nothing is sorted or re-validated per
+    query but alpha and the shape of the points, checked once. A single acir_interval is the O(p*d) computation of the point's
     d-dimensional representation, its moments and its m weights, run as
     the batch code on one row: both moment distances in one broadcast
     subtraction against the cached (2, m, 1) stack of mu and v. README
@@ -158,7 +152,7 @@ class CalibrationState:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
         # nan equals no alpha, so the first query fills the memo
-        object.__setattr__(self, "_quantile_memo", (np.nan, None, False))
+        object.__setattr__(self, "_quantile_memo", (np.nan, None))
 
     @property
     def m(self) -> int:
@@ -179,14 +173,14 @@ class CalibrationState:
     def env_quantiles(self, alpha: float) -> np.ndarray:
         """Per-environment conformal quantiles at miscoverage alpha, read-only.
 
-        The last alpha's quantiles are kept, with whether all of them are
-        finite, so repeated queries at one alpha read them once.
+        The last alpha's quantiles are kept, so repeated queries at one
+        alpha read them once.
         """
         memo = self._quantile_memo
         if memo[0] != alpha:  # nan never matches, so it reaches check_alpha
             alpha = check_alpha(alpha)
             q = _frozen(np.array([sorted_conformal_quantile(sc, alpha) for sc in self.scores]))
-            memo = (alpha, q, _all_finite(q))
+            memo = (alpha, q)
             object.__setattr__(self, "_quantile_memo", memo)
         return memo[1]
 
@@ -248,8 +242,9 @@ class CalibrationState:
     # -- intervals ------------------------------------------------------------
 
     @staticmethod
-    def _combine(weights: np.ndarray, env_q: np.ndarray, all_finite: bool) -> np.ndarray:
-        if all_finite:
+    def _combine(weights: np.ndarray, env_q: np.ndarray) -> np.ndarray:
+        # exact, as a quantile is a finite score or +inf, and cheaper than np.isinf
+        if math.inf not in env_q.tolist():
             return weights @ env_q
         finite = np.isfinite(env_q)
         out = np.full(weights.shape[0], np.inf)
@@ -281,11 +276,7 @@ class CalibrationState:
         # The one AC body, on points _points has checked. acir_interval calls
         # it directly rather than through acir_intervals, so a call profile
         # keeps single-point queries apart.
-        env_q = self.env_quantiles(alpha)
-        _, memo_q, all_finite = self._quantile_memo
-        if memo_q is not env_q:  # another thread's alpha replaced the memo
-            all_finite = _all_finite(env_q)
-        halves = self._combine(self._weights_matrix(x), env_q, all_finite)
+        halves = self._combine(self._weights_matrix(x), self.env_quantiles(alpha))
         # Both arrays are new and owned here: handed over, not copied.
         return PredictionInterval(_frozen(x @ self.model.weights), _frozen(halves))
 
@@ -317,7 +308,7 @@ def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:
 
 def save_state(state: CalibrationState, path: str) -> None:
     """Write per-environment sections: ``env m n_cal mu v`` then sorted scores."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for i, env_id in enumerate(state.env_ids):
             sc = state.scores[i]
             fh.write(

@@ -337,8 +337,8 @@ def write_float_rows(
 
     From _PARALLEL_ROWS rows on, _in_two may fork a worker that streams the
     second half of the rows (from n // 2 on) while this process writes the
-    first; either way that half is copied from _in_two's temporary file
-    after the first. Each row is formatted on its own, so the bytes are the
+    first; either way that half is copied from _in_two's out after the
+    first. Each row is formatted on its own, so the bytes are the
     same as from one process.
     """
     n = len(columns[0])
@@ -391,18 +391,25 @@ def _in_two(
 ) -> R:
     """join(own(), out), where out holds what work(out) wrote, read from its start.
 
-    out is an unlinked temporary file opened as text (UTF-8, no newline
-    translation); bytes go to out.buffer. fork is the caller's size test.
-    If it holds and _can_fork allows, one forked worker runs work(out) while
-    this process runs own(). The worker hands back only through out and
-    leaves only through os._exit, so it never flushes another file object it
-    shares with this process. It is reaped on every path, and killed first
-    if own raises. Otherwise, or if the fork or the worker fails in any way
-    (raises, exits nonzero, is killed), this process runs work(out) itself
-    after own(): the one fallback and the one-process path, so the result,
-    and any error, is the one-process one.
+    out is a text stream (UTF-8, no newline translation); bytes go to
+    out.buffer. fork is the caller's size test. A job that passes it hands
+    back through an unlinked temporary file, whether or not a worker takes
+    it, so a large half never sits in memory; a smaller job, which never
+    forks, through an in-memory buffer. If fork holds and _can_fork allows,
+    one forked worker runs work(out) while this process runs own(). The
+    worker hands back only through out and leaves only through os._exit, so
+    it never flushes another file object it shares with this process. It is
+    reaped on every path, and killed first if own raises. Otherwise, or if
+    the fork or the worker fails in any way (raises, exits nonzero, is
+    killed), this process runs work(out) itself after own(): the one
+    fallback and the one-process path, so the result, and any error, is the
+    one-process one.
     """
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as out:
+    if fork:
+        out = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    else:
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    with out:
         try:
             pid = os.fork() if fork and _can_fork() else -1
         except OSError:  # no process or memory to spare: no worker
@@ -443,7 +450,7 @@ def parse_in_two(fd: int, start: int, parse: Callable[[TextIO], np.ndarray]) -> 
     and returns a 1-D array of one dtype; a run may hold no rows. From
     _PARALLEL_BYTES on, the lines are split after the first newline from the
     middle byte on (within 64 KiB), and _in_two's worker may parse those
-    after it; their rows come back through its temporary file, read straight
+    after it; their rows come back through _in_two's out, read straight
     into the joined array. A bad line raises parse's ValueError: the first
     run's if it holds one, else the second's. Short rows raise OSError.
     """
@@ -462,7 +469,8 @@ def parse_in_two(fd: int, start: int, parse: Callable[[TextIO], np.ndarray]) -> 
                 out.buffer.write(parse(lines).data)
 
     def join(first: np.ndarray, out: TextIO) -> np.ndarray:
-        nbytes = os.fstat(out.fileno()).st_size
+        nbytes = out.buffer.seek(0, os.SEEK_END)
+        out.buffer.seek(0)
         rows = np.empty(len(first) + nbytes // first.dtype.itemsize, first.dtype)
         rows[: len(first)] = first
         if out.buffer.readinto(rows[len(first):].view(np.uint8)) != nbytes:

@@ -424,7 +424,7 @@ def fit_erm(train: list[EnvDataset], config: FitConfig) -> LinearIRMModel:
 
 def save_model(model: LinearIRMModel, path: str) -> None:
     """Write a model as a header line ``d p penalty_weight`` plus phi rows."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{model.d} {model.p} {model.penalty_weight!r}\n")
         for row in model.phi:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -2,6 +2,7 @@ import _thread
 import io
 import math
 import os
+import tempfile
 import threading
 import time
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acir import cli, core
+from acir import bench, cli, core
 from acir.core import (
     DataSplit,
     EnvDataset,
@@ -22,7 +23,7 @@ from acir.core import (
     sorted_conformal_quantile,
 )
 from acir.conformal import CalibrationState, calibrate, save_state
-from acir.datagen import save_csv
+from acir.datagen import load_points, save_csv
 from acir.invariance import DensityModel, InvarianceReport, fit_density, inv_statistic
 from acir.models import FitConfig, LinearIRMModel, fit_irmv1, irm_objective, save_model
 from conftest import assert_no_child_left
@@ -579,3 +580,42 @@ def test_in_two_gives_the_one_process_result_or_error_and_leaves_no_child(
         assert core._in_two(fork, own, work, join) == "head,tail"
     assert time.monotonic() - start < 30
     assert_no_child_left()
+
+
+def small_jobs(tmp_path):
+    """What a 10-row write, a 2-row points read and a 2-replication run give."""
+    fh = io.StringIO()
+    core.write_float_rows(fh, [edge_column(10), edge_column(10, 3)])
+    points = tmp_path / "points.csv"
+    points.write_text("x1,x2\n0.5,1e16\n-2e-05,5e-324\n", encoding="utf-8")
+    config = bench.ExperimentConfig(setting="FOU", n_train_total=150, n_cal_total=150,
+                                    n_test_total=90, replications=2,
+                                    fit=FitConfig(penalty_weight=3.0, init_scale=1.0))
+    return fh.getvalue(), load_points(str(points), 2).tobytes(), repr(bench.run_experiment(config))
+
+
+def test_a_job_too_small_to_fork_hands_back_in_memory(monkeypatch, tmp_path):
+    # The same jobs past their size tests, with the gate shut, hand back
+    # through the file; below them, through memory, with the same bytes and rows.
+    temporary_file, opened = tempfile.TemporaryFile, []
+
+    def noted_file(*args, **kwargs):
+        opened.append(temporary_file(*args, **kwargs))
+        return opened[-1]
+
+    def no_file(*args, **kwargs):
+        raise OSError("opened a temporary file")
+
+    monkeypatch.setattr(core, "_can_fork", lambda: False)
+    with monkeypatch.context() as past:
+        for module, name in ((core, "_PARALLEL_ROWS"), (core, "_PARALLEL_BYTES"),
+                             (bench, "_PARALLEL_REPLICATIONS")):
+            past.setattr(module, name, 1)
+        past.setattr(tempfile, "TemporaryFile", noted_file)
+        through_file = small_jobs(tmp_path)
+    assert len(opened) == 3
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+    assert small_jobs(tmp_path) == through_file
+    # a job past its size test keeps the file with the gate shut
+    with pytest.raises(OSError, match="^opened a temporary file$"):
+        core.write_float_rows(io.StringIO(), [np.zeros(core._PARALLEL_ROWS)])

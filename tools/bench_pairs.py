@@ -21,10 +21,15 @@ medians over the K runs, the base's interquartile range, the range of the
 K pair ratios (change over base, which on identical trees is the noise
 floor a later claim is read against), how many pairs favour the change,
 and whether the change's median is within the metric's bound (its relative
-worsening against the base's median is at most the bound). It also prints the medians of the raw set-up times
-(``setup_runs_s``) and of their host-speed scales (``setup_scales``), the
-failed operations of each side, and whether the output fingerprints matched
-in every pair.
+worsening against the base's median is at most the bound). Beside each
+metric's pair ratios it prints the pair-ratio range of the workload's
+latest recorded A/A entry (one that compared a commit with itself) in
+``BENCH_<workload>.json``, and flags the metric when every pair ratio of
+this run lies on one side of that range, above or below it: a change that
+the noise floor of identical trees does not cover. It also prints the medians of the raw
+set-up times (``setup_runs_s``) and of their host-speed scales
+(``setup_scales``), the failed operations of each side, and whether the
+output fingerprints matched in every pair.
 
 ``--record`` appends one entry per workload to ``BENCH_<workload>.json`` at
 the repository root: both sides, the environment block (with ``nproc`` and
@@ -108,8 +113,35 @@ def _failed(record: dict) -> int:
     return round(record["error_rate"] * record["samples"]["operations"])
 
 
-def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
-    """The figures of K (base, change) record pairs of one workload."""
+def recorded(workload: str) -> tuple[Path, list[dict]]:
+    """BENCH_<workload>.json at the repository root and its entries, oldest first."""
+    path = ROOT / f"BENCH_{workload}.json"
+    return path, json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+
+
+def noise_floor(workload: str) -> dict | None:
+    """The latest recorded A/A entry of workload, one whose two sides are one commit."""
+    same = [e for e in recorded(workload)[1] if e["base"] == e["change"]]
+    return same[-1] if same else None
+
+
+def _ratio_range(ratios: list) -> list[float] | None:
+    known = [r for r in ratios if r is not None]
+    return [min(known), max(known)] if known else None
+
+
+def _outside(ratios: list, floor: list[float] | None) -> str | None:
+    """"above" or "below" when every pair ratio lies on that side of the A/A range."""
+    if floor is None or None in ratios:
+        return None
+    if all(r > floor[1] for r in ratios):
+        return "above"
+    return "below" if all(r < floor[0] for r in ratios) else None
+
+
+def compare(pairs: list[tuple[dict, dict]], spec: dict, floor: dict | None) -> dict:
+    """The figures of K (base, change) record pairs of one workload, read
+    against the A/A entry floor (or None)."""
     metrics = {}
     for metric in spec["end_to_end"]:
         name, bound, higher = metric["name"], metric["bound"], metric["better"] == "higher"
@@ -117,6 +149,9 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
         change = [c["end_to_end_untraced"][name] for _, c in pairs]
         base_median, change_median = statistics.median(base), statistics.median(change)
         sign = 1.0 if higher else -1.0
+        ratios = [c / b if b else None for b, c in zip(base, change)]
+        aa = floor["metrics"].get(name) if floor else None
+        aa_range = _ratio_range(aa["pair_ratios"]) if aa else None
         # the change's relative worsening against the base median; 0 when the base reads 0
         worse = sign * (base_median - change_median) / base_median if base_median else 0.0
         metrics[name] = {
@@ -125,7 +160,9 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
             "base_median": base_median,
             "change_median": change_median,
             "base_iqr": _iqr(base),
-            "pair_ratios": [c / b if b else None for b, c in zip(base, change)],
+            "pair_ratios": ratios,
+            "aa_pair_ratio_range": aa_range,
+            "outside_aa": _outside(ratios, aa_range),
             "pairs_favouring_change": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "relative_worsening": worse,
             "within_bound": worse <= bound,
@@ -133,6 +170,7 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
     sides = {"base": [b for b, _ in pairs], "change": [c for _, c in pairs]}
     return {
         "pairs": len(pairs),
+        "aa_entry": {k: floor[k] for k in ("date", "base", "pairs")} if floor else None,
         "metrics": metrics,
         "setup_runs_s_median": {k: statistics.median(statistics.median(r["setup_runs_s"])
                                                      for r in v) for k, v in sides.items()},
@@ -146,24 +184,27 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
 
 
 def report(workload: str, result: dict) -> None:
-    print(f"\n{workload}: {result['pairs']} pairs")
+    aa = result["aa_entry"]
+    print(f"\n{workload}: {result['pairs']} pairs; A/A: "
+          + (f"{aa['pairs']} pairs at {aa['base'][:12]} ({aa['date']})" if aa else "none recorded"))
     print(f"  {'metric':<14} {'base':>12} {'change':>12} {'base IQR':>10} "
-          f"{'pair ratios':>13} {'favour':>6} {'worse':>7} {'bound':>5}  ok")
+          f"{'pair ratios':>13} {'A/A ratios':>13} {'favour':>6} {'worse':>7} {'bound':>5}  ok")
     for name, m in result["metrics"].items():
-        ratios = [r for r in m["pair_ratios"] if r is not None] or [math.nan]
+        lo, hi = _ratio_range(m["pair_ratios"]) or (math.nan, math.nan)
+        aa_lo, aa_hi = m["aa_pair_ratio_range"] or (math.nan, math.nan)
+        flag = f"  {m['outside_aa']} A/A" if m["outside_aa"] else ""
         print(f"  {name:<14} {m['base_median']:>12.6g} {m['change_median']:>12.6g} "
-              f"{m['base_iqr']:>10.4g} {min(ratios):>6.3f}-{max(ratios):<6.3f} "
+              f"{m['base_iqr']:>10.4g} {lo:>6.3f}-{hi:<6.3f} {aa_lo:>6.3f}-{aa_hi:<6.3f} "
               f"{m['pairs_favouring_change']:>3}/{result['pairs']:<2} "
               f"{100 * m['relative_worsening']:>6.1f}% {m['bound']:>5} "
-              f"{'yes' if m['within_bound'] else 'NO'}")
+              f"{'yes' if m['within_bound'] else 'NO'}{flag}")
     for key in ("setup_runs_s_median", "setup_scales_median", "failed_operations"):
         print(f"  {key}: base {result[key]['base']!r}, change {result[key]['change']!r}")
     print(f"  fingerprints matched in every pair: {result['fingerprints_match']}")
 
 
 def record(workload: str, entry: dict) -> Path:
-    path = ROOT / f"BENCH_{workload}.json"
-    entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    path, entries = recorded(workload)
     entries.append(entry)
     path.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     return path
@@ -202,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
                         for side in order}
                 pairs.append((runs["base"], runs["change"]))
                 print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
-            result = compare(pairs, spec)
+            result = compare(pairs, spec, noise_floor(workload))
             report(workload, result)
             if args.record:
                 environment = dict(pairs[0][0]["environment"])
