@@ -30,7 +30,14 @@ from .bench import (
     summarize,
 )
 from .conformal import calibrate, load_state, save_state
-from .core import check_alpha, check_seed, check_train_fraction, not_utf8, write_float_rows
+from .core import (
+    check_alpha,
+    check_seed,
+    check_train_fraction,
+    not_utf8,
+    numbered_lines,
+    write_float_rows,
+)
 from .datagen import (
     SETTINGS,
     SemConfig,
@@ -210,16 +217,15 @@ def _splice_config(argv: list[str], leaves: dict[tuple[str, ...], _Parser]) -> l
     if path is None:
         return argv
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            lines = fh.readlines()
+        lines = numbered_lines(path)
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
     flags = leaves[words]._option_string_actions  # noqa: SLF001 - no public lookup
     tokens = []
-    for lineno, raw in enumerate(lines, start=1):
-        if fault := not_utf8(raw):
+    for lineno, text in lines:
+        if fault := not_utf8(text):
             raise _UsageError(f"{path}: line {lineno}: {fault}")
-        line = _COMMENT.split(raw, 1)[0].strip()
+        line = _COMMENT.split(text, 1)[0].strip()
         if not line:
             continue
         key, eq, value = map(str.strip, line.partition("="))

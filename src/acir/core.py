@@ -450,9 +450,10 @@ def parse_in_two(fd: int, start: int, parse: Callable[[TextIO], np.ndarray]) -> 
     and returns a 1-D array of one dtype; a run may hold no rows. From
     _PARALLEL_BYTES on, the lines are split after the first newline from the
     middle byte on (within 64 KiB), and _in_two's worker may parse those
-    after it; their rows come back through _in_two's out, read straight
-    into the joined array. A bad line raises parse's ValueError: the first
-    run's if it holds one, else the second's. Short rows raise OSError.
+    after it; their rows come back through _in_two's out, which only the
+    worker (or this process) wrote and flushed, and are read back in one
+    call. A bad line raises parse's ValueError: the first run's if it holds
+    one, else the second's.
     """
     size = os.fstat(fd).st_size
     mid = max(start, size // 2)
@@ -469,13 +470,7 @@ def parse_in_two(fd: int, start: int, parse: Callable[[TextIO], np.ndarray]) -> 
                 out.buffer.write(parse(lines).data)
 
     def join(first: np.ndarray, out: TextIO) -> np.ndarray:
-        nbytes = out.buffer.seek(0, os.SEEK_END)
-        out.buffer.seek(0)
-        rows = np.empty(len(first) + nbytes // first.dtype.itemsize, first.dtype)
-        rows[: len(first)] = first
-        if out.buffer.readinto(rows[len(first):].view(np.uint8)) != nbytes:
-            raise OSError(f"the second run's {nbytes} bytes of rows came back short")
-        return rows
+        return np.concatenate([first, np.frombuffer(out.buffer.read(), first.dtype)])
 
     return _in_two(split < size, head, tail, join)
 

@@ -16,15 +16,15 @@ P (partially observed, hidden weights Gaussian); O (homoskedastic Y-noise,
 sigma_y^2 = e^2, sigma_2^2 = 1) or E (heteroskedastic, sigma_y^2 = 1,
 sigma_2^2 = e^2); and U (unscrambled covariates, the only variant here).
 
-Every number read from a data, points, model or state file keeps one row
-rule: _parse_rows takes the lines, cells split on commas (on whitespace in a
-model's rows and both files' headers), and every value is finite.
-_name_bad_line names the first line that breaks it, the same way for all.
+Every line read from a data, points, model or state file is split one way:
+a data or points file's header and rows on commas, a model's or state's on
+whitespace. Every number in them keeps one row rule: _parse_rows takes the
+lines, and every value is finite. _name_bad_line names the first line that
+breaks it, the same way for all.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
@@ -243,11 +243,11 @@ def split_dataset(data: EnvDataset, train_fraction: float, seed: int) -> DataSpl
     """
     n = data.n
     if n < 2:
-        raise ValueError("need at least 2 rows to split")
+        raise ValueError(f"env {data.env_id}: need at least 2 rows to split")
     n_train = int(np.floor(check_train_fraction(train_fraction) * n))
     if n_train < 1 or n_train >= n:
         raise ValueError(
-            f"train_fraction={train_fraction} leaves an empty part for n={n}"
+            f"env {data.env_id}: train_fraction={train_fraction} leaves an empty part for n={n}"
         )
     perm = np.random.default_rng(check_seed(seed)).permutation(n)
 
@@ -268,16 +268,18 @@ def _feature_names(p: int) -> list[str]:
 
 
 def _read_numeric(
-    path: str, check_header: Callable[[list[str]], None], ints: Sequence[str]
+    path: str, names: Callable[[int], list[str]], ints: Sequence[str]
 ) -> np.ndarray:
-    """Parse a CSV whose header passes ``check_header`` and whose body keeps the row rule.
+    """Parse a CSV whose header is names(its width) and whose body keeps the row rule.
 
-    check_header gets the stripped header cells and raises CsvParseError on a
-    bad header; their count is the row width, and ints names its leading
-    integer columns. parse_in_two parses the body with _parse_rows, a large
-    body in two halves on two processes, with the rows and errors of one
-    call. A body that breaks the row rule, or holds a byte that is not UTF-8
-    (read surrogate-escaped), is read again only to name the offending line.
+    The header's cells are split on commas, as its rows are, stripped, and
+    freed of one enclosing pair of double quotes (R's write.csv and pandas'
+    QUOTE_NONNUMERIC quote them); their count is the row width, and ints
+    names its leading integer columns. parse_in_two parses the body with
+    _parse_rows, a large body in two halves on two processes, with the rows
+    and errors of one call. A body that breaks the row rule, or holds a byte
+    that is not UTF-8 (read surrogate-escaped), is read again only to name
+    the offending line.
     """
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         line = fh.readline()
@@ -285,8 +287,13 @@ def _read_numeric(
             raise CsvParseError(f"{path}: empty file")
         if fault := not_utf8(line):
             raise CsvParseError(f"{path}: line 1: {fault}")
-        header = [c.strip() for c in next(csv.reader([line]), [])]
-        check_header(header)
+        header = [c.strip() for c in line.split(",")]
+        header = [c[1:-1] if len(c) > 1 and c[0] == c[-1] == '"' else c for c in header]
+        if header != (expected := names(len(header))):
+            # repr shows what a terminal hides, such as a byte-order mark.
+            got = line.rstrip("\r\n")
+            raise CsvParseError(f"{path}: line 1: expected header {','.join(expected)}, "
+                                f"got {got!r}")
         width = len(header)
         # The header is read untranslated, so its UTF-8 length is its length in the file.
         parse = partial(parse_in_two, fh.fileno(), len(line.encode()),
@@ -392,25 +399,18 @@ def _line_fault(text: str, width: int, ints: Sequence[str], delimiter: str | Non
 def load_csv(path: str) -> list[EnvDataset]:
     """Read a multi-environment dataset from CSV.
 
-    The file must be UTF-8 with header ``env,y,x1,...,xp``; env is an int64
-    label and the rest are unquoted, finite decimal or scientific-notation
-    numbers. Blank lines are skipped; line ends may be LF or CRLF. Returns
-    one EnvDataset per distinct env value, in order of first appearance,
-    with the original row order preserved within each environment.
+    The file must be UTF-8 with header ``env,y,x1,...,xp``, whose cells may
+    be double-quoted; env is an int64 label and the rest are unquoted,
+    finite decimal or scientific-notation numbers. Blank lines are skipped;
+    line ends may be LF or CRLF. Returns one EnvDataset per distinct env
+    value, in order of first appearance, with the original row order
+    preserved within each environment.
     """
 
-    def check_header(header: list[str]) -> None:
-        if len(header) < 3 or header[:2] != ["env", "y"]:
-            raise CsvParseError(
-                f"{path}: line 1: header must be env,y,x1,...,xp, got {header}"
-            )
-        p = len(header) - 2
-        if header[2:] != _feature_names(p):
-            raise CsvParseError(
-                f"{path}: line 1: feature columns must be x1..x{p}, got {header[2:]}"
-            )
-
-    table = _read_numeric(path, check_header, ints=("env",))
+    # A header of fewer than three cells is held to env,y,x1.
+    table = _read_numeric(
+        path, lambda width: ["env", "y", *_feature_names(max(width - 2, 1))], ints=("env",)
+    )
     ids, first, inverse, counts = np.unique(
         table["env"], return_index=True, return_inverse=True, return_counts=True
     )
@@ -429,13 +429,7 @@ def load_points(path: str, p: int) -> np.ndarray:
 
     The cells follow load_csv's grammar; every value is finite.
     """
-    expected = _feature_names(p)
-
-    def check_header(header: list[str]) -> None:
-        if header != expected:
-            raise CsvParseError(f"{path}: line 1: expected header {','.join(expected)}")
-
-    return _read_numeric(path, check_header, ints=())["vals"]
+    return _read_numeric(path, lambda width: _feature_names(p), ints=())["vals"]
 
 
 def save_csv(envs: list[EnvDataset], path: str) -> None:

@@ -451,4 +451,4 @@ def load_model(path: str) -> LinearIRMModel:
     try:
         return LinearIRMModel(phi=phi, penalty_weight=lam)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: line {lineno}: {exc}") from exc

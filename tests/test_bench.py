@@ -573,6 +573,14 @@ def test_csv_mode_rejects_missing_test_env(tmp_path):
         run_experiment(cfg)
 
 
+def test_csv_mode_names_an_environment_too_small_to_split(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("env,y,x1\n0,1.0,2.0\n0,2.0,3.0\n7,1.0,2.0\n1,0.5,1.5\n")
+    cfg = ExperimentConfig(setting=f"csv:{path}", test_envs=(1,), fit=FAST_FIT)
+    with pytest.raises(BenchError, match=r"\): env 7: need at least 2 rows to split$"):
+        run_experiment(cfg)
+
+
 def test_csv_mode_needs_a_training_environment(tmp_path):
     path = str(tmp_path / "data.csv")
     make_csv_fixture(path, n_train_env=0, n_test_env=3)

@@ -394,6 +394,18 @@ def test_predict_rejects_nan_calibration_state(workspace, tmp_path, capsys):
     assert str(state) in err and "finite" in err  # rejected at load, naming the file
 
 
+@pytest.mark.parametrize("extra, message", [
+    ((), "env 7: need at least 2 rows to split"),
+    (("--train-fraction", "0.1"), "env 0: train_fraction=0.1 leaves an empty part for n=3"),
+], ids=["one-row-env", "empty-part"])
+def test_fit_names_the_environment_it_cannot_split(tmp_path, capsys, extra, message):
+    data = tmp_path / "one.csv"
+    data.write_text("env,y,x1\n0,1.0,2.0\n0,2.0,3.0\n0,0.5,1.0\n7,1.0,2.0\n")
+    assert run_cli("fit", "--data", str(data), "--out", str(tmp_path / "m.txt"),
+                   "--calibration-out", str(tmp_path / "s.txt"), *extra) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Small files every reader takes: a data file, a 2x2 model, a one-environment
 # state and one query point for them.
 GOOD_FILES = {

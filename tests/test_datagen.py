@@ -201,10 +201,12 @@ def test_split_partitions_the_rows():
      "train fraction must be in (0, 1), got nan"),
     (lambda: split_dataset(EnvDataset(0, np.ones((4, 1)), np.zeros(4)), 1.5, 0),
      "train fraction must be in (0, 1), got 1.5"),
+    (lambda: split_dataset(EnvDataset(7, np.ones((1, 1)), np.zeros(1)), 0.5, 0),
+     "env 7: need at least 2 rows to split"),
     (lambda: ExperimentConfig("FOU", test_envs=(1,)),
      "test_envs applies only in CSV mode, got (1,) with setting 'FOU'"),
 ], ids=["env_sizes-total", "env_sizes-m", "generate_sem-n", "generate_sem-zero-n", "split-nan",
-        "split-above-one", "synthetic-test_envs"])
+        "split-above-one", "split-one-row", "synthetic-test_envs"])
 def test_a_value_that_failed_late_or_was_ignored_is_refused_by_name(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -280,7 +282,29 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(CsvParseError):
         load_csv(str(path))
     path.write_text("env,y,x2\n0,1.0,2.0\n")
-    with pytest.raises(CsvParseError, match=r": line 1: feature columns must be x1\.\.x1, got "):
+    with pytest.raises(CsvParseError, match=r": line 1: expected header env,y,x1, got 'env,y,x2'$"):
+        load_csv(str(path))
+    # A byte-order mark, invisible in a terminal, shows in the message.
+    path.write_bytes(b"\xef\xbb\xbfenv,y,x1\n0,1.0,2.0\n")
+    with pytest.raises(CsvParseError, match=r"expected header env,y,x1, got '\\ufeffenv,y,x1'$"):
+        load_csv(str(path))
+    # The header's cells split on commas like its rows', so a quoted comma splits.
+    path.write_text('"env,y",x1\n0,1.0,2.0\n')
+    with pytest.raises(CsvParseError, match=r"""got '"env,y",x1'$"""):
+        load_csv(str(path))
+
+
+def test_a_quoted_header_is_read_as_r_and_pandas_write_it(tmp_path):
+    # R's write.csv(row.names = FALSE) quotes the header's cells and no number.
+    path = tmp_path / "r.csv"
+    path.write_text('"env","y","x1"\n0,1.0,2.0\n1,3.0,4.0\n')
+    envs = load_csv(str(path))
+    assert [(env.env_id, env.targets.tolist()) for env in envs] == [(0, [1.0]), (1, [3.0])]
+    path.write_text('"x1","x2"\n1,2\n')
+    np.testing.assert_array_equal(load_points(str(path), 2), [[1.0, 2.0]])
+    # Only the header: a quoted value cell is still refused.
+    path.write_text('"env","y","x1"\n0,"1.0",2.0\n')
+    with pytest.raises(CsvParseError, match="line 2: "):
         load_csv(str(path))
 
 
@@ -415,6 +439,9 @@ def test_load_points_reads_a_matrix_and_names_bad_lines(tmp_path):
     path.write_text("x1,x2\n1,2\n")
     with pytest.raises(CsvParseError, match="expected header x1,x2,x3"):
         load_points(str(path), 3)
+    path.write_text('"x1","x3"\n1,2\n')
+    with pytest.raises(CsvParseError, match="""line 1: expected header x1,x2, got '"x1","x3"'$"""):
+        load_points(str(path), 2)
     path.write_text("x1,x2\n1,2\n3,inf\n")
     with pytest.raises(CsvParseError, match="line 3: non-finite cell"):
         load_points(str(path), 2)

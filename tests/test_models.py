@@ -256,7 +256,7 @@ def test_model_round_trip(tmp_path):
     ("-1 3 0.0\n", "line 1: declared shape (-1, 3) needs d >= 2, p >= 1"),
     ("2 0 0.0\n", "line 1: declared shape (2, 0) needs d >= 2, p >= 1"),
     ("2 -4 0.0\n1.0\n2.0\n", "line 1: declared shape (2, -4) needs d >= 2, p >= 1"),
-    ("2 2 -1.0\n1.0 2.0\n3.0 4.0\n", "penalty_weight must be >= 0 and finite, got -1.0"),
+    ("2 2 -1.0\n1.0 2.0\n3.0 4.0\n", "line 1: penalty_weight must be >= 0 and finite, got -1.0"),
     ("2 2 0.0\n1.0 2.0\n\n3.0\n", "line 4: expected 2 columns, got 1"),
     ("2 2 0.0\n1.0 2.0\n3.0 4.0 5.0\n6.0\n", "line 3: expected 2 columns, got 3"),
     ("\n2 2 0.0\n1.0 2.0\n", "line 2: declared shape (2, 2) does not match the 1 rows given"),
