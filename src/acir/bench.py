@@ -14,6 +14,7 @@ the rows, hence every output file, are those of one process.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -27,8 +28,6 @@ from . import core
 from .conformal import CalibrationState, calibrate
 from .core import (
     EnvDataset,
-    PredictionInterval,
-    _frozen,
     average_length,
     _integer,
     check_alpha,
@@ -223,28 +222,26 @@ def _derived_seed(*path: int) -> int:
 def _score_method(
     method: str,
     state: CalibrationState,
-    test: list[EnvDataset],
+    x: np.ndarray,
+    y: np.ndarray,
+    scopes: list[tuple[str, int, int]],
     config: ExperimentConfig,
     replication: int,
 ) -> list[MetricsRow]:
-    def row(scope: str, intervals: PredictionInterval, truths: np.ndarray) -> MetricsRow:
-        return MetricsRow(
+    """One row per scope, each scoring its rows [lo, hi) of one batch call on the stacked test set."""
+    build = state.sc_intervals if method.startswith("SC") else state.acir_intervals
+    pooled = build(x, config.alpha)
+    return [
+        MetricsRow(
             method=method,
             setting=config.setting,
             replication=replication,
             scope=scope,
-            coverage=coverage_rate(intervals, truths),
-            avg_length=average_length(intervals),
+            coverage=coverage_rate(pooled[lo:hi], y[lo:hi]),
+            avg_length=average_length(pooled[lo:hi]),
         )
-
-    build = state.sc_intervals if method.startswith("SC") else state.acir_intervals
-    by_env = [build(env.features, config.alpha) for env in test]
-    pooled = PredictionInterval(
-        _frozen(np.concatenate([iv.center for iv in by_env])),
-        _frozen(np.concatenate([iv.half_width for iv in by_env])),
-    )
-    rows = [row("pooled", pooled, np.concatenate([env.targets for env in test]))]
-    return rows + [row(str(env.env_id), iv, env.targets) for env, iv in zip(test, by_env)]
+        for scope, lo, hi in scopes
+    ]
 
 
 def _replication_data(
@@ -333,9 +330,15 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
             with _stage(rep, "calibrate"):
                 states = {name: calibrate(model, cal) for name, model in models.items()}
             with _stage(rep, "score"):
+                x = np.concatenate([env.features for env in test])
+                y = np.concatenate([env.targets for env in test])
+                ends = itertools.accumulate(env.n for env in test)
+                scopes = [("pooled", 0, len(y))] + [
+                    (str(env.env_id), end - env.n, end) for env, end in zip(test, ends)
+                ]
                 for method in config.methods:
                     state = states[method.split("-")[1]]
-                    rows.extend(_score_method(method, state, test, config, rep))
+                    rows.extend(_score_method(method, state, x, y, scopes, config, rep))
         return rows
 
     n, half = config.replications, config.replications // 2

@@ -161,7 +161,8 @@ class PredictionInterval:
 
     center and half_width are read-only float arrays of one shape: (n,) for a
     batch of n points, () for a single point. lower, upper and contains work
-    elementwise; len() counts the points and [i] is point i as a view.
+    elementwise; len() counts the points, [i] is point i and [a:b] the
+    (b - a,) batch of points a to b - 1, each a read-only view.
     Compare intervals through their arrays: == is identity, as arrays have
     no single truth value.
     """
@@ -189,7 +190,7 @@ class PredictionInterval:
     def __len__(self) -> int:
         return len(self.center)  # TypeError for a single point, as for a 0-d array
 
-    def __getitem__(self, i: int) -> PredictionInterval:
+    def __getitem__(self, i: int | slice) -> PredictionInterval:
         # Rows of a validated interval are valid: share the read-only data
         # instead of copying and checking it again.
         row = object.__new__(PredictionInterval)

@@ -162,20 +162,6 @@ def _entropy(*values: int) -> np.ndarray | list[int]:
     return list(values)
 
 
-def _normal(rng: np.random.Generator, scale: float, shape: int | tuple[int, ...]) -> np.ndarray:
-    """rng.normal(0.0, scale, shape), bit for bit, scaled in place.
-
-    numpy's normal is loc + scale * z for the standard normal z, one draw at a
-    time; this scales the whole block at once. Adding loc = 0.0 turns the
-    -0.0 that scale * z gives when it is zero and z negative into +0.0, so no
-    draw is -0.0. Negative scales are the caller's to reject.
-    """
-    out = rng.standard_normal(shape)
-    out *= scale
-    out += 0.0
-    return out
-
-
 def generate_sem(
     config: SemConfig,
     env_param: float,
@@ -184,11 +170,12 @@ def generate_sem(
 ) -> EnvDataset:
     """Draw n i.i.d. observations from one environment of the SEM.
 
-    Each noise block is rng.normal(0.0, scale, shape) bit for bit, drawn
-    from its own stream, so the output does not depend on how the draws are
-    computed. Under F settings the hidden weights are exactly zero and H is
-    not drawn: it would add exact zeros to draws that are never -0.0, which
-    changes no bit.
+    Each noise block is one rng.normal(0.0, scale, shape) call on its own
+    stream. Its loc of 0.0 turns a -0.0 product scale * z into +0.0, so no
+    draw is -0.0. Under F settings the hidden weights are exactly zero and H
+    is not drawn: it would add exact zeros to draws that are never -0.0,
+    which changes no bit. A scale whose products overflow gives non-finite
+    data, which EnvDataset refuses with a ValueError, not numpy's warnings.
 
     Parameters
     ----------
@@ -218,20 +205,18 @@ def generate_sem(
     ss_h, ss_x1, ss_y, ss_x2 = root.spawn(4)
     d1 = config.dim_x1
 
-    x1 = _normal(np.random.default_rng(ss_x1), e, (n, d1))
-    if observed == "P":
-        h = _normal(np.random.default_rng(ss_h), e, (n, d1))
-        x1 += h @ config.w_h1.T
-    y = x1 @ config.w_1y + _normal(np.random.default_rng(ss_y), sigma_y, n)
-    if observed == "P":
-        y += h @ config.w_hy
-    x2 = np.outer(y, config.w_y2)
-    x2 += _normal(np.random.default_rng(ss_x2), sigma_2, (n, config.dim_x2))
-    # Contiguous blocks copied in: numpy arithmetic on a column block runs
-    # its inner loop once per row, so x2 is not computed in place there.
-    features = np.empty((n, config.p))
-    features[:, :d1] = x1
-    features[:, d1:] = x2
+    x1 = np.random.default_rng(ss_x1).normal(0.0, e, (n, d1))
+    # Scales near the float limit overflow here; EnvDataset reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if observed == "P":
+            h = np.random.default_rng(ss_h).normal(0.0, e, (n, d1))
+            x1 += h @ config.w_h1.T
+        y = x1 @ config.w_1y + np.random.default_rng(ss_y).normal(0.0, sigma_y, n)
+        if observed == "P":
+            y += h @ config.w_hy
+        x2 = np.outer(y, config.w_y2)
+        x2 += np.random.default_rng(ss_x2).normal(0.0, sigma_2, (n, config.dim_x2))
+    features = np.concatenate([x1, x2], axis=1)
     return EnvDataset(env_id=idx, features=_frozen(features), targets=_frozen(y))
 
 

@@ -24,9 +24,12 @@ from acir.bench import (
     run_experiment,
     summarize,
 )
-from acir.core import EnvDataset
-from acir.datagen import DEFAULT_ENV_PARAMS, SETTINGS, SemConfig, generate_sem, save_csv
-from acir.models import FitConfig, fit_irmv1
+from acir.conformal import calibrate
+from acir.core import EnvDataset, average_length, coverage_rate
+from acir.datagen import (
+    DEFAULT_ENV_PARAMS, SETTINGS, SemConfig, generate_sem, load_csv, save_csv,
+)
+from acir.models import FitConfig, fit_erm, fit_irmv1
 from conftest import assert_no_child_left
 
 FAST_FIT = FitConfig(penalty_weight=3.0, init_scale=1.0)
@@ -259,6 +262,37 @@ def test_sc_lengths_match_their_pooled_length_and_ac_lengths_do_not():
             same = [math.isclose(v, pooled, rel_tol=1e-12, abs_tol=0.0)
                     for v in lengths.values()]
             assert all(same) if method.startswith("SC") else not any(same), (method, rep)
+
+
+@pytest.mark.parametrize("setting", [*SETTINGS, "csv"])
+def test_each_environments_row_scores_that_environment_alone(setting, tmp_path):
+    # The runner scores one batch on the stacked test set and slices each
+    # environment's rows out of it; scoring the environment by itself must
+    # give the same row, so the slice bounds hold the environment's rows.
+    if setting == "csv":
+        path = tmp_path / "data.csv"
+        make_csv_fixture(str(path), n=37, n_test_env=3)
+        cfg = ExperimentConfig(setting=f"csv:{path}", test_envs=(4, 2, 3), replications=2,
+                               fit=FAST_FIT)
+        csv_envs = load_csv(cfg.csv_path)
+        sem = None
+    else:
+        cfg = small_config(setting=setting, n_test_total=91)
+        sem = SemConfig(setting=setting, env_params=cfg.env_params, seed=cfg.seed)
+        csv_envs = None
+    rows = {(r.method, r.replication, r.scope): r for r in run_experiment(cfg)}
+    for rep in range(cfg.replications):
+        train, cal, test = _replication_data(cfg, sem, csv_envs, rep)
+        states = {"ERM": calibrate(fit_erm(train, cfg.fit), cal),
+                  "IRM": calibrate(fit_irmv1(train, cfg.fit), cal)}
+        for method in METHODS:
+            state = states[method.split("-")[1]]
+            build = state.sc_intervals if method.startswith("SC") else state.acir_intervals
+            for env in test:
+                alone = build(env.features, cfg.alpha)
+                row = rows[method, rep, str(env.env_id)]
+                assert row.coverage == coverage_rate(alone, env.targets), (method, rep, env.env_id)
+                assert row.avg_length.hex() == average_length(alone).hex(), (method, rep, env.env_id)
 
 
 def test_stage_functions_are_looked_up_on_the_module_at_call_time(monkeypatch):

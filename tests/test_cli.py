@@ -259,6 +259,19 @@ def test_datagen_rejects_empty_or_duplicate_env_params(tmp_path, capsys, env_par
     assert not out.exists()
 
 
+def test_datagen_reports_an_overflowing_scale_once_without_numpy_warnings(tmp_path):
+    # A separate process, so numpy's warnings would print as they do for a user.
+    out = tmp_path / "d.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "acir", "datagen", "sem", "--setting", "FOU", "--n", "30",
+         "--env-params", "0.2,1e308", "--out", str(out)],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: features and targets must be finite\n"
+    assert not out.exists()
+
+
 def test_datagen_is_deterministic(tmp_path):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")

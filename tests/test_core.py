@@ -255,6 +255,19 @@ def test_prediction_interval_batch_is_elementwise_with_row_views():
         row.half_width[...] = 0.0
     with pytest.raises(TypeError):
         len(row)
+    # a slice is the interval of its rows, as a read-only view
+    truths = np.array([1.0, 7.0, -1e300])
+    for a, b in [(0, 3), (1, 3), (0, 1), (2, 3)]:
+        part = iv[a:b]
+        whole = PredictionInterval(iv.center[a:b], iv.half_width[a:b])
+        assert part.center.shape == part.half_width.shape == (b - a,)
+        assert np.shares_memory(part.center, iv.center)
+        assert part.center.tobytes() == whole.center.tobytes()
+        assert part.half_width.tobytes() == whole.half_width.tobytes()
+        assert coverage_rate(part, truths[a:b]) == coverage_rate(whole, truths[a:b])
+        assert average_length(part) == average_length(whole)
+        with pytest.raises(ValueError):
+            part.half_width[0] = 0.0
 
 
 def test_prediction_interval_iterates_its_row_views():

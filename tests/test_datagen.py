@@ -18,7 +18,6 @@ from acir.datagen import (
     DEFAULT_ENV_PARAMS,
     CsvParseError,
     SemConfig,
-    _normal,
     env_sizes,
     generate_sem,
     load_csv,
@@ -708,15 +707,13 @@ def test_seeds_of_any_width_give_the_streams_of_their_int_list(seed, stream_seed
     assert data.targets.tobytes() == targets.tobytes()
 
 
-@pytest.mark.parametrize("scale", [0.0, 5e-324, 1.0, 1e300])
-def test_in_place_draw_is_generator_normal_bit_for_bit(scale):
-    # 1e300 * z overflows for |z| > 1.8: in place numpy says so, normal() does not
-    with np.errstate(over="ignore"):
-        for shape in [7, (50, 3)]:
-            got = _normal(np.random.default_rng(4), scale, shape)
-            want = np.random.default_rng(4).normal(0.0, scale, size=shape)
-            assert got.tobytes() == want.tobytes()
-            assert got.shape == want.shape
+@pytest.mark.parametrize("setting", ["FOU", "FEU", "POU", "PEU"])
+def test_a_scale_that_overflows_is_refused_as_non_finite_data_not_warned(setting):
+    # The suite turns warnings into errors: a RuntimeWarning from the draws'
+    # products would surface here instead of the dataset's own refusal.
+    cfg = SemConfig(setting=setting, env_params=(0.2, 1e308), seed=1)
+    with pytest.raises(ValueError, match="^features and targets must be finite$"):
+        generate_sem(cfg, 1e308, 30, stream_seed=0)
 
 
 def test_zero_noise_writes_no_negative_zero():

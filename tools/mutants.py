@@ -53,7 +53,7 @@ class Mutant:
 MUTANTS = [
     # The semantics of the paper's methods and of the replication runner: the
     # conformal rank, the AC weights and quantiles, the fitter's penalty, the
-    # invariance statistic, the metrics and the runner's seeds.
+    # invariance statistic, the metrics, and the runner's seeds and scope bounds.
     Mutant("quantile-rank-n", "core.py",
            "k = math.ceil((1.0 - check_alpha(alpha)) * (n + 1))",
            "k = math.ceil((1.0 - check_alpha(alpha)) * n)"),
@@ -92,12 +92,15 @@ MUTANTS = [
     Mutant("sc-ac-swapped", "bench.py",
            'build = state.sc_intervals if method.startswith("SC") else state.acir_intervals',
            'build = state.acir_intervals if method.startswith("SC") else state.sc_intervals'),
+    Mutant("scope-bounds-shifted", "bench.py",
+           "(str(env.env_id), end - env.n, end)", "(str(env.env_id), end - env.n + 1, end + 1)"),
     Mutant("ac-weights-unnormalized", "conformal.py",
            "w /= np.add.reduce(w, axis=1, keepdims=True)", "w /= 1.0"),
     Mutant("quantile-finite-cap", "core.py",
            "    if k > n:\n        return math.inf",
            "    if k > n:\n        return float(sorted_scores[-1])"),
-    # Every file read keeps its rules, and the fork primitive hands back in full.
+    # Every file read keeps its rules, and the fork primitive hands back in full,
+    # from its worker or, once that has failed, from its one fallback.
     Mutant("rows-accept-non-finite", "datagen.py",
            'raise ValueError("non-finite value")', "pass"),
     Mutant("no-data-rows-accepted", "datagen.py",
@@ -117,6 +120,12 @@ MUTANTS = [
     Mutant("join-drops-worker-rows", "core.py",
            "return np.concatenate([first, np.frombuffer(out.buffer.read(), first.dtype)])",
            "return first"),
+    Mutant("worker-reports-failure", "core.py",
+           "                status = 0\n", "                pass\n"),
+    Mutant("worker-not-killed-on-own-error", "core.py",
+           "os.kill(pid, signal.SIGKILL)", "pass"),
+    Mutant("fallback-keeps-worker-bytes", "core.py",
+           "                out.truncate()\n", "                pass\n"),
 ]
 
 
