@@ -216,7 +216,11 @@ def _stage(replication: int, name: str) -> Iterator[None]:
 
 
 def _derived_seed(*path: int) -> int:
-    return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
+    # SeedSequence takes no negative int: a negative env id enters as its
+    # 64-bit two's-complement word, which no nonnegative int64 id shares;
+    # a nonnegative value, a seed of any width too, enters as itself.
+    words = [v % 2**64 if v < 0 else v for v in path]
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
 def _score_method(

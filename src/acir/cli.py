@@ -297,6 +297,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_assess(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     envs = load_csv(args.data)
+    if envs[0].p != model.p:
+        raise ValueError(
+            f"model {args.model} takes {model.p} features, but data {args.data} has {envs[0].p}"
+        )
     report = inv_statistic(model, fit_density(envs), envs)
     write_report(report, args.out)
     print(f"{args.out} inv={report.inv!r}")

@@ -13,21 +13,19 @@ Both return one array-valued ``PredictionInterval`` for a batch of points;
 ``sc_interval`` and ``acir_interval`` are their single-point views.
 
 The calibration state is a compact, serializable artifact: sorted scores and
-two moment summaries per environment plus the model used to score. It is
-immutable, and interval construction only reads it, so a single state can
-serve concurrent prediction requests. Its only writes are caches: the
-sorted pooled scores on the first SC query, the stacked moments on the
-first AC query, and the quantiles of the last alpha asked for, a one-slot
-memo of (alpha, quantiles) replaced as one tuple. Threads racing to fill a
-cache compute the same read-only value; threads asking for different
-alphas each get their own alpha's quantiles, whichever memo is left.
+two moment summaries per environment plus the model used to score. Every
+value derived from them is made at construction, and interval construction
+only reads the state, so a single state can serve concurrent prediction
+requests. Its one write after construction is the quantiles of the last
+alpha asked for, a one-slot memo of (alpha, quantiles) replaced as one
+tuple: threads asking for different alphas each get their own alpha's
+quantiles, whichever memo is left.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,8 +110,8 @@ class CalibrationState:
 
     Cost model: construction (and so calibrate and load_state) validates
     the per-environment scores once and keeps the read-only arrays that
-    calibrate and load_state hand over without copying them. The pooled
-    scores are sorted once, on the first SC query, into ``pooled_sorted``.
+    calibrate and load_state hand over without copying them. It sorts the
+    pooled scores into the read-only ``pooled_sorted`` and stacks mu and v.
     After that a conformal quantile is one index read into sorted scores:
     sc_intervals reads one from ``pooled_sorted``, and env_quantiles one
     per environment, once per alpha: it keeps the last alpha's read-only
@@ -121,7 +119,7 @@ class CalibrationState:
     query but alpha and the shape of the points, checked once. A single acir_interval is the O(p*d) computation of the point's
     d-dimensional representation, its moments and its m weights, run as
     the batch code on one row: both moment distances in one broadcast
-    subtraction against the cached (2, m, 1) stack of mu and v. README
+    subtraction against the (2, m, 1) stack of mu and v. README
     gives its timings.
 
     The moments have closed forms that the code does not use, since they
@@ -135,6 +133,7 @@ class CalibrationState:
     scores: tuple[np.ndarray, ...]
     mu: np.ndarray
     v: np.ndarray
+    pooled_sorted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "env_ids", _check_env_ids(self.env_ids))
@@ -151,21 +150,15 @@ class CalibrationState:
         _check_moments(mu, v)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "pooled_sorted", _frozen(np.sort(np.concatenate(frozen))))
+        # [mu; v] as a (2, m, 1) stack, laid out like _stacked_moments
+        object.__setattr__(self, "_moment_stack", _frozen(np.stack([mu, v])[:, :, None]))
         # nan equals no alpha, so the first query fills the memo
         object.__setattr__(self, "_quantile_memo", (np.nan, None))
 
     @property
     def m(self) -> int:
         return len(self.env_ids)
-
-    @cached_property
-    def pooled_sorted(self) -> np.ndarray:
-        """The pooled scores sorted ascending, read-only; sorted on first use.
-
-        Sorting here, not at construction, keeps states that never serve an
-        SC query (AC-only prediction) free of this copy.
-        """
-        return _frozen(np.sort(np.concatenate(self.scores)))
 
     def pooled_scores(self) -> np.ndarray:
         return np.concatenate(self.scores)
@@ -185,11 +178,6 @@ class CalibrationState:
         return memo[1]
 
     # -- similarity weighting -------------------------------------------------
-
-    @cached_property
-    def _moment_stack(self) -> np.ndarray:
-        """[mu; v] as a read-only (2, m, 1) stack, laid out like _stacked_moments."""
-        return _frozen(np.stack([self.mu, self.v])[:, :, None])
 
     def _points(self, x: np.ndarray, one: bool) -> np.ndarray:
         """x as an (n, p) float array: the one check of a query's points.
@@ -323,9 +311,10 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
 
     Each section is checked as it is read: its header (cells split on
     whitespace) and score lines keep the data files' row rule, and a break
-    of the state's own rules is named by the header line.
+    of the state's own rules is named by the header line. The environment
+    count is checked after the last section, against every header.
     """
-    env_ids, scores, mus, vs = [], [], [], []
+    env_ids, scores, mus, vs, declared = [], [], [], [], []
     lines = numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}: need at least one environment")
@@ -337,11 +326,7 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
             raise ValueError(f"{path}: line {lineno}: {fault}")
         head = _read_rows(path, lines[pos : pos + 1], 5, ("env", "m", "n_cal"), None)
         env_id, m, n_cal, (mu, v) = head[0].tolist()
-        if env_ids and m != declared_m:
-            raise ValueError(
-                f"{path}: line {lineno}: inconsistent environment count {m} vs {declared_m}"
-            )
-        declared_m = m
+        declared.append((lineno, m))
         if n_cal < 1:
             raise ValueError(f"{path}: line {lineno}: env {env_id}: n_cal must be >= 1")
         if pos + 1 + n_cal > len(lines):
@@ -359,11 +344,11 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
         mus.append(mu)
         vs.append(v)
         pos += 1 + n_cal
-    if declared_m != len(env_ids):
-        raise ValueError(
-            f"{path}: line {lines[0][0]}: header declares {declared_m} environments, "
-            f"found {len(env_ids)}"
-        )
+    for lineno, m in declared:
+        if m != len(env_ids):
+            raise ValueError(
+                f"{path}: line {lineno}: header declares {m} environments, found {len(env_ids)}"
+            )
     return CalibrationState(
         model=model, env_ids=tuple(env_ids), scores=tuple(scores), mu=np.array(mus), v=np.array(vs)
     )

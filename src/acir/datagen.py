@@ -175,7 +175,8 @@ def generate_sem(
     draw is -0.0. Under F settings the hidden weights are exactly zero and H
     is not drawn: it would add exact zeros to draws that are never -0.0,
     which changes no bit. A scale whose products overflow gives non-finite
-    data, which EnvDataset refuses with a ValueError, not numpy's warnings.
+    data, which EnvDataset refuses with a ValueError, not numpy's warnings;
+    its message starts with the scale and the environment's index.
 
     Parameters
     ----------
@@ -217,7 +218,10 @@ def generate_sem(
         x2 = np.outer(y, config.w_y2)
         x2 += np.random.default_rng(ss_x2).normal(0.0, sigma_2, (n, config.dim_x2))
     features = np.concatenate([x1, x2], axis=1)
-    return EnvDataset(env_id=idx, features=_frozen(features), targets=_frozen(y))
+    try:
+        return EnvDataset(env_id=idx, features=_frozen(features), targets=_frozen(y))
+    except ValueError as exc:
+        raise ValueError(f"env_param {e} (environment {idx}): {exc}") from None
 
 
 def split_dataset(data: EnvDataset, train_fraction: float, seed: int) -> DataSplit:

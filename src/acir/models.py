@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +75,8 @@ class LinearIRMModel:
 
     phi: np.ndarray
     penalty_weight: float = 0.0
+    # the effective prediction weights: phi's column sums, read-only
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         phi = _readonly(self.phi)
@@ -87,6 +88,7 @@ class LinearIRMModel:
             raise ValueError("phi must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "penalty_weight", _check_penalty_weight(self.penalty_weight))
+        object.__setattr__(self, "weights", _frozen(phi.sum(axis=0)))
 
     @property
     def d(self) -> int:
@@ -95,11 +97,6 @@ class LinearIRMModel:
     @property
     def p(self) -> int:
         return self.phi.shape[1]
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Effective prediction weights: column sums of phi, read-only, summed once."""
-        return _frozen(self.phi.sum(axis=0))
 
     def represent(self, x: np.ndarray) -> np.ndarray:
         """Representation phi @ x; accepts one vector (p,) or a matrix (n, p)."""

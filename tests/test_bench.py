@@ -19,6 +19,7 @@ from acir.bench import (
     ExperimentConfig,
     MetricsRow,
     SummaryRow,
+    _derived_seed,
     _replication_data,
     emit_outputs,
     run_experiment,
@@ -293,6 +294,16 @@ def test_each_environments_row_scores_that_environment_alone(setting, tmp_path):
                 row = rows[method, rep, str(env.env_id)]
                 assert row.coverage == coverage_rate(alone, env.targets), (method, rep, env.env_id)
                 assert row.avg_length.hex() == average_length(alone).hex(), (method, rep, env.env_id)
+
+
+@pytest.mark.parametrize("path, words", [
+    ((3, 0, 2), [3, 0, 2]),
+    ((2**64 + 5, 1, 0), [2**64 + 5, 1, 0]),  # a wide seed enters as itself
+    ((3, 1, -1), [3, 1, 2**64 - 1]),  # a negative id as its two's-complement word
+    ((3, 1, -(2**63)), [3, 1, 2**63]),
+])
+def test_a_derived_seed_is_the_seed_sequence_of_its_words(path, words):
+    assert _derived_seed(*path) == int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
 def test_stage_functions_are_looked_up_on_the_module_at_call_time(monkeypatch):

@@ -13,7 +13,8 @@ import pytest
 import acir
 from acir import cli
 from acir.cli import build_parser, main
-from acir.datagen import load_csv
+from acir.core import EnvDataset
+from acir.datagen import SemConfig, generate_sem, load_csv, save_csv
 from acir.models import FitConfig, fit_irmv1, save_model
 
 FAST = ["--penalty-weight", "3", "--init-scale", "1.0"]
@@ -268,8 +269,21 @@ def test_datagen_reports_an_overflowing_scale_once_without_numpy_warnings(tmp_pa
         capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: features and targets must be finite\n"
+    assert proc.stderr == (
+        "error: env_param 1e+308 (environment 1): features and targets must be finite\n"
+    )
     assert not out.exists()
+
+
+def test_bench_run_names_the_scale_that_overflows(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "run", "--setting", "FOU", "--reps", "1", "--env-params", "0.2,1e308",
+                   "--out", str(out_dir), *FAST) == 2
+    assert capsys.readouterr().err == (
+        "error: (replication 0, stage generate): env_param 1e+308 (environment 1): "
+        "features and targets must be finite\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_datagen_is_deterministic(tmp_path):
@@ -457,6 +471,18 @@ def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, capsys, arg
     assert err == f"error: {tmp_path / name}: line {line}: byte 0xe9 is not UTF-8\n"
 
 
+def test_assess_names_both_files_when_the_feature_counts_differ(tmp_path, capsys):
+    for name in ("data", "model"):
+        (tmp_path / name).write_bytes(GOOD_FILES[name])
+    model, data = tmp_path / "model", tmp_path / "data"
+    assert run_cli("assess", "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "report.csv")) == 2
+    assert capsys.readouterr().err == (
+        f"error: model {model} takes 2 features, but data {data} has 1\n"
+    )
+    assert not (tmp_path / "report.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # bench commands
 
@@ -485,6 +511,27 @@ def test_bench_run_methods_subset(tmp_path):
     lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
     assert all(ln.startswith("SC-ERM,") for ln in lines[1:])
     assert len(lines) == 1 + 4  # pooled + three env scopes
+
+
+def test_bench_run_takes_negative_environment_ids_in_csv_mode(tmp_path):
+    # -2 trains and -1 is held out: a negative id seeds its split like any other
+    cfg = SemConfig(setting="FOU", seed=5)
+    data = tmp_path / "data.csv"
+    envs = []
+    for env_id, e in ((-2, 0.2), (-1, 2.0), (3, 5.0)):
+        drawn = generate_sem(cfg, e, 60, stream_seed=1)
+        envs.append(EnvDataset(env_id, drawn.features, drawn.targets))
+    save_csv(envs, str(data))
+    outputs = []
+    for name in ("a", "b"):
+        out_dir = tmp_path / name
+        assert run_cli("bench", "run", "--setting", f"csv:{data}", "--test-envs=-1", "--reps", "2",
+                       "--out", str(out_dir), *FAST) == 0
+        outputs.append([(out_dir / f).read_bytes() for f in sorted(os.listdir(out_dir))])
+    assert outputs[0] == outputs[1]
+    rows = (tmp_path / "a" / "metrics.csv").read_text().splitlines()[1:]
+    scopes = [row.split(",")[3] for row in rows]
+    assert scopes.count("-1") == 2 * 4  # two replications of four methods
 
 
 # ---------------------------------------------------------------------------

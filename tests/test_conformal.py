@@ -620,6 +620,26 @@ def test_pooled_sorted_scores_are_read_only_and_sorted():
         state.pooled_sorted[0] = 1.0
 
 
+def test_a_state_is_complete_when_built_and_queries_write_only_the_alpha_memo(tmp_path):
+    model, _, calibrated = make_state(seed=24)
+    path = str(tmp_path / "state.txt")
+    save_state(calibrated, path)
+    x = np.random.default_rng(24).normal(size=(5, 4))
+    for state in (calibrated, load_state(path, model)):
+        built = dict(vars(state))
+        pooled = built["pooled_sorted"]
+        np.testing.assert_array_equal(pooled, np.sort(state.pooled_scores()))
+        assert not pooled.flags.writeable
+        state.sc_intervals(x, ALPHA)
+        state.acir_intervals(x, ALPHA)
+        state.sc_interval(x[0], ALPHA)
+        state.acir_interval(x[0], ALPHA)
+        after = dict(vars(state))
+        assert after.keys() == built.keys()
+        changed = [k for k in built if after[k] is not built[k]]
+        assert changed == ["_quantile_memo"]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -679,7 +699,7 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
     ("0 1 0 0.0 1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 2 nan 1.0\n1.0\n2.0\n", "line 1: non-finite cell in ['0', '1', '2', 'nan', '1.0']"),
     ("0 2 1 0.0 1.0\n1.0\n\n1 3 1 0.0 1.0\n1.0\n",
-     "line 4: inconsistent environment count 3 vs 2"),
+     "line 4: header declares 3 environments, found 2"),
     ("0 2 1 0.0 1.0\n1.0\n1 2 3 0.0 1.0\n1.0\n2.0\n",
      "line 3: env 1: fewer than 3 score lines"),
     ("\n0 3 1 0.0 1.0\n1.0\n1 3 1 0.0 1.0\n1.0\n",

@@ -712,7 +712,8 @@ def test_a_scale_that_overflows_is_refused_as_non_finite_data_not_warned(setting
     # The suite turns warnings into errors: a RuntimeWarning from the draws'
     # products would surface here instead of the dataset's own refusal.
     cfg = SemConfig(setting=setting, env_params=(0.2, 1e308), seed=1)
-    with pytest.raises(ValueError, match="^features and targets must be finite$"):
+    message = r"^env_param 1e\+308 \(environment 1\): features and targets must be finite$"
+    with pytest.raises(ValueError, match=message):
         generate_sem(cfg, 1e308, 30, stream_seed=0)
 
 

@@ -186,6 +186,7 @@ def test_predict_and_represent_are_linear():
 def test_weights_are_the_column_sums_of_phi_computed_once_and_read_only():
     phi = np.random.default_rng(4).normal(size=(5, 3))
     model = LinearIRMModel(phi=phi)
+    assert "weights" in vars(model)  # summed at construction
     w = model.weights
     assert w is model.weights and not w.flags.writeable
     assert w.tobytes() == phi.sum(axis=0).tobytes()

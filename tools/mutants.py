@@ -99,6 +99,10 @@ MUTANTS = [
     Mutant("quantile-finite-cap", "core.py",
            "    if k > n:\n        return math.inf",
            "    if k > n:\n        return float(sorted_scores[-1])"),
+    Mutant("pooled-sort-dropped", "conformal.py",
+           "np.sort(np.concatenate(", "(np.concatenate("),
+    Mutant("negative-id-seed-unmapped", "bench.py",
+           "words = [v % 2**64 if v < 0 else v for v in path]", "words = list(path)"),
     # Every file read keeps its rules, and the fork primitive hands back in full,
     # from its worker or, once that has failed, from its one fallback.
     Mutant("rows-accept-non-finite", "datagen.py",
