@@ -65,14 +65,14 @@ class BenchError(RuntimeError):
     """Pipeline failure; message carries (replication, stage)."""
 
 
-# The fields only one mode uses, keyed by whether that mode is CSV mode, with
-# the default each takes there. ExperimentConfig refuses them in the other mode.
+# The fields only one mode uses, keyed by whether that mode is CSV mode, with the default
+# each takes there (test_envs has none). ExperimentConfig refuses them in the other mode.
 _MODE_DEFAULTS: dict[bool, dict[str, object]] = {
     False: {
         "n_train_total": 2000, "n_cal_total": 2000, "n_test_total": 2000,
         "env_params": DEFAULT_ENV_PARAMS, "resplit_only": False,
     },
-    True: {"csv_train_fraction": 0.5},
+    True: {"test_envs": None, "csv_train_fraction": 0.5},
 }
 
 
@@ -91,8 +91,9 @@ class ExperimentConfig:
     synthetic settings refuse test_envs and csv_train_fraction, and CSV mode
     refuses n_train_total, n_cal_total, n_test_total, env_params and
     resplit_only. A field left at None in the mode that uses it reads its
-    default from _MODE_DEFAULTS. Without an IRM method, the IRM-only fields
-    of fit are refused too (FitConfig.refuse_penalty).
+    default from _MODE_DEFAULTS, but CSV mode requires test_envs. Without an
+    IRM method, the IRM-only fields of fit are refused too
+    (FitConfig.refuse_penalty).
     """
 
     setting: str
@@ -106,7 +107,7 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHODS
     fit: FitConfig = field(default_factory=FitConfig)
     resplit_only: bool | None = None
-    test_envs: tuple[int, ...] = ()
+    test_envs: tuple[int, ...] | None = None
     csv_train_fraction: float | None = None
 
     def __post_init__(self) -> None:
@@ -129,6 +130,13 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.is_csv:
+            if self.test_envs is None or len(self.test_envs) == 0:
+                raise ValueError("CSV mode requires test_envs to name held-out environments")
+            test_envs = tuple(_integer("test_envs", e) for e in self.test_envs)
+            repeated = sorted({e for e in test_envs if test_envs.count(e) > 1})
+            if repeated:
+                raise ValueError(f"test_envs names environments {repeated} more than once")
+            object.__setattr__(self, "test_envs", test_envs)
             fraction = check_train_fraction(self.csv_train_fraction)
             object.__setattr__(self, "csv_train_fraction", fraction)
         else:
@@ -149,18 +157,6 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in chosen))
         if not any(method.endswith("IRM") for method in self.methods):
             self.fit.refuse_penalty("without an IRM method")
-        test_envs = tuple(_integer("test_envs", e) for e in self.test_envs)
-        object.__setattr__(self, "test_envs", test_envs)
-        repeated = sorted({e for e in self.test_envs if self.test_envs.count(e) > 1})
-        if repeated:
-            raise ValueError(f"test_envs names environments {repeated} more than once")
-        if self.is_csv and not self.test_envs:
-            raise ValueError("CSV mode requires test_envs to name held-out environments")
-        if self.test_envs and not self.is_csv:
-            raise ValueError(
-                f"test_envs applies only in CSV mode, got {self.test_envs} "
-                f"with setting {self.setting!r}"
-            )
 
     @property
     def is_csv(self) -> bool:
@@ -216,11 +212,7 @@ def _stage(replication: int, name: str) -> Iterator[None]:
 
 
 def _derived_seed(*path: int) -> int:
-    # SeedSequence takes no negative int: a negative env id enters as its
-    # 64-bit two's-complement word, which no nonnegative int64 id shares;
-    # a nonnegative value, a seed of any width too, enters as itself.
-    words = [v % 2**64 if v < 0 else v for v in path]
-    return int(np.random.SeedSequence(words).generate_state(1)[0])
+    return int(core._seed_sequence(*path).generate_state(1)[0])
 
 
 def _score_method(

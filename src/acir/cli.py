@@ -9,7 +9,8 @@ Every leaf command accepts ``--config FILE`` holding ``key = value`` lines,
 each key a flag of that command; explicit flags override file values.
 argparse only parses: each command checks every value it takes through the
 library, in one _usage_errors block before it reads any file.
-Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures.
+Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures. A
+library warning prints as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import Callable, TextIO
@@ -301,6 +303,9 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         raise ValueError(
             f"model {args.model} takes {model.p} features, but data {args.data} has {envs[0].p}"
         )
+    if len(envs) < 2:
+        raise ValueError(f"data {args.data} holds one environment ({envs[0].env_id}); "
+                         "need >= 2 environments to compare")
     report = inv_statistic(model, fit_density(envs), envs)
     write_report(report, args.out)
     print(f"{args.out} inv={report.inv!r}")
@@ -334,16 +339,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, leaves = build_parser()
-    try:
-        args = parser.parse_args(_splice_config(argv, leaves))
-        # looked up at call time, so a wrapper installed on the module runs
-        return globals()[args.handler](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BenchError, FitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(_splice_config(argv, leaves))
+            # looked up at call time, so a wrapper installed on the module runs
+            return globals()[args.handler](args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (BenchError, FitError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def console_main() -> None:

@@ -111,16 +111,16 @@ class CalibrationState:
     Cost model: construction (and so calibrate and load_state) validates
     the per-environment scores once and keeps the read-only arrays that
     calibrate and load_state hand over without copying them. It sorts the
-    pooled scores into the read-only ``pooled_sorted`` and stacks mu and v.
-    After that a conformal quantile is one index read into sorted scores:
-    sc_intervals reads one from ``pooled_sorted``, and env_quantiles one
-    per environment, once per alpha: it keeps the last alpha's read-only
-    quantiles, and nothing else. Nothing is sorted or re-validated per
-    query but alpha and the shape of the points, checked once. A single acir_interval is the O(p*d) computation of the point's
-    d-dimensional representation, its moments and its m weights, run as
-    the batch code on one row: both moment distances in one broadcast
-    subtraction against the (2, m, 1) stack of mu and v. README
-    gives its timings.
+    pooled scores, in place, into the read-only ``pooled_sorted`` and stacks
+    mu and v. After that a conformal quantile is one index read into sorted
+    scores: sc_intervals reads one from ``pooled_sorted``, and env_quantiles
+    one per environment, once per alpha: it keeps the last alpha's read-only
+    quantiles, and nothing else. Nothing is sorted or re-validated per query
+    but alpha and the shape of the points. A single acir_interval is the
+    O(p*d) computation of the point's d-dimensional representation, its
+    moments and its m weights, run as the batch code on one row: both
+    moment distances in one broadcast subtraction against the (2, m, 1)
+    stack of mu and v. README gives its timings.
 
     The moments have closed forms that the code does not use, since they
     agree only up to rounding: mu_x is the prediction f(x) divided by d,
@@ -150,7 +150,9 @@ class CalibrationState:
         _check_moments(mu, v)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "pooled_sorted", _frozen(np.sort(np.concatenate(frozen))))
+        pooled = np.concatenate(frozen)
+        pooled.sort()  # in place: a sorted copy would hold the scores twice
+        object.__setattr__(self, "pooled_sorted", _frozen(pooled))
         # [mu; v] as a (2, m, 1) stack, laid out like _stacked_moments
         object.__setattr__(self, "_moment_stack", _frozen(np.stack([mu, v])[:, :, None]))
         # nan equals no alpha, so the first query fills the memo
@@ -254,19 +256,14 @@ class CalibrationState:
 
     def acir_intervals(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """Adaptive intervals with similarity-weighted per-environment quantiles."""
-        return self._acir(self._points(x, one=False), alpha)
-
-    def acir_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
-        """acir_intervals for the single point x of shape (p,)."""
-        return self._acir(self._points(x, one=True), alpha)[0]
-
-    def _acir(self, x: np.ndarray, alpha: float) -> PredictionInterval:
-        # The one AC body, on points _points has checked. acir_interval calls
-        # it directly rather than through acir_intervals, so a call profile
-        # keeps single-point queries apart.
+        x = self._points(x, one=False)
         halves = self._combine(self._weights_matrix(x), self.env_quantiles(alpha))
         # Both arrays are new and owned here: handed over, not copied.
         return PredictionInterval(_frozen(x @ self.model.weights), _frozen(halves))
+
+    def acir_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
+        """acir_intervals for the single point x of shape (p,)."""
+        return self.acir_intervals(self._points(x, one=True), alpha)[0]
 
 
 def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:

@@ -1,6 +1,6 @@
 """Shared data containers, the conformal quantile convention, evaluation metrics,
-the writer for rows of floats in text files, the two-process parse of large
-text files, and the numbered lines that the model and state readers parse.
+the seed rule, the writer for rows of floats in text files, the two-process
+parse of large text files, and the numbered lines that the readers parse.
 
 _in_two is the one fork primitive: one gate (_can_fork, asked nowhere
 else), one forked-worker lifecycle and one fallback, which is also the
@@ -240,6 +240,22 @@ def check_seed(seed: int, name: str = "seed") -> int:
     if seed < 0:
         raise ValueError(f"{name} must be >= 0, got {seed}")
     return seed
+
+
+def _seed_sequence(*path: int) -> np.random.SeedSequence:
+    """The SeedSequence of a path of ints of any sign and width: the one seed rule.
+
+    A negative value enters as its 64-bit two's-complement word, which no
+    nonnegative int64 shares, and any other value as itself. The words go in
+    as one uint32 array when all fit 32 bits: SeedSequence splits each int of
+    a list into uint32 words again for each child it spawns, but only copies
+    an array, and an int below 2**32 is its own one word, so both give the
+    same streams.
+    """
+    words = [v % 2**64 if v < 0 else v for v in path]
+    if all(v < 2**32 for v in words):
+        words = np.array(words, dtype=np.uint32)
+    return np.random.SeedSequence(words)
 
 
 def check_train_fraction(fraction: float) -> float:

@@ -39,6 +39,7 @@ from .core import (
     EnvDataset,
     _frozen,
     _integer,
+    _seed_sequence,
     check_envs,
     check_seed,
     check_train_fraction,
@@ -150,18 +151,6 @@ def env_sizes(total: int, m: int) -> list[int]:
     return [base + 1 if i < rem else base for i in range(m)]
 
 
-def _entropy(*values: int) -> np.ndarray | list[int]:
-    """SeedSequence entropy for ``values``, as one uint32 array when each fits 32 bits.
-
-    SeedSequence splits every int of a list into uint32 words again for each
-    child it spawns, but only copies an array of words. An int in [0, 2**32)
-    is the single word of its own value, so both give the same streams.
-    """
-    if all(0 <= v < 2**32 for v in values):
-        return np.array(values, dtype=np.uint32)
-    return list(values)
-
-
 def generate_sem(
     config: SemConfig,
     env_param: float,
@@ -202,8 +191,7 @@ def generate_sem(
     else:
         sigma_y, sigma_2 = 1.0, e
 
-    root = np.random.SeedSequence(_entropy(int(config.seed), stream_seed, idx))
-    ss_h, ss_x1, ss_y, ss_x2 = root.spawn(4)
+    ss_h, ss_x1, ss_y, ss_x2 = _seed_sequence(int(config.seed), stream_seed, idx).spawn(4)
     d1 = config.dim_x1
 
     x1 = np.random.default_rng(ss_x1).normal(0.0, e, (n, d1))

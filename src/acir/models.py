@@ -99,12 +99,10 @@ class LinearIRMModel:
         return self.phi.shape[1]
 
     def represent(self, x: np.ndarray) -> np.ndarray:
-        """Representation phi @ x; accepts one vector (p,) or a matrix (n, p)."""
+        """Representation x @ phi.T of one vector (p,) or of each row of a matrix (n, p)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.p:
             raise ValueError(f"expected {self.p} features, got {x.shape[-1]}")
-        if x.ndim == 1:
-            return self.phi @ x
         return x @ self.phi.T
 
     def predict(self, x: np.ndarray) -> float | np.ndarray:

@@ -131,10 +131,15 @@ def test_config_csv_mode_requires_test_envs():
         ExperimentConfig(setting="csv:/tmp/data.csv")
     cfg = ExperimentConfig(setting="csv:/tmp/data.csv", test_envs=(3,))
     assert cfg.is_csv
+    assert ExperimentConfig(setting="csv:d.csv", test_envs=np.array([3, 1])).test_envs == (3, 1)
     assert cfg.csv_path == "/tmp/data.csv"
     assert not small_config().is_csv
     with pytest.raises(ValueError, match="^not a CSV-mode config$"):
         small_config().csv_path
+    # outside CSV mode test_envs is None, and even an empty tuple is refused
+    assert small_config().test_envs is None
+    with pytest.raises(ValueError, match="^test_envs does not apply outside CSV mode"):
+        small_config(test_envs=())
 
 
 def test_config_rejects_a_test_env_named_twice():

@@ -101,7 +101,7 @@ def test_missing_input_file_is_runtime_error(tmp_path, capsys):
     (["bench", "run", "--setting", "csv:{d}/missing.csv", "--test-envs", "1,1",
       "--out", "{d}"], "test_envs names environments [1] more than once"),
     (["bench", "run", "--setting", "FOU", "--test-envs", "1", "--out", "{d}"],
-     "test_envs applies only in CSV mode, got (1,) with setting 'FOU'"),
+     "test_envs does not apply outside CSV mode, got setting 'FOU'"),
     # a flag that its mode would ignore
     (["fit", "--data", "{d}/missing.csv", "--out", "{d}/model.txt", "--train-fraction", "0.3"],
      "--train-fraction does not apply without --calibration-out"),
@@ -481,6 +481,34 @@ def test_assess_names_both_files_when_the_feature_counts_differ(tmp_path, capsys
         f"error: model {model} takes 2 features, but data {data} has 1\n"
     )
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_assess_names_the_data_file_that_holds_one_environment(tmp_path, capsys, monkeypatch):
+    (tmp_path / "model").write_bytes(GOOD_FILES["model"])
+    data = tmp_path / "data"
+    data.write_bytes(b"env,y,x1,x2\n7,1.0,2.0,0.5\n7,2.0,3.0,1.5\n")
+    # refused right after loading, before the densities are fitted
+    monkeypatch.setattr(cli, "fit_density", lambda envs: pytest.fail("densities fitted"))
+    assert run_cli("assess", "--model", str(tmp_path / "model"), "--data", str(data),
+                   "--out", str(tmp_path / "report.csv")) == 2
+    assert capsys.readouterr().err == (
+        f"error: data {data} holds one environment (7); need >= 2 environments to compare\n"
+    )
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_a_library_warning_prints_as_one_line(tmp_path):
+    # A separate process, since the suite turns warnings into errors.
+    data = tmp_path / "data.csv"
+    data.write_text("env,y,x1,x2\n0,1.0,2.0,0.5\n0,2.0,3.0,1.5\n0,0.5,1.0,-1.0\n")
+    model = tmp_path / "m.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "acir", "fit", "--data", str(data), "--out", str(model),
+         "--max-iters", "5"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"{model}\n")
+    assert proc.stderr == "warning: invariance penalty is vacuous with a single environment\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Calibration-state construction, similarity weighting, and both intervals."""
 
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -618,6 +619,27 @@ def test_pooled_sorted_scores_are_read_only_and_sorted():
     assert not state.pooled_sorted.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         state.pooled_sorted[0] = 1.0
+
+
+def test_building_a_state_holds_the_pooled_scores_once():
+    # The pooled scores are sorted where they are concatenated, not into a
+    # second copy. The environments' scores are read-only arrays of their
+    # own, as calibrate hands them over, so the state keeps them uncopied.
+    rng = np.random.default_rng(25)
+    scores = []
+    for _ in range(3):
+        sc = np.sort(np.abs(rng.normal(size=16_667)))
+        sc.setflags(write=False)
+        scores.append(sc)
+    model = LinearIRMModel(phi=np.eye(2))
+    tracemalloc.start()
+    try:
+        state = CalibrationState(model=model, env_ids=(0, 1, 2), scores=tuple(scores),
+                                 mu=np.zeros(3), v=np.ones(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * state.pooled_sorted.nbytes
 
 
 def test_a_state_is_complete_when_built_and_queries_write_only_the_alpha_memo(tmp_path):

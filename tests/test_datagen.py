@@ -203,7 +203,7 @@ def test_split_partitions_the_rows():
     (lambda: split_dataset(EnvDataset(7, np.ones((1, 1)), np.zeros(1)), 0.5, 0),
      "env 7: need at least 2 rows to split"),
     (lambda: ExperimentConfig("FOU", test_envs=(1,)),
-     "test_envs applies only in CSV mode, got (1,) with setting 'FOU'"),
+     "test_envs does not apply outside CSV mode, got setting 'FOU'"),
 ], ids=["env_sizes-total", "env_sizes-m", "generate_sem-n", "generate_sem-zero-n", "split-nan",
         "split-above-one", "split-one-row", "synthetic-test_envs"])
 def test_a_value_that_failed_late_or_was_ignored_is_refused_by_name(call, message):

@@ -180,6 +180,7 @@ def test_predict_and_represent_are_linear():
         model.predict(x1 + x2), model.predict(x1) + model.predict(x2), atol=1e-12
     )
     np.testing.assert_allclose(model.represent(x1), phi @ x1)
+    assert model.represent(x1).tobytes() == model.represent(x1[None, :])[0].tobytes()
     assert model.predict(x1) == pytest.approx(float(model.represent(x1).sum()))
 
 

@@ -99,10 +99,11 @@ MUTANTS = [
     Mutant("quantile-finite-cap", "core.py",
            "    if k > n:\n        return math.inf",
            "    if k > n:\n        return float(sorted_scores[-1])"),
-    Mutant("pooled-sort-dropped", "conformal.py",
-           "np.sort(np.concatenate(", "(np.concatenate("),
-    Mutant("negative-id-seed-unmapped", "bench.py",
+    Mutant("pooled-sort-dropped", "conformal.py", "pooled.sort()", "pass"),
+    Mutant("negative-id-seed-unmapped", "core.py",
            "words = [v % 2**64 if v < 0 else v for v in path]", "words = list(path)"),
+    Mutant("seed-words-always-uint32", "core.py",
+           "if all(v < 2**32 for v in words):", "if True:"),
     # Every file read keeps its rules, and the fork primitive hands back in full,
     # from its worker or, once that has failed, from its one fallback.
     Mutant("rows-accept-non-finite", "datagen.py",
