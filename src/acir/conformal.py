@@ -48,28 +48,20 @@ from .models import LinearIRMModel
 __all__ = [
     "CalibrationState",
     "calibrate",
-    "moment_stats",
     "save_state",
     "load_state",
 ]
 
 
-def moment_stats(representation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population standard deviation across representation coordinates.
-
-    Works along the last axis: a (k,) representation gives two scalars, an
-    (n, k) batch two (n,) arrays. Needs k >= 2; a one-dimensional
-    representation has no spread to measure.
-    """
-    mean, std = _stacked_moments(np.atleast_1d(np.asarray(representation, dtype=float)))
-    return mean, std
-
-
 def _stacked_moments(rep: np.ndarray) -> np.ndarray:
-    """moment_stats as one (2, ...) array [mean; std]: the one moments body.
+    """Mean and population standard deviation across representation
+    coordinates, as one (2, ...) array [mean; std]: the one moments body.
 
-    The AC weights take the moments of a batch as this stack, so one
-    broadcast subtraction measures both distances.
+    Works along the last axis: a (k,) representation gives a (2,) stack, an
+    (n, k) batch a (2, n) one. Needs k >= 2; a one-dimensional
+    representation has no spread to measure. calibrate unpacks the stack;
+    the AC weights keep it, so one broadcast subtraction measures both
+    distances.
     """
     d = rep.shape[-1]
     if d < 2:
@@ -271,13 +263,14 @@ def calibrate(model: LinearIRMModel, cal: list[EnvDataset]) -> CalibrationState:
 
     Conformity scores are absolute residuals |y - f(x)|, sorted ascending
     within each environment. The moment summaries are the environment means
-    of the per-sample representation mean and spread from moment_stats.
+    of the per-sample representation mean and spread, from the moments body
+    that the AC weights use.
     """
     check_envs(cal)
     env_ids, scores, mus, vs = [], [], [], []
     for env in cal:
         resid = np.abs(env.targets - model.predict(env.features))
-        mu_x, v_x = moment_stats(model.represent(env.features))
+        mu_x, v_x = _stacked_moments(model.represent(env.features))
         env_ids.append(env.env_id)
         scores.append(_frozen(np.sort(resid)))  # handed over to the state, not copied
         mus.append(float(mu_x.mean()))

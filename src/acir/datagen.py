@@ -129,10 +129,6 @@ class SemConfig:
         for name, w in (("w_1y", w_1y), ("w_y2", w_y2), ("w_h1", w_h1), ("w_hy", w_hy)):
             object.__setattr__(self, name, _frozen(w))
 
-    @property
-    def p(self) -> int:
-        return self.dim_x1 + self.dim_x2
-
     def env_index(self, env_param: float) -> int:
         try:
             return self.env_params.index(float(env_param))

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from acir import conformal
 from acir.conformal import (
     CalibrationState,
+    _stacked_moments,
     calibrate,
     load_state,
-    moment_stats,
     save_state,
 )
 from acir.core import EnvDataset, conformal_quantile
@@ -40,19 +40,19 @@ def make_state(seed=0, n=60, m=3):
 # moment summaries
 
 
-def test_moment_stats_hand_computed():
+def test_stacked_moments_hand_computed():
     # values 1,2,3,6: mean 3; squared deviations 4,1,0,9; population std
     # sqrt(14/4) = 1.8708286933869707
-    mu, v = moment_stats(np.array([1.0, 2.0, 3.0, 6.0]))
+    mu, v = _stacked_moments(np.array([1.0, 2.0, 3.0, 6.0]))
     assert mu == 3.0
     assert abs(v - 1.8708286933869707) < 1e-15
 
 
-def test_moment_stats_works_along_the_last_axis():
+def test_stacked_moments_works_along_the_last_axis():
     rep = np.array([[1.0, 2.0, 3.0, 6.0], [0.0, 0.0, 2.0, 2.0]])
-    mu, v = moment_stats(rep)
+    mu, v = _stacked_moments(rep)
     np.testing.assert_array_equal(mu, [3.0, 1.0])
-    np.testing.assert_array_equal(v, [moment_stats(rep[0])[1], 1.0])
+    np.testing.assert_array_equal(v, [_stacked_moments(rep[0])[1], 1.0])
 
 
 # d from 2 to 300 runs numpy's plain (d < 8), 8-way unrolled (up to 128)
@@ -69,11 +69,11 @@ def test_moment_stats_works_along_the_last_axis():
 @example(d=2, rows=None, exponent=0, offset=0.0, seed=0)
 @example(d=129, rows=5, exponent=300, offset=1.0, seed=1)
 @example(d=300, rows=1, exponent=-300, offset=-1e3, seed=2)
-def test_moment_stats_equals_numpy_mean_and_std_bit_for_bit(d, rows, exponent, offset, seed):
+def test_stacked_moments_equals_numpy_mean_and_std_bit_for_bit(d, rows, exponent, offset, seed):
     shape = (d,) if rows is None else (rows, d)
     rep = (np.random.default_rng(seed).standard_normal(shape) + offset) * 10.0**exponent
     with np.errstate(over="ignore"):  # squares of 1e300 overflow in both
-        mu, v = moment_stats(rep)
+        mu, v = _stacked_moments(rep)
         want_mu, want_v = np.mean(rep, axis=-1), np.std(rep, axis=-1)
     assert mu.tobytes() == want_mu.tobytes() and v.tobytes() == want_v.tobytes()
     if rows is None:
@@ -95,14 +95,14 @@ def test_moments_are_the_prediction_over_d_and_a_projection_training_leaves_alon
     shift = model.phi - phi0
     assert np.ptp(shift, axis=0).max() < 1e-12 < np.abs(shift).max()
     x = rng.normal(scale=3.0, size=(50, 4))
-    mu_x, v_x = moment_stats(model.represent(x))
+    mu_x, v_x = _stacked_moments(model.represent(x))
     np.testing.assert_allclose(mu_x, model.predict(x) / model.d, rtol=1e-12)
-    np.testing.assert_allclose(v_x, moment_stats(x @ phi0.T)[1], rtol=1e-12)
+    np.testing.assert_allclose(v_x, _stacked_moments(x @ phi0.T)[1], rtol=1e-12)
 
 
-def test_moment_stats_rejects_scalar_representation():
+def test_stacked_moments_rejects_scalar_representation():
     with pytest.raises(ValueError, match=">= 2"):
-        moment_stats(np.array([5.0]))
+        _stacked_moments(np.array([5.0]))
 
 
 def test_calibrate_hand_computed_scores_and_moments():

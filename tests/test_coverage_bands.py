@@ -1,0 +1,118 @@
+"""Gates on the conformal guarantee itself, not on output bytes.
+
+A formula change that re-takes the golden pins leaves these checks as they
+are: each follows from the split-conformal guarantee (Vovk 2012; Angelopoulos
+& Bates 2021), not from a number the code once printed.
+
+* Pooled split-conformal coverage over R replications of the shipped runner
+  lies in its Beta-binomial band. With n_cal exchangeable calibration scores
+  and rank k = ceil((1 - alpha)(n_cal + 1)), the coverage C of one
+  calibration set is Beta(k, n_cal + 1 - k), and a replication's test
+  coverage is Binomial(n_test, C) / n_test. The band is the normal
+  approximation to the mean of R such draws, at a false-alarm rate of 1e-4
+  per cell. The seed was fixed once, before looking, and is never re-picked
+  to pass. SC pools its calibration, so only pooled coverage is guaranteed;
+  AC is not gated here.
+* The finite-sample rule of sorted_conformal_quantile: leaving each of n + 1
+  scores out in turn covers it at least 1 - alpha of the time, and its rank
+  never falls below the rank computed exactly in integers.
+"""
+
+import math
+import statistics
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from acir.bench import ExperimentConfig, run_experiment
+from acir.core import sorted_conformal_quantile
+from acir.models import FitConfig
+from test_acceptance import PENALTY_BY_SETTING
+
+ALPHA = 0.05
+N_CAL = N_TEST = 2000
+REPLICATIONS = 100
+SEED = 11
+FALSE_ALARM = 1e-4
+
+
+def coverage_band(alpha, n_cal, n_test, reps, false_alarm):
+    """(low, high) for the mean pooled coverage of reps split-conformal replications."""
+    k = math.ceil((1 - alpha) * (n_cal + 1))
+    mu = k / (n_cal + 1)
+    var_c = k * (n_cal + 1 - k) / ((n_cal + 1) ** 2 * (n_cal + 2))
+    sigma = math.sqrt(var_c + (mu * (1 - mu) - var_c) / n_test)
+    z = statistics.NormalDist().inv_cdf(1 - false_alarm / 2)
+    half = z * sigma / math.sqrt(reps)
+    return mu - half, mu + half
+
+
+@pytest.mark.parametrize("setting", sorted(PENALTY_BY_SETTING))
+def test_pooled_split_conformal_coverage_lies_in_its_band(setting):
+    rows = run_experiment(ExperimentConfig(
+        setting=setting,
+        alpha=ALPHA,
+        n_train_total=2000,
+        n_cal_total=N_CAL,
+        n_test_total=N_TEST,
+        replications=REPLICATIONS,
+        seed=SEED,
+        methods=("SC-ERM", "SC-IRM"),
+        fit=FitConfig(penalty_weight=PENALTY_BY_SETTING[setting], init_scale=1.0),
+    ))
+    low, high = coverage_band(ALPHA, N_CAL, N_TEST, REPLICATIONS, FALSE_ALARM)
+    assert (round(low, 4), round(high, 4)) == (0.9473, 0.9527)  # 0.9500 +- 0.0027
+    for method in ("SC-ERM", "SC-IRM"):
+        pooled = [r.coverage for r in rows if r.method == method and r.scope == "pooled"]
+        assert len(pooled) == REPLICATIONS
+        mean = statistics.fmean(pooled)
+        assert low <= mean <= high, f"{method} on {setting}: {mean:.4f} outside [{low:.4f}, {high:.4f}]"
+
+
+# Scores from a small pool, so ties are common; alpha on a grid of six
+# decimal places, compared exactly as the decimal it is written as. (A float
+# alpha that is no short decimal can sit within rounding of j / (n + 1), and
+# there the float rank can read one below the exact rank of that float.)
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e6)),
+                    min_size=2, max_size=61),
+    micro_alpha=st.integers(1, 10**6 - 1),
+)
+@example(scores=[1.0, 2.0], micro_alpha=500_000)
+@example(scores=[1.0] * 20, micro_alpha=50_000)
+@example(scores=[float(i) for i in range(20)], micro_alpha=50_000)
+def test_leaving_each_score_out_covers_it_at_least_one_minus_alpha_of_the_time(
+    scores, micro_alpha
+):
+    alpha = Fraction(micro_alpha, 10**6)
+    covered = 0
+    for i, s in enumerate(scores):
+        rest = np.sort(np.array(scores[:i] + scores[i + 1:]))
+        covered += s <= sorted_conformal_quantile(rest, float(alpha))
+    assert Fraction(covered, len(scores)) >= 1 - alpha
+
+
+# The fourteen miscoverage rates of the rank check; 0.45 is the one whose
+# float rank rises above the exact one, by one, for some n.
+RANK_ALPHAS = ("0.001", "0.005", "0.01", "0.02", "0.025", "0.05", "0.1", "0.15", "0.2",
+               "0.25", "0.3", "0.4", "0.45", "0.5")
+
+
+@pytest.mark.parametrize("decimal_alpha", RANK_ALPHAS)
+def test_the_float_rank_never_falls_below_the_exact_rank(decimal_alpha):
+    # Scores 1..n, so the quantile read is its own rank; +inf reads as rank
+    # n + 1, which lies above every rank that exists.
+    alpha = Fraction(decimal_alpha)
+    scores = np.arange(1.0, 10**5 + 1)
+    below = []
+    for n in range(1, scores.size + 1):
+        q = sorted_conformal_quantile(scores[:n], float(decimal_alpha))
+        rank = n + 1 if q == math.inf else int(q)
+        exact = -(-(alpha.denominator - alpha.numerator) * (n + 1) // alpha.denominator)
+        if rank < exact:
+            below.append(n)
+    assert below == []

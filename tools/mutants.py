@@ -70,6 +70,9 @@ MUTANTS = [
            "halves = self._combine(self._weights_matrix(x), self.env_quantiles(alpha))",
            "halves = self._combine(self._weights_matrix(x), np.full(self.m, "
            "sorted_conformal_quantile(self.pooled_sorted, alpha)))"),
+    Mutant("calibration-scores-inflated", "conformal.py",
+           "resid = np.abs(env.targets - model.predict(env.features))",
+           "resid = 1.02 * np.abs(env.targets - model.predict(env.features))"),
     Mutant("erm-keeps-penalty", "models.py",
            "return fit_irmv1(train, replace(config, penalty_weight=0.0))",
            "return fit_irmv1(train, config)"),
