@@ -30,6 +30,7 @@ from .core import (
     EnvDataset,
     average_length,
     _integer,
+    _refuse_given,
     check_alpha,
     check_seed,
     check_train_fraction,
@@ -87,13 +88,10 @@ class ExperimentConfig:
     replication with csv_train_fraction. resplit_only freezes the synthetic
     draw at replication 0 and only re-randomizes the train/calibration split.
 
-    Each mode refuses the fields of the other, naming the field: the
-    synthetic settings refuse test_envs and csv_train_fraction, and CSV mode
-    refuses n_train_total, n_cal_total, n_test_total, env_params and
-    resplit_only. A field left at None in the mode that uses it reads its
-    default from _MODE_DEFAULTS, but CSV mode requires test_envs. Without an
-    IRM method, the IRM-only fields of fit are refused too
-    (FitConfig.refuse_penalty).
+    Each mode refuses, by name, the fields that only the other uses, as
+    _MODE_DEFAULTS lists them; a field left at None in the mode that uses it
+    reads its default there, but CSV mode requires test_envs. Without an IRM
+    method, the IRM-only fields of fit are refused too (FitConfig.refuse_penalty).
     """
 
     setting: str
@@ -115,12 +113,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"setting must be one of {SETTINGS} or 'csv:<path>', got {self.setting!r}"
             )
-        for name in _MODE_DEFAULTS[not self.is_csv]:
-            if getattr(self, name) is not None:
-                raise ValueError(
-                    f"{name} does not apply {'in' if self.is_csv else 'outside'} CSV mode, "
-                    f"got setting {self.setting!r}"
-                )
+        where = "in" if self.is_csv else "outside"
+        _refuse_given({name: getattr(self, name) for name in _MODE_DEFAULTS[not self.is_csv]},
+                      f"{where} CSV mode, got setting {self.setting!r}")
         for name, default in _MODE_DEFAULTS[self.is_csv].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)

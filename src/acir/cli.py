@@ -33,6 +33,7 @@ from .bench import (
 )
 from .conformal import calibrate, load_state, save_state
 from .core import (
+    _refuse_given,
     check_alpha,
     check_seed,
     check_train_fraction,
@@ -271,11 +272,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         config = _fit_config(args)
         if args.method == "erm":
             config.refuse_penalty("with --method erm")
-        # no library object owns the split flags, so this names the flag
         fraction, seed = args.train_fraction, args.split_seed
-        if args.calibration_out is None and (fraction is not None or seed is not None):
-            flag = "--train-fraction" if fraction is not None else "--split-seed"
-            raise ValueError(f"{flag} does not apply without --calibration-out")
+        if args.calibration_out is None:  # no library object owns the split flags
+            _refuse_given({"--train-fraction": fraction, "--split-seed": seed},
+                          "without --calibration-out")
         fraction = check_train_fraction(0.5 if fraction is None else fraction)
         seed = check_seed(0 if seed is None else seed, "split_seed")
     envs = load_csv(args.data)

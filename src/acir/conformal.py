@@ -37,12 +37,11 @@ from .core import (
     _readonly,
     check_alpha,
     check_envs,
-    not_utf8,
     numbered_lines,
     sorted_conformal_quantile,
     write_float_rows,
 )
-from .datagen import _read_rows
+from .datagen import _read_header, _read_rows
 from .models import LinearIRMModel
 
 __all__ = [
@@ -299,10 +298,9 @@ def save_state(state: CalibrationState, path: str) -> None:
 def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
     """Read a state written by save_state; every value is re-validated.
 
-    Each section is checked as it is read: its header (cells split on
-    whitespace) and score lines keep the data files' row rule, and a break
-    of the state's own rules is named by the header line. The environment
-    count is checked after the last section, against every header.
+    Each section is checked as it is read: its header and score lines keep the
+    row rule, and a break of the state's own rules is named by the header line.
+    The environment count is checked after the last section, against every header.
     """
     env_ids, scores, mus, vs, declared = [], [], [], [], []
     lines = numbered_lines(path)
@@ -310,19 +308,14 @@ def load_state(path: str, model: LinearIRMModel) -> CalibrationState:
         raise ValueError(f"{path}: need at least one environment")
     pos = 0
     while pos < len(lines):
-        lineno, text = lines[pos]
-        if len(text.split()) != 5:  # a non-UTF-8 byte is named first, as by the row rule
-            fault = not_utf8(text) or f"expected section header 'env m n_cal mu v', got {text!r}"
-            raise ValueError(f"{path}: line {lineno}: {fault}")
-        head = _read_rows(path, lines[pos : pos + 1], 5, ("env", "m", "n_cal"), None)
-        env_id, m, n_cal, (mu, v) = head[0].tolist()
+        lineno, env_id, m, n_cal, (mu, v) = _read_header(
+            path, lines[pos], 5, ("env", "m", "n_cal"),
+            "expected section header 'env m n_cal mu v'")
         declared.append((lineno, m))
         if n_cal < 1:
             raise ValueError(f"{path}: line {lineno}: env {env_id}: n_cal must be >= 1")
         if pos + 1 + n_cal > len(lines):
-            raise ValueError(
-                f"{path}: line {lineno}: env {env_id}: fewer than {n_cal} score lines"
-            )
+            raise ValueError(f"{path}: line {lineno}: env {env_id}: fewer than {n_cal} score lines")
         sc = _read_rows(path, lines[pos + 1 : pos + 1 + n_cal], 1)["vals"].ravel()
         try:
             _check_env_ids((*env_ids, env_id))

@@ -23,6 +23,7 @@ import signal
 import tempfile
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -131,6 +132,18 @@ def _check_env_ids(env_ids: Sequence[int]) -> tuple[int, ...]:
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate environment ids in {env_ids}")
     return ids
+
+
+def _check_feature_count(want: int, got: int) -> None:
+    if got != want:
+        raise ValueError(f"expected {want} features, got {got}")
+
+
+def _refuse_given(fields: dict[str, object], why: str) -> None:
+    """A ValueError naming the first field of fields that is not None: it does not apply ``why``."""
+    for name, value in fields.items():
+        if value is not None:
+            raise ValueError(f"{name} does not apply {why}")
 
 
 def check_envs(envs: Sequence[EnvDataset]) -> int:
@@ -272,12 +285,13 @@ def check_train_fraction(fraction: float) -> float:
 def sorted_conformal_quantile(sorted_scores: np.ndarray, alpha: float) -> float:
     """conformal_quantile of scores already sorted ascending, by one index read.
 
-    This is where the rank k = ceil((1 - alpha) * (n + 1)) and the +inf for
-    k > n are defined. Only alpha is checked: the caller vouches that the
-    scores are a nonempty, finite, nonnegative, ascending 1-D array.
+    This is where the rank k = ceil((1 - alpha) * (n + 1)), exact for alpha the decimal
+    it prints as, and the +inf for k > n are defined. Only alpha is checked: the caller
+    vouches that the scores are a nonempty, finite, nonnegative, ascending 1-D array.
     """
     n = len(sorted_scores)
-    k = math.ceil((1.0 - check_alpha(alpha)) * (n + 1))
+    num, den = Decimal(repr(check_alpha(alpha))).as_integer_ratio()  # alpha's decimal, exactly
+    k = -((num - den) * (n + 1) // den)  # ceil((1 - num / den) * (n + 1)) in integers
     if k > n:
         return math.inf
     return float(sorted_scores[k - 1])

@@ -318,6 +318,16 @@ def _read_rows(path: str, lines: Iterable, width: int, ints: Sequence[str] = (),
     return table
 
 
+def _read_header(path: str, line: tuple, width: int, ints: Sequence[str], wording: str) -> list:
+    """[lineno, *ints, [*floats]] of a numbered header line. Whitespace cells other than
+    width in number are a ValueError worded by wording, or naming a non-UTF-8 byte first."""
+    lineno, text = line
+    if len(text.split()) != width:
+        fault = not_utf8(text) or f"{wording}, got {text!r}"
+        raise ValueError(f"{path}: line {lineno}: {fault}")
+    return [lineno, *_read_rows(path, [line], width, ints, None)[0].tolist()]
+
+
 def _name_bad_line(path: str, lines: Iterable, width: int, ints: Sequence[str],
                    delimiter: str | None) -> None:
     """Raise CsvParseError for the first of the numbered lines that breaks the row rule.

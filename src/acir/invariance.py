@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EnvDataset, _check_env_ids, _frozen, _readonly, check_envs
+from .core import EnvDataset, _check_env_ids, _check_feature_count, _frozen, _readonly, check_envs
 from .models import LinearIRMModel
 
 __all__ = [
@@ -79,10 +79,7 @@ class DensityModel:
         """Per-row log density under the named environment's Gaussian fit."""
         i = self.index(env_id)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.means.shape[1]:
-            raise ValueError(
-                f"expected {self.means.shape[1]} features, got {x.shape[1]}"
-            )
+        _check_feature_count(self.means.shape[1], x.shape[1])
         mean, var = self.means[i], self.variances[i]
         quad = ((x - mean) ** 2 / var).sum(axis=1)
         return -0.5 * (quad + np.log(2.0 * np.pi * var).sum())

@@ -29,15 +29,16 @@ import numpy as np
 
 from .core import (
     EnvDataset,
+    _check_feature_count,
     _frozen,
     _integer,
     _readonly,
+    _refuse_given,
     check_envs,
     check_seed,
-    not_utf8,
     numbered_lines,
 )
-from .datagen import _read_rows
+from .datagen import _read_header, _read_rows
 
 __all__ = [
     "LinearIRMModel",
@@ -101,15 +102,13 @@ class LinearIRMModel:
     def represent(self, x: np.ndarray) -> np.ndarray:
         """Representation x @ phi.T of one vector (p,) or of each row of a matrix (n, p)."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.p:
-            raise ValueError(f"expected {self.p} features, got {x.shape[-1]}")
+        _check_feature_count(self.p, x.shape[-1])
         return x @ self.phi.T
 
     def predict(self, x: np.ndarray) -> float | np.ndarray:
         """Sum of representation coordinates; scalar for a vector input."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.p:
-            raise ValueError(f"expected {self.p} features, got {x.shape[-1]}")
+        _check_feature_count(self.p, x.shape[-1])
         out = x @ self.weights
         return float(out) if x.ndim == 1 else out
 
@@ -128,9 +127,8 @@ class FitConfig:
     iterations. init_scale is the standard deviation of the seeded Gaussian
     initialization of phi; repr_dim defaults to the feature count.
 
-    penalty_weight and warmup_iters are IRM-only, and at None fit_irmv1 takes
-    them from _IRM_DEFAULTS. fit_erm ignores them, while refuse_penalty lets
-    ExperimentConfig without an IRM method and ``fit --method erm`` refuse them.
+    penalty_weight and warmup_iters are IRM-only: at None fit_irmv1 takes them
+    from _IRM_DEFAULTS, fit_erm ignores them, and refuse_penalty refuses them.
     """
 
     learning_rate: float = 1e-3
@@ -163,9 +161,7 @@ class FitConfig:
 
     def refuse_penalty(self, why: str) -> None:
         """A ValueError naming the first IRM-only field given: it does not apply ``why``."""
-        for name in _IRM_DEFAULTS:
-            if getattr(self, name) is not None:
-                raise ValueError(f"{name} does not apply {why}")
+        _refuse_given({name: getattr(self, name) for name in _IRM_DEFAULTS}, why)
 
 
 def irm_objective(
@@ -184,9 +180,7 @@ def irm_objective(
         to phi. Identical rows: predictions depend on phi only through
         its column sums.
     """
-    p = check_envs(envs)
-    if p != model.p:
-        raise ValueError(f"expected {model.p} features, got {p}")
+    _check_feature_count(model.p, check_envs(envs))
     s = model.weights
     lam = model.penalty_weight
     risk = 0.0
@@ -430,11 +424,8 @@ def load_model(path: str) -> LinearIRMModel:
     lines = numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty model file")
-    lineno, text = lines[0]
-    if len(text.split()) != 3:  # a non-UTF-8 byte is named first, as by the row rule
-        fault = not_utf8(text) or f"header must be 'd p penalty_weight', got {text!r}"
-        raise ValueError(f"{path}: line {lineno}: {fault}")
-    d, p, (lam,) = _read_rows(path, lines[:1], 3, ("d", "p"), None)[0].tolist()
+    lineno, d, p, (lam,) = _read_header(path, lines[0], 3, ("d", "p"),
+                                        "header must be 'd p penalty_weight'")
     if d < 2 or p < 1:
         raise ValueError(f"{path}: line {lineno}: declared shape ({d}, {p}) needs d >= 2, p >= 1")
     phi = _read_rows(path, lines[1:], p, (), None)["vals"] if lines[1:] else ()

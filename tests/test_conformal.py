@@ -717,6 +717,8 @@ def test_load_state_rejects_nan_at_load(tmp_path, text):
     ("0 1 2 0.0 1.0\n1.0\ninf\n", "line 3: non-finite cell in ['inf']"),
     # section headers and the section count
     ("\n0 1 2 0.0\n1.0\n2.0\n", "line 2: expected section header"),
+    ("0 1 2 0.0 1.0 7\n1.0\n2.0\n",
+     "line 1: expected section header 'env m n_cal mu v', got '0 1 2 0.0 1.0 7'"),
     ("0 1 -1 0.0 1.0\n1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 0 0.0 1.0\n", "line 1: env 0: n_cal must be >= 1"),
     ("0 1 2 nan 1.0\n1.0\n2.0\n", "line 1: non-finite cell in ['0', '1', '2', 'nan', '1.0']"),

@@ -5,6 +5,7 @@ import os
 import tempfile
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from conftest import assert_no_child_left
 
 
 def brute_force_quantile(scores, alpha):
-    """Oracle: sort ascending, take the k-th smallest with k = ceil((1-a)(n+1))."""
+    """Oracle: sort ascending, take the k-th smallest with k = ceil((1-a)(n+1)),
+    computed exactly for a the decimal that alpha prints as."""
     ordered = sorted(scores)
     n = len(ordered)
-    k = math.ceil((1.0 - alpha) * (n + 1))
+    k = math.ceil((1 - Fraction(repr(alpha))) * (n + 1))
     if k > n:
         return math.inf
     return ordered[k - 1]
@@ -43,6 +45,10 @@ def test_quantile_forced_small_cases():
     assert conformal_quantile(np.array([2.0, 1.0, 4.0, 3.0]), 0.5) == 3.0
     assert conformal_quantile(np.arange(1.0, 20.0), 0.05) == 19.0
     assert conformal_quantile(np.array([1.0, 2.0, 3.0]), 0.1) == math.inf
+    # (1 - alpha)(n + 1) lies just above n, so k = n + 1; a float product
+    # rounds it to n and read the largest score
+    assert conformal_quantile(np.array([1.0, 2.0]), 0.3333333333333333) == math.inf
+    assert conformal_quantile(np.array([5.0]), 0.49999999999999994) == math.inf
 
 
 def test_quantile_matches_brute_force_oracle():

@@ -15,7 +15,7 @@ are: each follows from the split-conformal guarantee (Vovk 2012; Angelopoulos
   AC is not gated here.
 * The finite-sample rule of sorted_conformal_quantile: leaving each of n + 1
   scores out in turn covers it at least 1 - alpha of the time, and its rank
-  never falls below the rank computed exactly in integers.
+  is the rank computed exactly in integers, for alpha the decimal it prints as.
 """
 
 import math
@@ -72,32 +72,31 @@ def test_pooled_split_conformal_coverage_lies_in_its_band(setting):
         assert low <= mean <= high, f"{method} on {setting}: {mean:.4f} outside [{low:.4f}, {high:.4f}]"
 
 
-# Scores from a small pool, so ties are common; alpha on a grid of six
-# decimal places, compared exactly as the decimal it is written as. (A float
-# alpha that is no short decimal can sit within rounding of j / (n + 1), and
-# there the float rank can read one below the exact rank of that float.)
+# Scores from a small pool, so ties are common; alpha any float in (0, 1),
+# compared exactly as the decimal it prints as. The last two examples sit
+# within rounding of a rank tie, where a float rank falls one below the exact
+# one and covers only 2/3 and 1/2 of the scores.
 @settings(max_examples=300, deadline=None)
 @given(
     scores=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e6)),
                     min_size=2, max_size=61),
-    micro_alpha=st.integers(1, 10**6 - 1),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
-@example(scores=[1.0, 2.0], micro_alpha=500_000)
-@example(scores=[1.0] * 20, micro_alpha=50_000)
-@example(scores=[float(i) for i in range(20)], micro_alpha=50_000)
-def test_leaving_each_score_out_covers_it_at_least_one_minus_alpha_of_the_time(
-    scores, micro_alpha
-):
-    alpha = Fraction(micro_alpha, 10**6)
+@example(scores=[1.0, 2.0], alpha=0.5)
+@example(scores=[1.0] * 20, alpha=0.05)
+@example(scores=[float(i) for i in range(20)], alpha=0.05)
+@example(scores=[1.0, 2.0, 3.0], alpha=0.3333333333333333)
+@example(scores=[1.0, 2.0], alpha=0.49999999999999994)
+def test_leaving_each_score_out_covers_it_at_least_one_minus_alpha_of_the_time(scores, alpha):
     covered = 0
     for i, s in enumerate(scores):
         rest = np.sort(np.array(scores[:i] + scores[i + 1:]))
-        covered += s <= sorted_conformal_quantile(rest, float(alpha))
-    assert Fraction(covered, len(scores)) >= 1 - alpha
+        covered += s <= sorted_conformal_quantile(rest, alpha)
+    assert Fraction(covered, len(scores)) >= 1 - Fraction(repr(alpha))
 
 
-# The fourteen miscoverage rates of the rank check; 0.45 is the one whose
-# float rank rises above the exact one, by one, for some n.
+# The fourteen miscoverage rates of the rank check; a float product's rank
+# of 0.45 rose one above the exact one at 2759 values of n.
 RANK_ALPHAS = ("0.001", "0.005", "0.01", "0.02", "0.025", "0.05", "0.1", "0.15", "0.2",
                "0.25", "0.3", "0.4", "0.45", "0.5")
 
@@ -108,11 +107,11 @@ def test_the_float_rank_never_falls_below_the_exact_rank(decimal_alpha):
     # n + 1, which lies above every rank that exists.
     alpha = Fraction(decimal_alpha)
     scores = np.arange(1.0, 10**5 + 1)
-    below = []
+    off = []
     for n in range(1, scores.size + 1):
         q = sorted_conformal_quantile(scores[:n], float(decimal_alpha))
         rank = n + 1 if q == math.inf else int(q)
         exact = -(-(alpha.denominator - alpha.numerator) * (n + 1) // alpha.denominator)
-        if rank < exact:
-            below.append(n)
-    assert below == []
+        if rank != exact:  # below would break the guarantee, above is wider than needed
+            off.append(n)
+    assert off == []

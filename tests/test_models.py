@@ -250,6 +250,8 @@ def test_model_round_trip(tmp_path):
     ("2 2 zero\n1.0 2.0\n3.0 4.0\n", "line 1: non-numeric cell in ['2', '2', 'zero']"),
     ("2 2 0.0\n1.0 2.0\n\n3.0 abc\n", "line 4: non-numeric cell in ['3.0', 'abc']"),
     ("\n2 2\n1.0 2.0\n3.0 4.0\n", "line 2: header must be"),
+    ("2 2 0.0 9\n1.0 2.0\n3.0 4.0\n",
+     "line 1: header must be 'd p penalty_weight', got '2 2 0.0 9'"),
     ("2 2 nan\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite cell in ['2', '2', 'nan']"),
     ("2 2 inf\n1.0 2.0\n3.0 4.0\n", "line 1: non-finite cell in ['2', '2', 'inf']"),
     ("2 2 0.0\n1.0 2.0\n\n3.0 -inf\n", "line 4: non-finite cell in ['3.0', '-inf']"),

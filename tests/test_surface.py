@@ -62,3 +62,44 @@ def test_the_library_imports_only_the_standard_library_and_numpy(path):
             continue
         for name in names:
             assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+# Each rule that several modules once built by hand has one home, which every
+# site calls; a second place that builds the rule's message is a second rule.
+RULE_HOMES = {
+    "feature count": ("core.py", "_check_feature_count"),
+    "field that does not apply": ("core.py", "_refuse_given"),
+    "whitespace header cell count": ("datagen.py", "_read_header"),
+}
+
+
+def _rule_built_by(node):
+    """The rule of RULE_HOMES whose message or count node builds, else None."""
+    if isinstance(node, ast.JoinedStr):
+        text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+        if " features, got " in text:
+            return "feature count"
+        if " does not apply " in text:
+            return "field that does not apply"
+    # len(text.split()): the cells of a line split on whitespace, counted
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+            and len(node.args) == 1 and isinstance(call := node.args[0], ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == "split"
+            and not call.args and not call.keywords):
+        return "whitespace header cell count"
+    return None
+
+
+def test_each_shared_rule_is_built_in_one_place():
+    sites = {rule: [] for rule in RULE_HOMES}
+
+    def scan(node, where):
+        # where is the innermost function around node, or <module>
+        for child in ast.iter_child_nodes(node):
+            if rule := _rule_built_by(child):
+                sites[rule].append(where)
+            scan(child, (where[0], child.name) if isinstance(child, ast.FunctionDef) else where)
+
+    for path in sorted(Path(acir.__file__).parent.glob("*.py")):
+        scan(ast.parse(path.read_text(), str(path)), (path.name, "<module>"))
+    assert sites == {rule: [home] for rule, home in RULE_HOMES.items()}

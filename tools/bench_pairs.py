@@ -3,7 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py BASE CHANGE --workload W|all --pairs K --seconds S
-                                 [--seed N] [--record]
+                                 [--seed N] [--busy] [--record]
 
 BASE and CHANGE name commits; CHANGE may be ``.`` for the working tree (the
 files git tracks or would track, as they are on disk). Each side is copied
@@ -15,6 +15,12 @@ copies' own, unchanged
 
 once on each side, the base first in even pairs and the change first in odd
 ones, and reads the run's ``.bench_out`` JSON record.
+
+``--busy`` starts one CPU-bound loop process of this tool's own beside each
+run, and kills and reaps it when the run ends, on every path: the run meets
+a busy CPU, as it would beside another job on the host, and no machine
+setting is touched. The A/A entry a busy run is read against is the latest
+busy one, and each entry records whether it was busy.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 medians over the K runs, the base's interquartile range, the range of the
@@ -45,6 +51,7 @@ take about 2 K (S + 30) seconds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -102,6 +109,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return json.load(fh)
 
 
+@contextlib.contextmanager
+def busy_cpu():
+    """One CPU-bound loop process beside the block; killed and reaped on every path."""
+    loop = subprocess.Popen([sys.executable, "-c", "while True: pass"],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+    try:
+        yield
+    finally:
+        loop.kill()
+        loop.wait()
+
+
 def _iqr(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -119,9 +138,11 @@ def recorded(workload: str) -> tuple[Path, list[dict]]:
     return path, json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
 
 
-def noise_floor(workload: str) -> dict | None:
-    """The latest recorded A/A entry of workload, one whose two sides are one commit."""
-    same = [e for e in recorded(workload)[1] if e["base"] == e["change"]]
+def noise_floor(workload: str, busy: bool) -> dict | None:
+    """The latest recorded A/A entry of workload, one whose two sides are one commit,
+    taken beside a busy CPU or not as busy says (an entry without the key was not)."""
+    same = [e for e in recorded(workload)[1]
+            if e["base"] == e["change"] and e.get("busy", False) == busy]
     return same[-1] if same else None
 
 
@@ -183,9 +204,9 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict, floor: dict | None) -> d
     }
 
 
-def report(workload: str, result: dict) -> None:
+def report(workload: str, result: dict, busy: bool) -> None:
     aa = result["aa_entry"]
-    print(f"\n{workload}: {result['pairs']} pairs; A/A: "
+    print(f"\n{workload}: {result['pairs']} pairs{' beside a busy CPU' if busy else ''}; A/A: "
           + (f"{aa['pairs']} pairs at {aa['base'][:12]} ({aa['date']})" if aa else "none recorded"))
     print(f"  {'metric':<14} {'base':>12} {'change':>12} {'base IQR':>10} "
           f"{'pair ratios':>13} {'A/A ratios':>13} {'favour':>6} {'worse':>7} {'bound':>5}  ok")
@@ -218,6 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--busy", action="store_true",
+                        help="run one CPU-bound loop process beside each benchmark run")
     parser.add_argument("--record", action="store_true",
                         help="append one entry per workload to BENCH_<workload>.json")
     args = parser.parse_args(argv)
@@ -239,12 +262,14 @@ def main(argv: list[str] | None = None) -> int:
             pairs = []
             for k in range(args.pairs):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
-                runs = {side: run_once(trees[side], workload, args.seed, args.seconds)
-                        for side in order}
+                runs = {}
+                for side in order:
+                    with busy_cpu() if args.busy else contextlib.nullcontext():
+                        runs[side] = run_once(trees[side], workload, args.seed, args.seconds)
                 pairs.append((runs["base"], runs["change"]))
                 print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
-            result = compare(pairs, spec, noise_floor(workload))
-            report(workload, result)
+            result = compare(pairs, spec, noise_floor(workload, args.busy))
+            report(workload, result, args.busy)
             if args.record:
                 environment = dict(pairs[0][0]["environment"])
                 for key in ("commit", "src_sha256"):
@@ -252,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
                 environment["affinity"] = sorted(os.sched_getaffinity(0))
                 entry = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                          "workload": workload, **sides, "seed": args.seed,
-                         "seconds": args.seconds, "environment": environment, **result}
+                         "seconds": args.seconds, "busy": args.busy,
+                         "environment": environment, **result}
                 print(f"  recorded in {record(workload, entry)}")
     return 0
 

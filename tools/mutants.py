@@ -55,11 +55,9 @@ MUTANTS = [
     # conformal rank, the AC weights and quantiles, the fitter's penalty, the
     # invariance statistic, the metrics, and the runner's seeds and scope bounds.
     Mutant("quantile-rank-n", "core.py",
-           "k = math.ceil((1.0 - check_alpha(alpha)) * (n + 1))",
-           "k = math.ceil((1.0 - check_alpha(alpha)) * n)"),
+           "k = -((num - den) * (n + 1) // den)", "k = -((num - den) * n // den)"),
     Mutant("quantile-rank-floor", "core.py",
-           "k = math.ceil((1.0 - check_alpha(alpha)) * (n + 1))",
-           "k = math.floor((1.0 - check_alpha(alpha)) * (n + 1))"),
+           "k = -((num - den) * (n + 1) // den)", "k = (den - num) * (n + 1) // den"),
     Mutant("weights-drop-mu", "conformal.py",
            "tau = np.add(dist[0], dist[1], out=dist[0])", "tau = dist[1]"),
     Mutant("weights-drop-v", "conformal.py",
@@ -121,7 +119,15 @@ MUTANTS = [
            "        out.seek(0)\n        return join(result, out)",
            "        if fork:\n            out.seek(0)\n        return join(result, out)"),
     Mutant("refuse-penalty-ignores-warmup", "models.py",
-           "for name in _IRM_DEFAULTS:", 'for name in ("penalty_weight",):'),
+           "_refuse_given({name: getattr(self, name) for name in _IRM_DEFAULTS}, why)",
+           '_refuse_given({"penalty_weight": self.penalty_weight}, why)'),
+    # The one home of each rule that several modules once built by hand.
+    Mutant("feature-count-allows-extra", "core.py",
+           "    if got != want:\n", "    if got < want:\n"),
+    Mutant("refuse-given-passes-falsy", "core.py",
+           "        if value is not None:\n", "        if value:\n"),
+    Mutant("header-allows-extra-cells", "datagen.py",
+           "if len(text.split()) != width:", "if len(text.split()) < width:"),
     Mutant("header-keeps-quotes", "datagen.py",
            "header = [c[1:-1] if len(c) > 1 and c[0] == c[-1] == '\"' else c for c in header]",
            "header = header"),
