@@ -13,12 +13,14 @@ Both return one array-valued ``PredictionInterval`` for a batch of points;
 ``sc_interval`` and ``acir_interval`` are their single-point views.
 
 The calibration state is a compact, serializable artifact: sorted scores and
-two moment summaries per environment plus the model used to score. Every
-value derived from them is made at construction, and interval construction
-only reads the state, so a single state can serve concurrent prediction
-requests. Its one write after construction is the quantiles of the last
-alpha asked for, a one-slot memo of (alpha, quantiles) replaced as one
-tuple: threads asking for different alphas each get their own alpha's
+two moment summaries per environment plus the model used to score, whose
+predict and represent give every centre and representation. Every value
+derived from them is made at construction, and interval construction only
+reads the state, so a single state can serve concurrent prediction
+requests. Its one write after construction is the pooled and
+per-environment quantiles of the last alpha asked for, by either kind of
+interval: a one-slot memo (alpha, pooled_q, env_q) replaced as one tuple,
+so threads asking for different alphas each get their own alpha's
 quantiles, whichever memo is left.
 """
 
@@ -104,14 +106,16 @@ class CalibrationState:
     calibrate and load_state hand over without copying them. It sorts the
     pooled scores, in place, into the read-only ``pooled_sorted`` and stacks
     mu and v. After that a conformal quantile is one index read into sorted
-    scores: sc_intervals reads one from ``pooled_sorted``, and env_quantiles
-    one per environment, once per alpha: it keeps the last alpha's read-only
-    quantiles, and nothing else. Nothing is sorted or re-validated per query
-    but alpha and the shape of the points. A single acir_interval is the
-    O(p*d) computation of the point's d-dimensional representation, its
-    moments and its m weights, run as the batch code on one row: both
-    moment distances in one broadcast subtraction against the (2, m, 1)
-    stack of mu and v. README gives its timings.
+    scores, made in one method once per alpha: the first query at an alpha,
+    SC or AC, reads the pooled quantile from ``pooled_sorted`` and one per
+    environment, and keeps them as the memo (alpha, pooled_q, env_q), and
+    nothing else. Nothing is sorted or re-validated per query but alpha and
+    the shape of the points. A single acir_interval is the O(p*d)
+    computation of the point's d-dimensional representation (the model's
+    represent), its moments and its m weights, run as the batch code on one
+    row: both moment distances in one broadcast subtraction against the
+    (2, m, 1) stack of mu and v. Both kinds take their centres from the
+    model's predict. README gives the timings.
 
     The moments have closed forms that the code does not use, since they
     agree only up to rounding: mu_x is the prediction f(x) divided by d,
@@ -147,7 +151,7 @@ class CalibrationState:
         # [mu; v] as a (2, m, 1) stack, laid out like _stacked_moments
         object.__setattr__(self, "_moment_stack", _frozen(np.stack([mu, v])[:, :, None]))
         # nan equals no alpha, so the first query fills the memo
-        object.__setattr__(self, "_quantile_memo", (np.nan, None))
+        object.__setattr__(self, "_quantile_memo", (np.nan, None, None))
 
     @property
     def m(self) -> int:
@@ -156,19 +160,19 @@ class CalibrationState:
     def pooled_scores(self) -> np.ndarray:
         return np.concatenate(self.scores)
 
-    def env_quantiles(self, alpha: float) -> np.ndarray:
-        """Per-environment conformal quantiles at miscoverage alpha, read-only.
-
-        The last alpha's quantiles are kept, so repeated queries at one
-        alpha read them once.
-        """
+    def _quantiles(self, alpha: float) -> tuple[float, float, np.ndarray]:
+        """(alpha, pooled_q, env_q): the one quantile read, kept for the last alpha asked for."""
         memo = self._quantile_memo
         if memo[0] != alpha:  # nan never matches, so it reaches check_alpha
             alpha = check_alpha(alpha)
-            q = _frozen(np.array([sorted_conformal_quantile(sc, alpha) for sc in self.scores]))
-            memo = (alpha, q)
+            q = [sorted_conformal_quantile(sc, alpha) for sc in (self.pooled_sorted, *self.scores)]
+            memo = (alpha, q[0], _frozen(np.array(q[1:])))
             object.__setattr__(self, "_quantile_memo", memo)
-        return memo[1]
+        return memo
+
+    def env_quantiles(self, alpha: float) -> np.ndarray:
+        """Per-environment conformal quantiles at miscoverage alpha, read-only."""
+        return self._quantiles(alpha)[2]
 
     # -- similarity weighting -------------------------------------------------
 
@@ -211,7 +215,7 @@ class CalibrationState:
         # writes through the transpose of the C-ordered (n, m) result, which
         # keeps the order in which the row sums here and the matrix product
         # in _combine add.
-        dist = self._moment_stack - _stacked_moments(x @ self.model.phi.T)[:, None, :]
+        dist = self._moment_stack - _stacked_moments(self.model.represent(x))[:, None, :]
         np.abs(dist, out=dist)
         tau = np.add(dist[0], dist[1], out=dist[0])
         np.subtract(np.minimum.reduce(tau), tau, out=tau)
@@ -237,8 +241,8 @@ class CalibrationState:
     def sc_intervals(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """Split-conformal intervals: the pooled calibration quantile around each prediction."""
         x = self._points(x, one=False)
-        half = sorted_conformal_quantile(self.pooled_sorted, alpha)
-        centers = x @ self.model.weights
+        half = self._quantiles(alpha)[1]
+        centers = self.model.predict(x)
         return PredictionInterval(_frozen(centers), _frozen(np.full(centers.shape, half)))
 
     def sc_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
@@ -250,7 +254,7 @@ class CalibrationState:
         x = self._points(x, one=False)
         halves = self._combine(self._weights_matrix(x), self.env_quantiles(alpha))
         # Both arrays are new and owned here: handed over, not copied.
-        return PredictionInterval(_frozen(x @ self.model.weights), _frozen(halves))
+        return PredictionInterval(_frozen(self.model.predict(x)), _frozen(halves))
 
     def acir_interval(self, x: np.ndarray, alpha: float) -> PredictionInterval:
         """acir_intervals for the single point x of shape (p,)."""

@@ -181,14 +181,13 @@ def irm_objective(
         its column sums.
     """
     _check_feature_count(model.p, check_envs(envs))
-    s = model.weights
     lam = model.penalty_weight
     risk = 0.0
     penalty = 0.0
     grad_s = np.zeros(model.p)
     for env in envs:
         x, y = env.features, env.targets
-        z = x @ s
+        z = model.predict(x)
         r = z - y
         n = env.n
         risk += float(r @ r) / n

@@ -1,5 +1,6 @@
 """Calibration-state construction, similarity weighting, and both intervals."""
 
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -464,6 +465,31 @@ def test_env_quantiles_keep_the_last_alpha_and_equal_brute_force():
     assert np.isinf(state.env_quantiles(0.01)).all()
 
 
+def test_every_quantile_comes_from_one_memo_per_alpha(monkeypatch):
+    # SC's pooled quantile and AC's per-environment ones are read together,
+    # once per alpha, whichever kind of interval asks first
+    _, _, state = make_state(seed=31)
+    x = np.random.default_rng(31).normal(size=(5, 4))
+    reads = []
+    read = conformal.sorted_conformal_quantile
+
+    def counting(sorted_scores, alpha):
+        reads.append(alpha)
+        return read(sorted_scores, alpha)
+
+    monkeypatch.setattr(conformal, "sorted_conformal_quantile", counting)
+    for alpha in (0.05, 0.1):
+        reads.clear()
+        sc = state.sc_intervals(x, alpha)
+        assert len(reads) == state.m + 1
+        state.acir_intervals(x, alpha)
+        state.sc_interval(x[0], alpha)
+        state.acir_interval(x[0], alpha)
+        assert len(reads) == state.m + 1
+        pooled = conformal_quantile(np.concatenate(state.scores), alpha)
+        np.testing.assert_array_equal(sc.half_width, np.full(len(x), pooled))
+
+
 def test_env_quantiles_are_read_only():
     _, _, state = make_state(seed=26)
     q = state.env_quantiles(ALPHA)
@@ -534,6 +560,31 @@ def test_threads_asking_for_different_alphas_get_their_own_answers(monkeypatch):
     monkeypatch.setattr(CalibrationState, "env_quantiles", yielding_lookup)
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert list(pool.map(ask, alphas)) == [True, True]
+
+
+def test_threads_asking_both_kinds_at_different_alphas_get_their_own_answers():
+    # SC and AC read one memo: four threads, one per alpha, replace it while
+    # the others read it, and every answer must be its own alpha's
+    state, x = _state_with_a_far_small_env(32)
+    fresh, _ = _state_with_a_far_small_env(32)
+    x = x[:20]
+
+    def answer(st, k, alpha):
+        pt = x[k % len(x)]
+        return (st.sc_interval(pt, alpha).half_width.tobytes(),
+                st.acir_interval(pt, alpha).half_width.tobytes())
+
+    alphas = (0.05, 0.1, 0.2, 0.5)
+    serial = {a: [answer(fresh, k, a) for k in range(len(x))] for a in alphas}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            done = pool.map(lambda a: all(answer(state, k, a) == serial[a][k % len(x)]
+                                          for k in range(1000)), alphas, timeout=60)
+            assert list(done) == [True] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("asked, other", [(0.5, 0.05), (0.05, 0.5)])

@@ -103,3 +103,60 @@ def test_each_shared_rule_is_built_in_one_place():
     for path in sorted(Path(acir.__file__).parent.glob("*.py")):
         scan(ast.parse(path.read_text(), str(path)), (path.name, "<module>"))
     assert sites == {rule: [home] for rule, home in RULE_HOMES.items()}
+
+
+def _sites(predicate):
+    """(site, node) for every node of the library that predicate holds for; a
+    site is the file and the dotted name of the innermost class or function
+    around the node, or <module>."""
+    found = []
+
+    def scan(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if predicate(child):
+                found.append(((path.name, ".".join(where) or "<module>"), child))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            scan(child, path, (*where, child.name) if named else where)
+
+    for path in sorted(Path(acir.__file__).parent.glob("*.py")):
+        scan(ast.parse(path.read_text(), str(path)), path, ())
+    return found
+
+
+def _model_attribute(node):
+    """Whether node reads an attribute named weights or phi, or its ``.T``."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in ("weights", "phi")
+
+
+def _operands(node):
+    """The operands of a matrix product, ``@`` or a dot call, else ()."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return node.left, node.right
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dot", "matmul")):
+        return node.func.value, *node.args
+    return ()
+
+
+def _calls_sorted_quantile(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sorted_conformal_quantile")
+
+
+def test_the_model_owns_its_products_and_a_state_reads_quantiles_in_one_place():
+    # centres and representations come from LinearIRMModel.predict and
+    # .represent, and a calibration state reads every quantile, pooled and
+    # per environment, in the one method that fills its per-alpha memo
+    aliases = {(site, target.id)  # names bound to weights or phi, as s = model.weights
+               for site, node in _sites(lambda n: isinstance(n, ast.Assign)
+                                        and _model_attribute(n.value))
+               for target in node.targets if isinstance(target, ast.Name)}
+    products = {site for site, node in _sites(_operands)
+                if any(_model_attribute(n) or isinstance(n, ast.Name) and (site, n.id) in aliases
+                       for operand in _operands(node) for n in ast.walk(operand))}
+    assert products == {("models.py", "LinearIRMModel.predict"),
+                        ("models.py", "LinearIRMModel.represent")}
+    reads = [site for site, _ in _sites(_calls_sorted_quantile) if site[0] == "conformal.py"]
+    assert reads == [("conformal.py", "CalibrationState._quantiles")]

@@ -26,10 +26,14 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 medians over the K runs, the base's interquartile range, the range of the
 K pair ratios (change over base, which on identical trees is the noise
 floor a later claim is read against), how many pairs favour the change,
-and whether the change's median is within the metric's bound (its relative
-worsening against the base's median is at most the bound). Beside each
-metric's pair ratios it prints the pair-ratio range of the workload's
-latest recorded A/A entry (one that compared a commit with itself) in
+whether the change's median is within the metric's bound (its relative
+worsening against the base's median is at most the bound), and whether the
+run shows a gain by the rule a claimed gain is reviewed by: at least 9 in 10
+pairs favour the change, and the change's median is better than the base's
+by more than the base's interquartile range, so a claim's verdict does not
+rest on a recorded A/A range alone. Beside each metric's pair ratios it
+prints the pair-ratio range of the workload's latest recorded A/A entry
+(one that compared a commit with itself) in
 ``BENCH_<workload>.json``, and flags the metric when every pair ratio of
 this run lies on one side of that range, above or below it: a change that
 the noise floor of identical trees does not cover. It also prints the medians of the raw
@@ -171,6 +175,8 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict, floor: dict | None) -> d
         base_median, change_median = statistics.median(base), statistics.median(change)
         sign = 1.0 if higher else -1.0
         ratios = [c / b if b else None for b, c in zip(base, change)]
+        favour = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        base_iqr = _iqr(base)
         aa = floor["metrics"].get(name) if floor else None
         aa_range = _ratio_range(aa["pair_ratios"]) if aa else None
         # the change's relative worsening against the base median; 0 when the base reads 0
@@ -180,11 +186,15 @@ def compare(pairs: list[tuple[dict, dict]], spec: dict, floor: dict | None) -> d
             "bound": bound,
             "base_median": base_median,
             "change_median": change_median,
-            "base_iqr": _iqr(base),
+            "base_iqr": base_iqr,
             "pair_ratios": ratios,
             "aa_pair_ratio_range": aa_range,
             "outside_aa": _outside(ratios, aa_range),
-            "pairs_favouring_change": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "pairs_favouring_change": favour,
+            # the rule a claimed gain is reviewed by: at least 9 in 10 pairs
+            # favour the change, and its median is better by more than the base's IQR
+            "gain_shown": 10 * favour >= 9 * len(pairs)
+                          and sign * (change_median - base_median) > base_iqr,
             "relative_worsening": worse,
             "within_bound": worse <= bound,
         }
@@ -209,7 +219,8 @@ def report(workload: str, result: dict, busy: bool) -> None:
     print(f"\n{workload}: {result['pairs']} pairs{' beside a busy CPU' if busy else ''}; A/A: "
           + (f"{aa['pairs']} pairs at {aa['base'][:12]} ({aa['date']})" if aa else "none recorded"))
     print(f"  {'metric':<14} {'base':>12} {'change':>12} {'base IQR':>10} "
-          f"{'pair ratios':>13} {'A/A ratios':>13} {'favour':>6} {'worse':>7} {'bound':>5}  ok")
+          f"{'pair ratios':>13} {'A/A ratios':>13} {'favour':>6} {'worse':>7} {'bound':>5}"
+          "  ok  gain")
     for name, m in result["metrics"].items():
         lo, hi = _ratio_range(m["pair_ratios"]) or (math.nan, math.nan)
         aa_lo, aa_hi = m["aa_pair_ratio_range"] or (math.nan, math.nan)
@@ -218,7 +229,8 @@ def report(workload: str, result: dict, busy: bool) -> None:
               f"{m['base_iqr']:>10.4g} {lo:>6.3f}-{hi:<6.3f} {aa_lo:>6.3f}-{aa_hi:<6.3f} "
               f"{m['pairs_favouring_change']:>3}/{result['pairs']:<2} "
               f"{100 * m['relative_worsening']:>6.1f}% {m['bound']:>5} "
-              f"{'yes' if m['within_bound'] else 'NO'}{flag}")
+              f"{'yes' if m['within_bound'] else 'NO':<3} "
+              f"{'yes' if m['gain_shown'] else 'no'}{flag}")
     for key in ("setup_runs_s_median", "setup_scales_median", "failed_operations"):
         print(f"  {key}: base {result[key]['base']!r}, change {result[key]['change']!r}")
     print(f"  fingerprints matched in every pair: {result['fingerprints_match']}")

@@ -67,7 +67,7 @@ MUTANTS = [
     Mutant("ac-pooled-quantile", "conformal.py",
            "halves = self._combine(self._weights_matrix(x), self.env_quantiles(alpha))",
            "halves = self._combine(self._weights_matrix(x), np.full(self.m, "
-           "sorted_conformal_quantile(self.pooled_sorted, alpha)))"),
+           "self._quantiles(alpha)[1]))"),
     Mutant("calibration-scores-inflated", "conformal.py",
            "resid = np.abs(env.targets - model.predict(env.features))",
            "resid = 1.02 * np.abs(env.targets - model.predict(env.features))"),
@@ -140,6 +140,15 @@ MUTANTS = [
            "os.kill(pid, signal.SIGKILL)", "pass"),
     Mutant("fallback-keeps-worker-bytes", "core.py",
            "                out.truncate()\n", "                pass\n"),
+    # A calibration state's one quantile memo, and the model's representation
+    # that its AC weights read.
+    Mutant("memo-keeps-stale-alpha", "conformal.py",
+           "if memo[0] != alpha:", "if memo[1] is None:"),
+    Mutant("pooled-quantile-from-one-env", "conformal.py",
+           "for sc in (self.pooled_sorted, *self.scores)",
+           "for sc in (self.scores[0], *self.scores)"),
+    Mutant("weights-moments-of-raw-points", "conformal.py",
+           "_stacked_moments(self.model.represent(x))", "_stacked_moments(x)"),
 ]
 
 
